@@ -6,12 +6,17 @@ one-form alpha = sum_k T^{e_k} q * (sum_i v_ki l_i), carrying a global
 sign (-1)^n so printed chains match the expected formulas; alpha wedge
 alpha = 0 makes it square to zero for every interior fiber.
 
-The homology rank over the Novikov field is computed by Gaussian
-elimination with least-valuation pivoting.  Row operations divide by the
-pivot through truncated geometric-series inverses, and all arithmetic is
-performed modulo terms of T-exponent above a cutoff, so eliminated
-entries are exactly zero there; the cutoff doubles until the rank agrees
-across two successive levels.
+The rank is read off alpha, as in the 2^n/0 dichotomy of Cho-Oh (Asian
+J. Math. 2006) used by arXiv math/0412414.  Over a field, wedging with
+a nonzero one-form is the Koszul complex of a nonzero vector, which is
+exact, so the cohomology is 0; when alpha = 0 the differential vanishes
+and all 2^n classes survive.  alpha = 0 exactly at balanced fibers,
+since terms of distinct area cannot cancel.  The answer is exact
+and involves no truncation.
+
+elimination_rank and novikov_rank are general helpers for the rank of a
+Novikov matrix by truncated Gaussian elimination; hf_rank does not use
+them.
 """
 
 from __future__ import annotations
@@ -161,10 +166,14 @@ def novikov_rank(
 
 def hf_rank(X: ToricFano, f: Fiber) -> int:
     """Rank of ker(m1)/im(m1) over the Novikov field: 2^n at balanced
-    fibers and 0 everywhere else."""
-    _, matrix = differential_matrix(X, f)
-    r = novikov_rank(matrix)
-    return 2**X.n - 2 * r
+    fibers and 0 everywhere else.
+
+    m1 is x -> (-1)^n alpha wedge x.  A nonzero one-form alpha makes this
+    an exact Koszul complex, so the rank is 0 unless every coefficient of
+    alpha vanishes, in which case m1 = 0.  Exact for every interior
+    rational fiber; no cutoff is involved.
+    """
+    return 0 if any(obstruction_form(X, f)) else 2**X.n
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,17 @@ SKEW_JSON = json.dumps(
     }
 )
 
+BIG_CP1_JSON = json.dumps(
+    {
+        "name": "bigCP1",
+        "dim": 1,
+        "facets": [
+            {"normal": [1], "offset": 0},
+            {"normal": [-1], "offset": -100},
+        ],
+    }
+)
+
 UNBOUNDED_JSON = json.dumps(
     {
         "name": "halfplane",
@@ -155,6 +166,18 @@ class TestScan:
         assert doc["balanced_fibers"] == [{"hf_rank": 4, "u": ["1/3", "1/3"]}]
         assert doc["unbalanced_points_with_nonzero_rank"] == 0
         assert json.dumps(doc, indent=2, sort_keys=True) == out.strip()
+
+    def test_dilated_cp1_has_no_spurious_rank(self, capsys):
+        # disc areas far above any truncation cutoff must not read as zero
+        code, out, _ = run(
+            capsys, "scan", "--input", BIG_CP1_JSON, "--grid", "1",
+            "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["points_scanned"] == 99
+        assert doc["balanced_fibers"] == [{"hf_rank": 2, "u": ["50"]}]
+        assert doc["unbalanced_points_with_nonzero_rank"] == 0
 
     def test_grid_validation(self, capsys):
         code, _, err = run(capsys, "scan", "--input", "CP2", "--grid", "0")

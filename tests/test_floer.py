@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricfloer import (
     CliffordElement,
@@ -19,6 +21,7 @@ from toricfloer import (
     load_toric,
     m1_apply,
     m2_product,
+    make_toric,
     novikov_rank,
     obstruction_form,
     subsets_graded,
@@ -28,7 +31,12 @@ from toricfloer import (
 from toricfloer.floer import differential_matrix
 from toricfloer.novikov import ONE, ZERO, NovikovElement, monomial
 
-from conftest import balanced_fiber, random_interior_fiber
+from conftest import (
+    BUILTIN_NAMES,
+    balanced_fiber,
+    exact_differential_rank,
+    random_interior_fiber,
+)
 
 
 def all_tuples(n, m):
@@ -171,14 +179,32 @@ class TestRank:
         assert hf_rank(W, balanced_fiber(W)) == 8
         assert hf_rank(W, Fiber((F(1, 4), F(1, 4), F(1, 3)))) == 0
 
+    def test_dilated_cp1_unbalanced_fiber(self):
+        # areas 30 and 70 lie far above any truncation cutoff
+        X = make_toric("bigCP1", 1, [(1,), (-1,)], [0, -100])
+        assert hf_rank(X, Fiber((30,))) == 0
+        assert hf_rank(X, Fiber((50,))) == 2
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_large_projective_spaces(self, n):
+        X = load_toric(f"CPn({n})")
+        center = balanced_fiber(X)
+        off = Fiber((F(1, n + 2),) + center.u[1:])
+        for f, expected in ((center, 2**n), (off, 0)):
+            assert hf_rank(X, f) == expected
+            _, M = differential_matrix(X, f)
+            assert 2**n - 2 * exact_differential_rank(M) == expected
+
     def test_dichotomy_random(self, builtin):
-        # coarse denominators keep the valuation gaps, and with them the
-        # truncated inverse series, short
+        # a 1/6 grid holds the centers of CP1, CP2 and CP1xCP1, so balanced
+        # fibers are drawn as well as unbalanced ones
         rng = random.Random(46)
         for _ in range(20):
             f = random_interior_fiber(builtin, rng, denom=6)
             expected = 2**builtin.n if is_balanced(builtin, f).balanced else 0
+            _, M = differential_matrix(builtin, f)
             assert hf_rank(builtin, f) == expected
+            assert 2**builtin.n - 2 * exact_differential_rank(M) == expected
 
     def test_rank_stable_across_cutoffs(self, builtin):
         rng = random.Random(47)
@@ -186,6 +212,35 @@ class TestRank:
         _, M = differential_matrix(builtin, f)
         r10 = elimination_rank(M, 10)
         assert r10 == elimination_rank(M, 20) == novikov_rank(M)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(BUILTIN_NAMES),
+    k=st.integers(1, 200),
+    shift=st.lists(st.integers(-50, 50), min_size=3, max_size=3),
+    seed=st.integers(0, 2**16),
+    at_center=st.booleans(),
+)
+def test_rank_invariant_under_dilation_and_translation(name, k, shift, seed, at_center):
+    X = load_toric(name)
+    n = X.n
+    if at_center:
+        f = balanced_fiber(X)
+    else:
+        f = random_interior_fiber(X, random.Random(seed), denom=12)
+    c = shift[:n]
+    offsets = [
+        k * lam + sum(ci * vi for ci, vi in zip(c, v))
+        for v, lam in zip(X.normals, X.offsets)
+    ]
+    Y = make_toric(f"{name}x{k}", n, X.normals, offsets)
+    g = Fiber(tuple(k * ui + ci for ui, ci in zip(f.u, c)))
+    rank = hf_rank(Y, g)
+    assert rank == hf_rank(X, f)
+    assert is_balanced(Y, g).balanced == is_balanced(X, f).balanced
+    _, M = differential_matrix(Y, g)
+    assert rank == 2**n - 2 * exact_differential_rank(M)
 
 
 class TestLProducts:
