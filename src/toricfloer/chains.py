@@ -34,23 +34,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, NotBalanced
-from .novikov import ONE, ZERO, NovikovElement, monomial
-from .toric import Fiber, ToricFano, area_partition, disc_areas, is_balanced
+from .novikov import ONE, ZERO, NovikovElement, _as_novikov, monomial
+from .toric import (
+    AreaClass,
+    DiscClass,
+    Fiber,
+    ToricFano,
+    _balance,
+    _plain_fiber,
+    area_partition,
+    disc_areas,
+)
 
 OddGen = tuple[str, int]  # ("d", j) or ("l", i); "d" sorts before "l"
 Monomial = tuple[tuple[int, ...], tuple[OddGen, ...]]  # (even Q multiset, odds)
 Scalar = Union[int, Fraction, NovikovElement]
 
 Dims = tuple[int, int, int]  # (n, N, number of area classes)
-
-
-def _as_novikov(x: Scalar) -> NovikovElement:
-    if isinstance(x, NovikovElement):
-        return x
-    return monomial(x)
 
 
 def _merge_odds(a: tuple[OddGen, ...], b: tuple[OddGen, ...]):
@@ -257,13 +260,24 @@ class ChainAlgebra:
     def for_fiber(cls, X: ToricFano, f: Fiber) -> "ChainAlgebra":
         classes = disc_areas(X, f)
         partition = area_partition(classes)
+        _plain_fiber(f)  # balancedness is only decided without holonomy
+        return cls._from_areas(X, classes, partition)
+
+    @classmethod
+    def _from_areas(
+        cls,
+        X: ToricFano,
+        classes: Sequence[DiscClass],
+        partition: Sequence[AreaClass],
+    ) -> "ChainAlgebra":
+        """for_fiber on disc areas and their partition already computed."""
         return cls(
             n=X.n,
             N=X.num_facets,
             facet_areas=tuple(d.area for d in classes),
             class_areas=tuple(a for a, _ in partition),
             class_members=tuple(idxs for _, idxs in partition),
-            balanced=is_balanced(X, f).balanced,
+            balanced=_balance(X, partition).balanced,
         )
 
     @property

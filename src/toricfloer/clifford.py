@@ -13,21 +13,14 @@ every Q entry to zero degenerates the product to the exterior algebra.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
 from .errors import DimensionMismatch
-from .novikov import ONE, ZERO, NovikovElement, monomial
+from .novikov import ONE, ZERO, NovikovElement, _as_novikov
 from .potential import QuadraticForm
 
 Subset = tuple[int, ...]
 Scalar = Union[int, Fraction, NovikovElement]
-
-
-def _as_novikov(x: Scalar) -> NovikovElement:
-    if isinstance(x, NovikovElement):
-        return x
-    return monomial(x)
 
 
 class CliffordElement:
@@ -159,7 +152,6 @@ class CliffordElement:
         return f"CliffordElement[{self}]"
 
 
-@lru_cache(maxsize=None)
 def _word_normal_form(
     Q: QuadraticForm, word: tuple[int, ...]
 ) -> tuple[tuple[Subset, NovikovElement], ...]:

@@ -21,14 +21,15 @@ them.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .clifford import CliffordElement, cl_mul
 from .errors import NotBalanced
 from .novikov import DEFAULT_CUTOFF, ZERO, NovikovElement, monomial
-from .potential import QuadraticForm, formal_hessian
-from .toric import Fiber, ToricFano, disc_areas, is_balanced
+from .potential import QuadraticForm, _class_sum, _hessian
+from .toric import AreaClass, Fiber, ToricFano, _balance, _plain_fiber, area_partition, disc_areas
 
 #: cohomology classes of the fiber torus, wedge products of the degree-1
 #: generators; the same container as CliffordElement, multiplied with Q = 0
@@ -55,12 +56,16 @@ def wedge(x: ExteriorClass, y: ExteriorClass) -> ExteriorClass:
 
 
 def obstruction_form(X: ToricFano, f: Fiber) -> list[NovikovElement]:
-    """Coefficients alpha_i = sum_k v_ki * T^{e_k} q of the one-form alpha."""
-    classes = disc_areas(X, f)
-    return [
-        sum((monomial(d.normal[i], d.area, 1) for d in classes), ZERO)
-        for i in range(X.n)
-    ]
+    """Coefficients alpha_i = sum_k v_ki * T^{e_k} q of the one-form alpha,
+    summed per class of equal disc area."""
+    return _obstruction_form(X, area_partition(disc_areas(X, f)))
+
+
+def _obstruction_form(
+    X: ToricFano, partition: Sequence[AreaClass]
+) -> list[NovikovElement]:
+    """obstruction_form on an area partition already computed for the fiber."""
+    return [_class_sum(partition, [v[i] for v in X.normals]) for i in range(X.n)]
 
 
 def differential_matrix(
@@ -173,7 +178,12 @@ def hf_rank(X: ToricFano, f: Fiber) -> int:
     alpha vanishes, in which case m1 = 0.  Exact for every interior
     rational fiber; no cutoff is involved.
     """
-    return 0 if any(obstruction_form(X, f)) else 2**X.n
+    return _hf_rank(X.n, obstruction_form(X, f))
+
+
+def _hf_rank(n: int, alpha: Sequence[NovikovElement]) -> int:
+    """hf_rank from the coefficients of the obstruction form."""
+    return 0 if any(alpha) else 2**n
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +194,11 @@ def disc_l_term(
     n: int, normal: Sequence[int], area, idx: Sequence[int]
 ) -> NovikovElement:
     """Contribution (-1)^{n*m} v_{i_1} ... v_{i_m} T^{area} q of one disc."""
-    coeff = (-1) ** (n * len(idx))
-    for i in idx:
-        coeff *= normal[i]
-    return monomial(coeff, Fraction(area), 1)
+    return monomial(_l_weight(n, normal, idx), Fraction(area), 1)
+
+
+def _l_weight(n: int, normal: Sequence[int], idx: Sequence[int]) -> int:
+    return (-1) ** (n * len(idx)) * math.prod(normal[i] for i in idx)
 
 
 def boundary_pairing(n: int, normal: Sequence[int], i: int) -> int:
@@ -203,14 +214,19 @@ def l_product(X: ToricFano, f: Fiber, idx: Sequence[int] = ()) -> NovikovElement
     idx = () gives the obstruction term sum_k T^{e_k} q.  Axis indices
     are 0-based.  Numerically (T^e -> exp(-e), q -> 1) this equals
     (-1)^{(n-1)m} times the m-th derivative of the superpotential.
+    The discs are summed per class of equal area.
     """
     for i in idx:
         if not 0 <= i < X.n:
             raise IndexError(f"axis {i} out of range for dimension {X.n}")
-    classes = disc_areas(X, f)
-    return sum(
-        (disc_l_term(X.n, d.normal, d.area, idx) for d in classes), ZERO
-    )
+    return _l_product(X, area_partition(disc_areas(X, f)), idx)
+
+
+def _l_product(
+    X: ToricFano, partition: Sequence[AreaClass], idx: Sequence[int]
+) -> NovikovElement:
+    """l_product on an area partition already computed for the fiber."""
+    return _class_sum(partition, [_l_weight(X.n, v, idx) for v in X.normals])
 
 
 def m2_product(
@@ -223,10 +239,11 @@ def m2_product(
     NotBalanced when the fiber is not balanced (the cohomology is zero
     there and carries no ring).
     """
-    ok, sums = is_balanced(X, f)
+    partition = area_partition(disc_areas(X, _plain_fiber(f)))
+    ok, sums = _balance(X, partition)
     if not ok:
         raise NotBalanced(
             f"fiber {tuple(map(str, f.u if isinstance(f, Fiber) else f))} is not "
             f"balanced: class normal sums {sums}"
         )
-    return cl_mul(formal_hessian(X, f), x, y)
+    return cl_mul(_hessian(X, partition), x, y)

@@ -7,6 +7,15 @@ holomorphic disc, the q-exponent half its Maslov index.  Everything is
 kept exact (fractions.Fraction) so that zero tests, which downstream
 decide whether a fiber is balanced, never depend on floating point.
 
+Normal form: an element's terms are a tuple of (coeff, t_exp, q_exp)
+with coeff a nonzero Fraction, t_exp a Fraction and q_exp an int,
+strictly increasing in (t_exp, q_exp).  The public constructor
+establishes it from any input; the arithmetic below relies on it and
+keeps it without sorting again: a sum merges two sorted tuples, and a
+product with a single term shifts every exponent by the same amount,
+which preserves the order.  _from_normal wraps a tuple that already
+satisfies the invariant and checks nothing.
+
 Inverses are geometric series truncated at a caller-supplied T-exponent
 cutoff; the remainder a * invert(a) - 1 has valuation strictly above the
 cutoff.
@@ -84,7 +93,31 @@ class NovikovElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return NovikovElement(self._terms + other._terms)
+        a, b = self._terms, other._terms
+        if not b:
+            return self
+        if not a:
+            return other
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            ca, ta, qa = a[i]
+            cb, tb, qb = b[j]
+            if ta == tb and qa == qb:
+                c = ca + cb
+                if c:
+                    out.append((c, ta, qa))
+                i += 1
+                j += 1
+            elif ta < tb or (ta == tb and qa < qb):
+                out.append(a[i])
+                i += 1
+            else:
+                out.append(b[j])
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        return _from_normal(tuple(out))
 
     __radd__ = __add__
 
@@ -101,25 +134,30 @@ class NovikovElement:
         return other + (-self)
 
     def __neg__(self) -> "NovikovElement":
-        out = NovikovElement()
-        out._terms = tuple((-c, t, q) for c, t, q in self._terms)
-        return out
+        return _from_normal(tuple((-c, t, q) for c, t, q in self._terms))
 
     def __mul__(self, other) -> "NovikovElement":
         if isinstance(other, (int, Fraction)):
-            s = _frac(other)
-            if s == 0:
+            if not other:
                 return ZERO
-            out = NovikovElement()
-            out._terms = tuple((c * s, t, q) for c, t, q in self._terms)
-            return out
+            return _from_normal(tuple((c * other, t, q) for c, t, q in self._terms))
         if not isinstance(other, NovikovElement):
             return NotImplemented
-        prods = []
-        for c1, t1, q1 in self._terms:
-            for c2, t2, q2 in other._terms:
-                prods.append((c1 * c2, t1 + t2, q1 + q2))
-        return NovikovElement(prods)
+        a, b = self._terms, other._terms
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # one term shifts every exponent alike: the order is kept
+            c2, t2, q2 = b[0]
+            return _from_normal(tuple((c1 * c2, t1 + t2, q1 + q2) for c1, t1, q1 in a))
+        combined: dict[tuple[Fraction, int], Fraction] = {}
+        for c1, t1, q1 in a:
+            for c2, t2, q2 in b:
+                key = (t1 + t2, q1 + q2)
+                combined[key] = combined.get(key, 0) + c1 * c2
+        return _from_normal(
+            tuple((c, t, q) for (t, q), c in sorted(combined.items()) if c)
+        )
 
     __rmul__ = __mul__
 
@@ -150,9 +188,7 @@ class NovikovElement:
     def truncate(self, cutoff: Rational) -> "NovikovElement":
         """Drop every term whose T-exponent exceeds cutoff."""
         cutoff = _frac(cutoff)
-        out = NovikovElement()
-        out._terms = tuple(term for term in self._terms if term[1] <= cutoff)
-        return out
+        return _from_normal(tuple(term for term in self._terms if term[1] <= cutoff))
 
     def invert(self, cutoff: Rational = DEFAULT_CUTOFF) -> "NovikovElement":
         """Inverse modulo terms of T-exponent above cutoff.
@@ -222,6 +258,20 @@ class NovikovElement:
 def monomial(coeff: Rational = 1, t: Rational = 0, q: int = 0) -> NovikovElement:
     """Single term coeff * T^t * q^q."""
     return NovikovElement([(coeff, t, q)])
+
+
+def _from_normal(terms: tuple) -> NovikovElement:
+    """An element whose terms tuple is already in normal form, unchecked."""
+    out = object.__new__(NovikovElement)
+    out._terms = terms
+    return out
+
+
+def _as_novikov(x: Union[Rational, NovikovElement]) -> NovikovElement:
+    """A scalar coefficient as a Novikov element."""
+    if isinstance(x, NovikovElement):
+        return x
+    return monomial(x)
 
 
 ZERO = NovikovElement()

@@ -21,8 +21,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotInterior
-from .novikov import ZERO, NovikovElement, monomial
-from .toric import Fiber, ToricFano, area_partition, disc_areas, is_balanced
+from .novikov import ZERO, NovikovElement, _from_normal
+from .toric import AreaClass, Fiber, ToricFano, area_partition, disc_areas, is_balanced
 
 Rational = Union[int, Fraction]
 
@@ -206,21 +206,34 @@ class QuadraticForm:
         return self.entries[i][j]
 
 
+def _class_sum(partition: Sequence[AreaClass], weights: Sequence[int]) -> NovikovElement:
+    """sum_k weights[k] * T^{e_k} q, added up within each area class.
+
+    The partition is sorted by area and every term carries q^1, so the
+    nonzero class totals are already in the Novikov normal form.
+    """
+    terms = []
+    for area, idxs in partition:
+        w = sum(weights[k] for k in idxs)
+        if w:
+            terms.append((Fraction(w), area, 1))
+    return _from_normal(tuple(terms))
+
+
 def formal_hessian(X: ToricFano, f: Fiber) -> QuadraticForm:
-    """Q_ij = sum_k v_ki * v_kj * T^{e_k(u)} q, exact in the fiber point."""
-    classes = disc_areas(X, f)
-    rows = []
+    """Q_ij = sum_k v_ki * v_kj * T^{e_k(u)} q, exact in the fiber point.
+
+    Each entry is summed per class of equal disc area, not per disc.
+    """
+    return _hessian(X, area_partition(disc_areas(X, f)))
+
+
+def _hessian(X: ToricFano, partition: Sequence[AreaClass]) -> QuadraticForm:
+    """formal_hessian on an area partition already computed for the fiber."""
+    rows = [[ZERO] * X.n for _ in range(X.n)]
     for i in range(X.n):
-        row = []
-        for j in range(X.n):
-            row.append(
-                sum(
-                    (
-                        monomial(d.normal[i] * d.normal[j], d.area, 1)
-                        for d in classes
-                    ),
-                    ZERO,
-                )
+        for j in range(i, X.n):
+            rows[i][j] = rows[j][i] = _class_sum(
+                partition, [v[i] * v[j] for v in X.normals]
             )
-        rows.append(tuple(row))
-    return QuadraticForm(X.n, tuple(rows))
+    return QuadraticForm(X.n, tuple(map(tuple, rows)))

@@ -397,19 +397,28 @@ def area_partition(classes: Sequence[DiscClass]) -> tuple[AreaClass, ...]:
     )
 
 
-def is_balanced(X: ToricFano, f: Union[Fiber, Sequence[Rational]]) -> BalanceResult:
-    """Whether every class of equidistant facets has normals summing to zero.
-
-    Requires trivial holonomy; the holonomy-weighted variant lives in the
-    potential module and is numeric.
-    """
+def _plain_fiber(f: Union[Fiber, Sequence[Rational]]) -> Fiber:
+    """f as a Fiber, which the exact balancedness test needs without holonomy."""
     fiber = _as_fiber(f)
     if not fiber.has_trivial_holonomy():
         raise ValueError(
             "is_balanced assumes trivial holonomy; "
             "use potential.twisted_class_sums for the weighted test"
         )
-    partition = area_partition(disc_areas(X, fiber))
+    return fiber
+
+
+def is_balanced(X: ToricFano, f: Union[Fiber, Sequence[Rational]]) -> BalanceResult:
+    """Whether every class of equidistant facets has normals summing to zero.
+
+    Requires trivial holonomy; the holonomy-weighted variant lives in the
+    potential module and is numeric.
+    """
+    return _balance(X, area_partition(disc_areas(X, _plain_fiber(f))))
+
+
+def _balance(X: ToricFano, partition: Sequence[AreaClass]) -> BalanceResult:
+    """is_balanced on an area partition already computed for the fiber."""
     sums = []
     for _area, idxs in partition:
         total = [0] * X.n

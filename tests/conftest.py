@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from toricfloer import Fiber, load_toric
+from toricfloer import Fiber, chains, cli, disc_areas, floer, load_toric, potential, toric
+from toricfloer.novikov import ZERO, monomial
 
 BUILTIN_NAMES = ["CP1", "CP2", "CP1xCP1", "CPn(3)"]
 
@@ -12,6 +13,21 @@ BUILTIN_NAMES = ["CP1", "CP2", "CP1xCP1", "CPn(3)"]
 @pytest.fixture(params=BUILTIN_NAMES)
 def builtin(request):
     return load_toric(request.param)
+
+
+@pytest.fixture
+def disc_area_calls(monkeypatch):
+    """The fibers passed to disc_areas, through every module that binds it."""
+    original = toric.disc_areas
+    calls = []
+
+    def counting(X, f):
+        calls.append(f)
+        return original(X, f)
+
+    for module in (toric, potential, floer, chains, cli):
+        monkeypatch.setattr(module, "disc_areas", counting)
+    return calls
 
 
 def balanced_fiber(X):
@@ -86,3 +102,50 @@ def exact_differential_rank(matrix) -> int:
         if _fraction_rank(values) == bound:
             return bound
     raise AssertionError(f"rank not certified at s = 2..{m + 2}")
+
+
+def assert_normal(x) -> None:
+    """x's terms are in the Novikov normal form: nonzero Fraction
+    coefficients, Fraction T-exponents, int q-exponents, strictly
+    increasing in (t, q)."""
+    keys = [(t, q) for _c, t, q in x.terms]
+    assert keys == sorted(set(keys))
+    for c, t, q in x.terms:
+        assert type(c) is Fraction and c != 0
+        assert type(t) is Fraction and type(q) is int
+
+
+# Test oracle: the per-disc sums of the obstruction form, the formal
+# Hessian and the l-products, one monomial per basic disc class, as the
+# library defined them before it grouped the discs by area class.
+
+
+def oracle_obstruction_form(X, f):
+    classes = disc_areas(X, f)
+    return [
+        sum((monomial(d.normal[i], d.area, 1) for d in classes), ZERO)
+        for i in range(X.n)
+    ]
+
+
+def oracle_formal_hessian(X, f):
+    classes = disc_areas(X, f)
+    return [
+        [
+            sum((monomial(d.normal[i] * d.normal[j], d.area, 1) for d in classes), ZERO)
+            for j in range(X.n)
+        ]
+        for i in range(X.n)
+    ]
+
+
+def oracle_l_product(X, f, idx):
+    classes = disc_areas(X, f)
+    sign = (-1) ** (X.n * len(idx))
+    return sum(
+        (
+            monomial(sign * math.prod(d.normal[i] for i in idx), d.area, 1)
+            for d in classes
+        ),
+        ZERO,
+    )

@@ -342,3 +342,8 @@ class TestModuleLevelHelpers:
         B = ChainAlgebra.for_fiber(X, f)
         with pytest.raises(NotBalanced):
             corrected_cycle(X, f, B.one())
+
+    def test_for_fiber_rejects_holonomy(self):
+        X = load_toric("CP1")
+        with pytest.raises(ValueError, match="holonomy"):
+            ChainAlgebra.for_fiber(X, Fiber((F(1, 2),), holonomy=(F(1, 4),)))

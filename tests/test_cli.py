@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from toricfloer import cli
 from toricfloer.cli import CONVENTION_NOTE, main
 
 SKEW_JSON = json.dumps(
@@ -136,6 +137,14 @@ class TestAnalyzeJson:
         assert code == 0
         assert json.dumps(json.loads(out), indent=2, sort_keys=True) == out.strip()
 
+    @pytest.mark.parametrize("fiber", ["1/4,1/4", "1/3,1/3"])
+    def test_disc_areas_computed_once(self, capsys, disc_area_calls, fiber):
+        code, _, _ = run(
+            capsys, "analyze", "--input", "CP2", "--fiber", fiber, "--format", "json"
+        )
+        assert code == 0
+        assert len(disc_area_calls) == 1
+
     def test_rationals_are_strings(self, capsys):
         code, out, _ = run(
             capsys, "analyze", "--input", "CP2", "--fiber", "1/4,1/4",
@@ -178,6 +187,19 @@ class TestScan:
         assert doc["points_scanned"] == 99
         assert doc["balanced_fibers"] == [{"hf_rank": 2, "u": ["50"]}]
         assert doc["unbalanced_points_with_nonzero_rank"] == 0
+
+    def test_disc_areas_computed_once_per_point(self, capsys, disc_area_calls):
+        code, out, _ = run(capsys, "scan", "--input", "CP2", "--grid", "6", "--format", "json")
+        assert code == 0
+        assert len(disc_area_calls) == json.loads(out)["points_scanned"] == 10
+
+    def test_rank_is_not_read_off_the_balance_test(self, capsys, monkeypatch):
+        # a rank that ignores alpha must show in the count of unbalanced
+        # points with nonzero rank
+        monkeypatch.setattr(cli, "_hf_rank", lambda n, alpha: 2**n)
+        code, out, _ = run(capsys, "scan", "--input", "CP2", "--grid", "6", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["unbalanced_points_with_nonzero_rank"] == 9
 
     def test_grid_validation(self, capsys):
         code, _, err = run(capsys, "scan", "--input", "CP2", "--grid", "0")

@@ -33,8 +33,12 @@ from toricfloer.novikov import ONE, ZERO, NovikovElement, monomial
 
 from conftest import (
     BUILTIN_NAMES,
+    assert_normal,
     balanced_fiber,
     exact_differential_rank,
+    oracle_formal_hessian,
+    oracle_l_product,
+    oracle_obstruction_form,
     random_interior_fiber,
 )
 
@@ -243,6 +247,70 @@ def test_rank_invariant_under_dilation_and_translation(name, k, shift, seed, at_
     assert rank == 2**n - 2 * exact_differential_rank(M)
 
 
+RECT = make_toric("rect", 2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [0, -2, 0, -1])
+RECT_CENTER = Fiber((F(1), F(1, 2)))
+
+
+def assert_matches_per_disc_sums(X, f):
+    """The area-grouped obstruction form, Hessian and l(idx), len(idx) <= 3,
+    equal the per-disc oracle sums and are in normal form."""
+    alpha = obstruction_form(X, f)
+    assert alpha == oracle_obstruction_form(X, f)
+    Q = formal_hessian(X, f)
+    assert [list(row) for row in Q.entries] == oracle_formal_hessian(X, f)
+    for m in range(4):
+        for idx in all_tuples(X.n, m):
+            value = l_product(X, f, idx)
+            assert value == oracle_l_product(X, f, idx)
+            assert_normal(value)
+    for entry in alpha + [e for row in Q.entries for e in row]:
+        assert_normal(entry)
+
+
+class TestAreaGroupedSums:
+    def test_weights_cancelling_within_a_class(self):
+        # rectangle centre: both classes hold opposite normals; CP1xCP1 at
+        # (1/3, 1/2): the class of area 1/2 does
+        for X, f in (
+            (RECT, RECT_CENTER),
+            (load_toric("CP1xCP1"), Fiber((F(1, 3), F(1, 2)))),
+        ):
+            assert obstruction_form(X, f)[1] == ZERO
+            assert l_product(X, f, (0, 1)) == ZERO
+            assert_matches_per_disc_sums(X, f)
+
+    def test_cpn4_and_rectangle_fibers(self):
+        rng = random.Random(51)
+        for X in (load_toric("CPn(4)"), RECT):
+            for _ in range(4):
+                assert_matches_per_disc_sums(X, random_interior_fiber(X, rng, denom=6))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(BUILTIN_NAMES + ["rect"]),
+    k=st.integers(1, 60),
+    shift=st.lists(st.integers(-20, 20), min_size=3, max_size=3),
+    seed=st.integers(0, 2**16),
+    at_center=st.booleans(),
+)
+def test_grouped_sums_match_per_disc_oracle(name, k, shift, seed, at_center):
+    X = RECT if name == "rect" else load_toric(name)
+    n = X.n
+    if at_center:
+        f = RECT_CENTER if name == "rect" else balanced_fiber(X)
+    else:
+        f = random_interior_fiber(X, random.Random(seed), denom=6)
+    c = shift[:n]
+    offsets = [
+        k * lam + sum(ci * vi for ci, vi in zip(c, v))
+        for v, lam in zip(X.normals, X.offsets)
+    ]
+    Y = make_toric(f"{name}x{k}", n, X.normals, offsets)
+    g = Fiber(tuple(k * ui + ci for ui, ci in zip(f.u, c)))
+    assert_matches_per_disc_sums(Y, g)
+
+
 class TestLProducts:
     def test_cp2_center_goldens(self):
         X = load_toric("CP2")
@@ -387,3 +455,15 @@ class TestM2:
         u = CliffordElement.unit(2)
         with pytest.raises(NotBalanced, match="not.*balanced"):
             m2_product(X, Fiber((F(1, 4), F(1, 4))), u, u)
+
+    def test_disc_areas_computed_once_per_product(self, disc_area_calls):
+        X = load_toric("CP2")
+        x = CliffordElement.generator(2, 0)
+        m2_product(X, balanced_fiber(X), x, x)
+        assert len(disc_area_calls) == 1
+
+    def test_rejects_holonomy(self):
+        X = load_toric("CP1")
+        u = CliffordElement.unit(1)
+        with pytest.raises(ValueError, match="holonomy"):
+            m2_product(X, Fiber((F(1, 2),), holonomy=(F(1, 4),)), u, u)

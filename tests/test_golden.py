@@ -1,0 +1,55 @@
+"""Byte-for-byte regression of the CLI's text and JSON reports.
+
+Each file under tests/golden/ is the standard output of
+`python -m toricfloer <argv>` for the argv listed in CASES, recorded
+before the per-fiber Novikov sums were regrouped by area class.  A
+refactor that keeps the mathematics must keep every byte; a deliberate
+change of output re-records the affected files and says why.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from toricfloer.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# one unbalanced fiber per built-in; CP1xCP1 at (1/3, 1/2) has a class
+# whose normals cancel, so alpha's second coefficient is 0
+UNBALANCED = {
+    "CP1": "1/4",
+    "CP2": "1/5,2/5",
+    "CP1xCP1": "1/3,1/2",
+    "CPn(3)": "1/5,1/5,2/5",
+    "CPn(4)": "1/6,1/6,1/6,1/3",
+}
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {}
+    for name, fiber in UNBALANCED.items():
+        stem = name.replace("(", "").replace(")", "")
+        for fmt in ("text", "json"):
+            base = ["analyze", "--input", name, "--format", fmt]
+            cases[f"analyze_{stem}_solver.{fmt}"] = base
+            cases[f"analyze_{stem}_unbalanced.{fmt}"] = base + ["--fiber", fiber]
+    for fmt in ("text", "json"):
+        cases[f"analyze_CP2_numeric_two_pi.{fmt}"] = [
+            "analyze", "--input", "CP2", "--fiber", "1/4,1/3", "--numeric",
+            "--two-pi", "--lmax", "2", "--format", fmt,
+        ]
+        cases[f"scan_CP2_grid6.{fmt}"] = [
+            "scan", "--input", "CP2", "--grid", "6", "--format", fmt,
+        ]
+    return cases
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("stem", sorted(CASES))
+def test_output_matches_golden(stem, capsys):
+    assert main(CASES[stem]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / stem).read_text(encoding="utf-8")

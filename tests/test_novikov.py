@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from toricfloer.novikov import DEFAULT_CUTOFF, ONE, ZERO, NovikovElement, monomial
 
+from conftest import assert_normal
+
 
 def rand_element(rng: random.Random, max_terms: int = 5) -> NovikovElement:
     terms = []
@@ -241,3 +243,34 @@ def test_truncation_splits_element(a):
     assert all(t <= cut for _, t, _ in low.terms)
     assert high.valuation() > cut or not high
     assert low + high == a
+
+
+# the fast paths of + and * against the normalizing constructor
+monomials = st.builds(monomial, fracs, fracs, st.integers(-2, 2))
+
+
+@given(elements, elements)
+def test_sum_merges_to_normal_form(a, b):
+    total = a + b
+    assert total == NovikovElement(a.terms + b.terms)
+    assert_normal(total)
+    assert_normal(a - b)
+    assert_normal(-a)
+
+
+@given(elements, monomials)
+def test_product_with_one_term_shifts_in_place(a, m):
+    expected = NovikovElement(
+        [(c1 * c2, t1 + t2, q1 + q2) for c1, t1, q1 in a.terms for c2, t2, q2 in m.terms]
+    )
+    for product in (a * m, m * a):
+        assert product == expected
+        assert_normal(product)
+
+
+@given(elements, elements, fracs, st.integers(-3, 3))
+def test_products_stay_normal(a, b, s, k):
+    assert_normal(a * b)
+    assert_normal(a * s)
+    assert_normal(a * k)
+    assert_normal(a.truncate(s))
