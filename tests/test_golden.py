@@ -2,11 +2,15 @@
 
 Each file under tests/golden/ is the standard output of
 `python -m toricfloer <argv>` for the argv listed in CASES, recorded
-before the per-fiber Novikov sums were regrouped by area class.  A
-refactor that keeps the mathematics must keep every byte; a deliberate
-change of output re-records the affected files and says why.
+before the per-fiber Novikov sums were regrouped by area class.  The
+JSON-input cases (the rectangle, whose balanced fiber has two area
+classes, and (CP1)^3) were recorded before the chain-level operations
+were rewritten as products in the chain algebra.  A refactor that keeps
+the mathematics must keep every byte; a deliberate change of output
+re-records the affected files and says why.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -42,9 +46,35 @@ def _cases() -> dict[str, list[str]]:
         cases[f"scan_CP2_grid6.{fmt}"] = [
             "scan", "--input", "CP2", "--grid", "6", "--format", fmt,
         ]
+    # polytopes given as JSON text: the rectangle [0,2]x[0,1] has two
+    # area classes at its balanced fiber (1, 1/2), so the correction
+    # tower there has four terms
+    for fmt in ("text", "json"):
+        cases[f"analyze_rect_solver.{fmt}"] = [
+            "analyze", "--input", RECT_JSON, "--format", fmt,
+        ]
+    cases["analyze_rect_two_pi.json"] = [
+        "analyze", "--input", RECT_JSON, "--two-pi", "--format", "json",
+    ]
+    cases["analyze_CP1cubed_solver.json"] = [
+        "analyze", "--input", CP1_CUBED_JSON, "--format", "json",
+    ]
     return cases
 
 
+def _polytope_json(name: str, normals, offsets) -> str:
+    facets = [{"normal": list(v), "offset": str(c)} for v, c in zip(normals, offsets)]
+    return json.dumps({"name": name, "dim": len(normals[0]), "facets": facets})
+
+
+RECT_JSON = _polytope_json(
+    "rect", [(1, 0), (-1, 0), (0, 1), (0, -1)], [0, -2, 0, -1]
+)
+CP1_CUBED_JSON = _polytope_json(
+    "CP1^3",
+    [tuple(s if j == i else 0 for j in range(3)) for i in range(3) for s in (1, -1)],
+    [0, -1] * 3,
+)
 CASES = _cases()
 
 
