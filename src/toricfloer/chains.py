@@ -14,26 +14,27 @@ the fiber is balanced.  Everything else is free, so an identity that
 normalizes to zero here holds for every admissible choice of the
 correction chains.
 
-corrected_cycle adds to a classical cycle P the tower of correction
-terms (prod_{t in S} Q_t) * P * T^{area(S)} q^{|S|} over all subsets S
-of the classes.  The deformed differential applied to it telescopes
-down to terms that each contain a factor (sum_{j in class t} d_j) * Q_t.
-Such a factor is minus half the boundary of the degenerate square
-Q_t * Q_t, a chain whose image in the torus has lower dimension than the
-chain itself, so it vanishes as a current together with its boundary.
-The verifier therefore reduces the difference modulo these degenerate
-pairs and reports how many residual terms needed the rule, separating
-the ones whose symbolic dimension already exceeds the torus dimension n
-(those die as currents for dimension reasons alone).  Over-dimensional
-correction terms are kept in every expression, never dropped, and the
-counts are surfaced so a report can flag them.
+The deformed differential is d(e) = (-1)^n (boundary(e) + D * e) with
+D = sum_j T^{e_j} q d_j.  For a classical cycle P (l-generators only,
+so boundary(P) = 0) the certificate is d(prod_t (1 + T^{a_t} q Q_t) * P)
+= 0, with a_t the area of class t; corrected_cycle builds that product.
+d of it telescopes down to terms that each contain a factor
+(sum_{j in class t} d_j) * Q_t.  Such a factor is minus half the
+boundary of the degenerate square Q_t * Q_t, a chain whose image in the
+torus has lower dimension than the chain itself, so it vanishes as a
+current together with its boundary.  The verifier therefore reduces
+d of the corrected cycle modulo these degenerate pairs and reports how
+many residual terms needed the rule, separating the ones whose symbolic
+dimension already exceeds the torus dimension n (those die as currents
+for dimension reasons alone).  Over-dimensional correction terms are
+kept in every expression, never dropped, and the counts are surfaced so
+a report can flag them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, NotBalanced
@@ -73,15 +74,6 @@ def _merge_odds(a: tuple[OddGen, ...], b: tuple[OddGen, ...]):
     out.extend(a[i:])
     out.extend(b[j:])
     return (-1 if inversions % 2 else 1), tuple(out)
-
-
-def _insert_odd(odds: tuple[OddGen, ...], g: OddGen):
-    """Left-multiply by one odd generator: sign and the new tuple."""
-    if g in odds:
-        return None
-    before = sum(1 for o in odds if o < g)
-    merged = tuple(sorted(odds + (g,)))
-    return (-1 if before % 2 else 1), merged
 
 
 def _degree(mono: Monomial) -> int:
@@ -141,13 +133,13 @@ class ChainExpression:
         out = dict(self._coeffs)
         for m, c in other._coeffs.items():
             out[m] = out.get(m, ZERO) + c
-        return ChainExpression(self.dims, out)
+        return _wrap(self.dims, out)
 
     def __sub__(self, other: "ChainExpression") -> "ChainExpression":
         return self + (-other)
 
     def __neg__(self) -> "ChainExpression":
-        return ChainExpression(self.dims, {m: -c for m, c in self._coeffs.items()})
+        return _wrap(self.dims, {m: -c for m, c in self._coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, ChainExpression):
@@ -162,11 +154,9 @@ class ChainExpression:
                     sign, odds = merged
                     key = (tuple(sorted(e1 + e2)), odds)
                     out[key] = out.get(key, ZERO) + c1 * c2 * sign
-            return ChainExpression(self.dims, out)
+            return _wrap(self.dims, out)
         c = _as_novikov(other)
-        return ChainExpression(
-            self.dims, {m: v * c for m, v in self._coeffs.items()}
-        )
+        return _wrap(self.dims, {m: v * c for m, v in self._coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -187,7 +177,7 @@ class ChainExpression:
 
     def part_above_degree(self, n: int) -> "ChainExpression":
         """Terms whose symbolic chain dimension exceeds n (kept, flaggable)."""
-        return ChainExpression(
+        return _wrap(
             self.dims, {m: c for m, c in self._coeffs.items() if _degree(m) > n}
         )
 
@@ -221,6 +211,16 @@ class ChainExpression:
 
     def __repr__(self) -> str:
         return f"ChainExpression[{self}]"
+
+
+def _wrap(dims: Dims, coeffs: dict[Monomial, NovikovElement]) -> ChainExpression:
+    """An expression over monomials already in normal form (sorted evens,
+    strictly sorted odds in range) with Novikov coefficients, unchecked;
+    zero coefficients are dropped."""
+    out = object.__new__(ChainExpression)
+    out.dims = dims
+    out._coeffs = {m: c for m, c in coeffs.items() if c}
+    return out
 
 
 @dataclass(frozen=True)
@@ -319,34 +319,28 @@ class ChainAlgebra:
             for p, t in enumerate(evens):
                 rest = evens[:p] + evens[p + 1 :]
                 for j in self.class_members[t]:
-                    ins = _insert_odd(odds, ("d", j))
-                    if ins is None:
+                    merged = _merge_odds((("d", j),), odds)
+                    if merged is None:
                         continue
-                    sign, new_odds = ins
+                    sign, new_odds = merged
                     key = (rest, new_odds)
                     out[key] = out.get(key, ZERO) + c * (-sign)
-        return ChainExpression(self.dims, out)
+        return _wrap(self.dims, out)
 
     def floer_differential(self, e: ChainExpression) -> ChainExpression:
-        """(-1)^n boundary(e) + (-1)^n sum_j T^{e_j} q * d_j * e."""
+        """(-1)^n (boundary(e) + D * e) with D = sum_j T^{e_j} q d_j."""
         self._check(e)
-        sign_n = (-1) ** self.n
-        out: dict[Monomial, NovikovElement] = {}
-        for (evens, odds), c in self.boundary(e)._coeffs.items():
-            out[(evens, odds)] = out.get((evens, odds), ZERO) + c * sign_n
-        for j, area in enumerate(self.facet_areas):
-            weight = monomial(sign_n, area, 1)
-            for (evens, odds), c in e._coeffs.items():
-                ins = _insert_odd(odds, ("d", j))
-                if ins is None:
-                    continue
-                sign, new_odds = ins
-                key = (evens, new_odds)
-                out[key] = out.get(key, ZERO) + c * weight * sign
-        return ChainExpression(self.dims, out)
+        D = _wrap(
+            self.dims,
+            {
+                ((), (("d", j),)): monomial(1, area, 1)
+                for j, area in enumerate(self.facet_areas)
+            },
+        )
+        return (self.boundary(e) + D * e) * (-1) ** self.n
 
     def corrected_cycle(self, P: ChainExpression) -> ChainExpression:
-        """P plus its tower of correction terms over all class subsets.
+        """P times the correction tower prod_t (1 + T^{a_t} q Q_t).
 
         Defined for classical expressions (l-generators only) over a
         balanced fiber; correction terms of symbolic dimension above n
@@ -360,15 +354,10 @@ class ChainAlgebra:
                 "correction chains only exist over a balanced fiber "
                 "(each class disc-boundary sum must be null-homologous)"
             )
-        num_classes = len(self.class_areas)
-        out: dict[Monomial, NovikovElement] = {}
-        for (_, odds), c in P._coeffs.items():
-            for mask in range(2**num_classes):
-                S = tuple(t for t in range(num_classes) if mask >> t & 1)
-                area = sum((self.class_areas[t] for t in S), Fraction(0))
-                key = (S, odds)
-                out[key] = out.get(key, ZERO) + c * monomial(1, area, len(S))
-        return ChainExpression(self.dims, out)
+        out = P
+        for t, area in enumerate(self.class_areas):
+            out = out + self.Q(t) * out * monomial(1, area, 1)
+        return out
 
     def reduce_degenerate_pairs(self, e: ChainExpression) -> ChainExpression:
         """Normal form modulo the ideal of degenerate pairs
@@ -405,25 +394,25 @@ class ChainAlgebra:
             for j in self.class_members[t]:
                 if j == jstar:
                     continue
-                ins = _insert_odd(stripped, ("d", j))
-                if ins is None:
+                merged = _merge_odds((("d", j),), stripped)
+                if merged is None:
                     continue
-                sign_in, new_odds = ins
+                sign_in, new_odds = merged
                 key = (evens, new_odds)
                 acc = coeffs.get(key, ZERO) + c * (-sign_out * sign_in)
                 if acc:
                     coeffs[key] = acc
                 else:
                     coeffs.pop(key, None)
-        return ChainExpression(self.dims, coeffs)
+        return _wrap(self.dims, coeffs)
 
     def chain_map_certificate(self, P: ChainExpression) -> ChainMapCertificate:
         """Check that the corrected cycle is closed for the deformed
         differential, in the strongest sense available symbolically."""
         corrected = self.corrected_cycle(P)
-        lhs = self.floer_differential(corrected)
-        rhs = self.corrected_cycle(self.boundary(P) * ((-1) ** self.n))
-        diff = lhs - rhs
+        # corrected_cycle admits only l-generators, so boundary(P) = 0 and
+        # the corrected cycle itself must be closed
+        diff = self.floer_differential(corrected)
 
         residual = len(diff._coeffs)
         overdim = sum(1 for m in diff._coeffs if _degree(m) > self.n)
@@ -461,26 +450,21 @@ class ChainAlgebra:
             )
 
 
-@lru_cache(maxsize=256)
-def _algebra(X: ToricFano, f: Fiber) -> ChainAlgebra:
-    return ChainAlgebra.for_fiber(X, f)
-
-
 def boundary(X: ToricFano, f: Fiber, e: ChainExpression) -> ChainExpression:
-    return _algebra(X, f).boundary(e)
+    return ChainAlgebra.for_fiber(X, f).boundary(e)
 
 
 def floer_differential(X: ToricFano, f: Fiber, e: ChainExpression) -> ChainExpression:
-    return _algebra(X, f).floer_differential(e)
+    return ChainAlgebra.for_fiber(X, f).floer_differential(e)
 
 
 def corrected_cycle(X: ToricFano, f: Fiber, P: ChainExpression) -> ChainExpression:
-    return _algebra(X, f).corrected_cycle(P)
+    return ChainAlgebra.for_fiber(X, f).corrected_cycle(P)
 
 
 def chain_map_certificate(X: ToricFano, f: Fiber, P: ChainExpression) -> ChainMapCertificate:
-    return _algebra(X, f).chain_map_certificate(P)
+    return ChainAlgebra.for_fiber(X, f).chain_map_certificate(P)
 
 
 def verify_chain_map(X: ToricFano, f: Fiber, P: ChainExpression) -> bool:
-    return _algebra(X, f).verify_chain_map(P)
+    return ChainAlgebra.for_fiber(X, f).verify_chain_map(P)

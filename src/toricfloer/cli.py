@@ -22,7 +22,7 @@ from .errors import (
 )
 # hf_rank stays bound here: the benchmark's tracer test resolves cli.hf_rank
 from .floer import _hf_rank, _l_product, _obstruction_form, hf_rank, subsets_graded  # noqa: F401
-from .novikov import NovikovElement
+from .novikov import NovikovElement, _render
 from .potential import _hessian, find_critical_fiber, superpotential_derivative
 from .toric import Fiber, ToricFano, _balance, area_partition, disc_areas, interior_grid
 
@@ -43,20 +43,7 @@ CONVENTION_NOTE = (
 def render_novikov(e: NovikovElement, two_pi: bool = False) -> str:
     if not two_pi:
         return str(e)
-    if not e.terms:
-        return "0"
-    pieces = []
-    for coeff, t, q in e.terms:
-        tpart = "" if t == 0 else f"T^{float(t) * 2 * math.pi:.6g}"
-        qpart = "" if q == 0 else ("q" if q == 1 else f"q^{q}")
-        core = "*".join(p for p in (tpart, qpart) if p)
-        mag = abs(coeff)
-        body = core if (core and mag == 1) else (f"{mag}*{core}" if core else str(mag))
-        pieces.append((coeff < 0, body))
-    out = ("-" if pieces[0][0] else "") + pieces[0][1]
-    for neg, body in pieces[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
+    return _render(e, lambda t: f"T^{float(t) * 2 * math.pi:.6g}")
 
 
 # ---------------------------------------------------------------------------

@@ -90,13 +90,14 @@ def differential_matrix(
 
 
 def apply_differential(X, alpha, subset, sign) -> CliffordElement:
-    src = CliffordElement.basis_element(X.n, subset)
-    out = CliffordElement.zero(X.n)
+    """sign * alpha wedge e_S: e_{S+i} has coefficient
+    sign * (-1)^{#{j in S : j < i}} * alpha_i."""
+    out = {}
     for i, a_i in enumerate(alpha):
-        if not a_i:
-            continue
-        out = out + wedge(CliffordElement.generator(X.n, i), src) * a_i
-    return out * sign
+        if a_i and i not in subset:
+            before = sum(j < i for j in subset)
+            out[tuple(sorted((*subset, i)))] = a_i * (sign * (-1) ** before)
+    return CliffordElement(X.n, out)
 
 
 def m1_apply(X: ToricFano, f: Fiber, x: ExteriorClass) -> ExteriorClass:

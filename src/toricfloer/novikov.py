@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 Rational = Union[int, Fraction]
 
@@ -230,26 +230,7 @@ class NovikovElement:
     # -- rendering -------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for coeff, t, q in self._terms:
-            tpart = "" if t == 0 else ("T" if t == 1 else f"T^{_fmt_exp(t)}")
-            qpart = "" if q == 0 else ("q" if q == 1 else f"q^{_fmt_exp(q)}")
-            core = "*".join(p for p in (tpart, qpart) if p)
-            mag = abs(coeff)
-            if core and mag == 1:
-                body = core
-            elif core:
-                body = f"{mag}*{core}"
-            else:
-                body = str(mag)
-            pieces.append((coeff < 0, body))
-        first_neg, first = pieces[0]
-        out = ("-" if first_neg else "") + first
-        for neg, body in pieces[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+        return _render(self, lambda t: "T" if t == 1 else f"T^{_fmt_exp(t)}")
 
     def __repr__(self) -> str:
         return f"NovikovElement[{self}]"
@@ -264,6 +245,30 @@ def _from_normal(terms: tuple) -> NovikovElement:
     """An element whose terms tuple is already in normal form, unchecked."""
     out = object.__new__(NovikovElement)
     out._terms = terms
+    return out
+
+
+def _render(x: NovikovElement, t_text: Callable[[Fraction], str]) -> str:
+    """x as a signed sum of terms; t_text(t) spells T^t for t != 0."""
+    if not x._terms:
+        return "0"
+    pieces = []
+    for coeff, t, q in x._terms:
+        tpart = "" if t == 0 else t_text(t)
+        qpart = "" if q == 0 else ("q" if q == 1 else f"q^{_fmt_exp(q)}")
+        core = "*".join(p for p in (tpart, qpart) if p)
+        mag = abs(coeff)
+        if core and mag == 1:
+            body = core
+        elif core:
+            body = f"{mag}*{core}"
+        else:
+            body = str(mag)
+        pieces.append((coeff < 0, body))
+    first_neg, first = pieces[0]
+    out = ("-" if first_neg else "") + first
+    for neg, body in pieces[1:]:
+        out += (" - " if neg else " + ") + body
     return out
 
 

@@ -149,3 +149,70 @@ def oracle_l_product(X, f, idx):
         ),
         ZERO,
     )
+
+
+# Test oracle: the chain-level operations as the library spelled them out
+# before they became sums and products in the chain algebra: the boundary
+# and the Floer differential insert one disc symbol at a time, facet by
+# facet, and the correction tower is summed over every set of classes.
+
+
+def _oracle_insert_odd(odds, g):
+    """Left-multiply a sorted odd tuple by g: (sign, new tuple), or None."""
+    if g in odds:
+        return None
+    before = sum(1 for o in odds if o < g)
+    return (-1) ** before, tuple(sorted(odds + (g,)))
+
+
+def _oracle_accumulate(A, terms):
+    out = {}
+    for key, c in terms:
+        out[key] = out.get(key, ZERO) + c
+    return chains.ChainExpression(A.dims, out)
+
+
+def oracle_boundary(A, e):
+    terms = []
+    for (evens, odds), c in e.items():
+        for p, t in enumerate(evens):
+            rest = evens[:p] + evens[p + 1 :]
+            for j in A.class_members[t]:
+                ins = _oracle_insert_odd(odds, ("d", j))
+                if ins is not None:
+                    sign, new_odds = ins
+                    terms.append(((rest, new_odds), c * (-sign)))
+    return _oracle_accumulate(A, terms)
+
+
+def oracle_floer_differential(A, e):
+    sign_n = (-1) ** A.n
+    terms = [(m, c * sign_n) for m, c in oracle_boundary(A, e).items()]
+    for j, area in enumerate(A.facet_areas):
+        weight = monomial(sign_n, area, 1)
+        for (evens, odds), c in e.items():
+            ins = _oracle_insert_odd(odds, ("d", j))
+            if ins is not None:
+                sign, new_odds = ins
+                terms.append(((evens, new_odds), c * weight * sign))
+    return _oracle_accumulate(A, terms)
+
+
+def oracle_corrected_cycle(A, P):
+    num_classes = len(A.class_areas)
+    terms = []
+    for (_, odds), c in P.items():
+        for mask in range(2**num_classes):
+            S = tuple(t for t in range(num_classes) if mask >> t & 1)
+            area = sum((A.class_areas[t] for t in S), Fraction(0))
+            terms.append(((S, odds), c * monomial(1, area, len(S))))
+    return _oracle_accumulate(A, terms)
+
+
+def assert_chain_normal(e) -> None:
+    """e is what the validating constructor would build from its own
+    terms, and no coefficient is zero or out of Novikov normal form."""
+    assert chains.ChainExpression(e.dims, e.items()) == e
+    for _mono, c in e.items():
+        assert c
+        assert_normal(c)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -21,7 +22,14 @@ from toricfloer import (
 from toricfloer.chains import _degree
 from toricfloer.novikov import ONE, ZERO, monomial
 
-from conftest import balanced_fiber
+from conftest import (
+    BUILTIN_NAMES,
+    assert_chain_normal,
+    balanced_fiber,
+    oracle_boundary,
+    oracle_corrected_cycle,
+    oracle_floer_differential,
+)
 
 RECT = make_toric("rect", 2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [0, -2, 0, -1])
 RECT_CENTER = Fiber((F(1), F(1, 2)))
@@ -347,3 +355,115 @@ class TestModuleLevelHelpers:
         X = load_toric("CP1")
         with pytest.raises(ValueError, match="holonomy"):
             ChainAlgebra.for_fiber(X, Fiber((F(1, 2),), holonomy=(F(1, 4),)))
+
+
+def rand_classical(A, rng, max_terms=3):
+    """A random expression in the l-generators alone."""
+    cycles = [("l", i) for i in range(A.n)]
+    out = A.zero()
+    for _ in range(rng.randint(0, max_terms)):
+        odds = tuple(sorted(rng.sample(cycles, rng.randint(0, A.n))))
+        coeff = monomial(
+            F(rng.randint(-3, 3)), F(rng.randint(0, 3), 2), rng.randint(0, 2)
+        )
+        out = out + ChainExpression(A.dims, {((), odds): coeff})
+    return out
+
+
+# the built-ins at their balanced fibers, and the rectangle, whose two
+# area classes make the correction tower a product of two factors
+ORACLE_CASES = BUILTIN_NAMES + ["rect"]
+
+
+def oracle_case(name):
+    if name == "rect":
+        return ChainAlgebra.for_fiber(RECT, RECT_CENTER)
+    return algebra(name)[2]
+
+
+class TestAlgebraFormsMatchOracle:
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_floer_differential_and_boundary(self, name):
+        A = oracle_case(name)
+        rng = random.Random(71)
+        for _ in range(100):
+            e = rand_chain(A, rng)
+            assert A.boundary(e) == oracle_boundary(A, e)
+            assert A.floer_differential(e) == oracle_floer_differential(A, e)
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_corrected_cycle(self, name):
+        A = oracle_case(name)
+        rng = random.Random(72)
+        for _ in range(100):
+            P = rand_classical(A, rng)
+            assert A.corrected_cycle(P) == oracle_corrected_cycle(A, P)
+        for r in range(A.n + 1):
+            for subset in combinations(range(A.n), r):
+                P = A.l_monomial(subset)
+                assert A.corrected_cycle(P) == oracle_corrected_cycle(A, P)
+
+
+class TestResultsInNormalForm:
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_every_operation(self, name):
+        A = oracle_case(name)
+        rng = random.Random(73)
+        scalar = monomial(-2, F(1, 2), 1) + monomial(1, 1, 0)
+        for _ in range(60):
+            a = rand_chain(A, rng)
+            b = rand_chain(A, rng)
+            for e in (
+                a + b,
+                a - b,
+                a - a,
+                -a,
+                a * b,
+                a * scalar,
+                a * -1,
+                A.boundary(a),
+                A.floer_differential(a),
+                A.reduce_degenerate_pairs(a),
+                A.corrected_cycle(rand_classical(A, rng)),
+            ):
+                assert_chain_normal(e)
+
+    def test_cancellation_leaves_no_zero_coefficient(self):
+        _, _, A = algebra("CP2")
+        x = A.l(0) + A.l(1)
+        for e in (x * x, x - x, A.Q(0) * x * 0):
+            assert not e
+            assert e.items() == []
+
+
+class TestCertificateCanFail:
+    """An algebra whose areas disagree with its own partition: the
+    corrected cycle is then not closed, and the certificate says so."""
+
+    def test_class_area_off_the_partition(self):
+        _, _, A = algebra("CP2")
+        B = replace(A, class_areas=(F(1, 2),))
+        cert = B.chain_map_certificate(B.l(0))
+        assert not cert.holds and not cert.reduced_to_zero and cert.filtration_ok
+        assert cert.residual_terms == 6
+        assert cert.overdimension_terms == 3
+        assert cert.square_rule_terms == 3
+
+    def test_facet_area_off_the_partition(self):
+        _, _, A = algebra("CP2")
+        B = replace(A, facet_areas=(F(1, 3), F(1, 3), F(1, 2)))
+        cert = B.chain_map_certificate(B.one())
+        assert not cert.holds and not cert.reduced_to_zero and cert.filtration_ok
+        assert cert.residual_terms == 4
+        assert cert.overdimension_terms == 3
+        assert cert.square_rule_terms == 1
+        assert not B.verify_chain_map(B.one())
+
+
+def test_module_level_helpers_read_the_fiber_each_call(disc_area_calls):
+    X, f, A = algebra("CP2")
+    disc_area_calls.clear()
+    P = A.l(0)
+    corrected_cycle(X, f, P)
+    chain_map_certificate(X, f, P)
+    assert disc_area_calls == [f, f]

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from toricfloer import cli
 from toricfloer.cli import CONVENTION_NOTE, main
+from toricfloer.novikov import ZERO, monomial
 
 SKEW_JSON = json.dumps(
     {
@@ -246,3 +248,11 @@ def test_module_entry_point(tmp_path):
     doc = json.loads(proc.stdout)
     assert doc["hf_rank"] == 2
     assert doc["balanced"] is True
+
+
+def test_render_novikov_spells_terms_like_str():
+    e = monomial(2) + monomial(-1, Fraction(1, 2), 1) + monomial(Fraction(3, 2), 1, 1)
+    assert cli.render_novikov(e) == str(e) == "2 - T^{1/2}*q + 3/2*T*q"
+    assert cli.render_novikov(e, two_pi=True) == "2 - T^3.14159*q + 3/2*T^6.28319*q"
+    assert cli.render_novikov(-monomial(1, 1, 1), two_pi=True) == "-T^6.28319*q"
+    assert cli.render_novikov(ZERO, two_pi=True) == "0"

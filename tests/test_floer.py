@@ -28,7 +28,7 @@ from toricfloer import (
     superpotential_derivative,
     wedge,
 )
-from toricfloer.floer import differential_matrix
+from toricfloer.floer import apply_differential, differential_matrix
 from toricfloer.novikov import ONE, ZERO, NovikovElement, monomial
 
 from conftest import (
@@ -467,3 +467,26 @@ class TestM2:
         u = CliffordElement.unit(1)
         with pytest.raises(ValueError, match="holonomy"):
             m2_product(X, Fiber((F(1, 2),), holonomy=(F(1, 4),)), u, u)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_direct_differential_matches_wedge(n):
+    """apply_differential spells out sign * alpha wedge e_S; compare it
+    with the Clifford product over the zero form, on every subset."""
+    X = load_toric(f"CPn({n})")
+    rng = random.Random(90 + n)
+    choices = [
+        ZERO,
+        monomial(1, F(1, 3), 1),
+        monomial(-2, F(1, 2), 1) + monomial(3, 1, 1),
+    ]
+    for _ in range(8):
+        alpha = [rng.choice(choices) for _ in range(n)]
+        a = CliffordElement.zero(n)
+        for i, a_i in enumerate(alpha):
+            a = a + CliffordElement.generator(n, i) * a_i
+        for sign in (1, -1):
+            for subset in subsets_graded(n):
+                e_S = CliffordElement.basis_element(n, subset)
+                expected = wedge(a, e_S) * sign
+                assert apply_differential(X, alpha, subset, sign) == expected
