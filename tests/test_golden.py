@@ -5,7 +5,9 @@ Each file under tests/golden/ is the standard output of
 before the per-fiber Novikov sums were regrouped by area class.  The
 JSON-input cases (the rectangle, whose balanced fiber has two area
 classes, and (CP1)^3) were recorded before the chain-level operations
-were rewritten as products in the chain algebra.  A refactor that keeps
+were rewritten as products in the chain algebra.  CPn(5) and (CP1)^4,
+the largest certificate counts in the corpus, were recorded before the
+certificate's coefficient arithmetic was streamlined.  A refactor that keeps
 the mathematics must keep every byte; a deliberate change of output
 re-records the affected files and says why.
 """
@@ -59,6 +61,13 @@ def _cases() -> dict[str, list[str]]:
     cases["analyze_CP1cubed_solver.json"] = [
         "analyze", "--input", CP1_CUBED_JSON, "--format", "json",
     ]
+    # the only certificates above n = 4, and the only cube above n = 3
+    cases["analyze_CPn5_solver.json"] = [
+        "analyze", "--input", "CPn(5)", "--format", "json",
+    ]
+    cases["analyze_CP1fourth_solver.json"] = [
+        "analyze", "--input", CP1_FOURTH_JSON, "--format", "json",
+    ]
     return cases
 
 
@@ -70,11 +79,18 @@ def _polytope_json(name: str, normals, offsets) -> str:
 RECT_JSON = _polytope_json(
     "rect", [(1, 0), (-1, 0), (0, 1), (0, -1)], [0, -2, 0, -1]
 )
-CP1_CUBED_JSON = _polytope_json(
-    "CP1^3",
-    [tuple(s if j == i else 0 for j in range(3)) for i in range(3) for s in (1, -1)],
-    [0, -1] * 3,
-)
+
+
+def _cube_json(k: int) -> str:
+    """(CP1)^k as the unit cube [0,1]^k."""
+    normals = [
+        tuple(s if j == i else 0 for j in range(k)) for i in range(k) for s in (1, -1)
+    ]
+    return _polytope_json(f"CP1^{k}", normals, [0, -1] * k)
+
+
+CP1_CUBED_JSON = _cube_json(3)
+CP1_FOURTH_JSON = _cube_json(4)
 CASES = _cases()
 
 
