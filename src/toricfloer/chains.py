@@ -29,12 +29,19 @@ dimension already exceeds the torus dimension n (those die as currents
 for dimension reasons alone).  Over-dimensional correction terms are
 kept in every expression, never dropped, and the counts are surfaced so
 a report can flag them.
+
+A ChainAlgebra builds D and the tower factors T^{a_t} q Q_t once, from
+its own facet and class areas.  Signs, (-1)^n and the shuffle signs of
+products, boundaries and the degenerate-pair reduction, are applied by
+negating a coefficient, never by multiplying it by an integer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, NotBalanced
@@ -153,7 +160,8 @@ class ChainExpression:
                         continue
                     sign, odds = merged
                     key = (tuple(sorted(e1 + e2)), odds)
-                    out[key] = out.get(key, ZERO) + c1 * c2 * sign
+                    c = c1 * c2
+                    out[key] = out.get(key, ZERO) + (c if sign > 0 else -c)
             return _wrap(self.dims, out)
         c = _as_novikov(other)
         return _wrap(self.dims, {m: v * c for m, v in self._coeffs.items()})
@@ -303,10 +311,37 @@ class ChainAlgebra:
         return ChainExpression(self.dims, {((t,), ()): ONE})
 
     def l_monomial(self, indices: Iterable[int]) -> ChainExpression:
-        out = self.one()
-        for i in indices:
-            out = out * self.l(i)
-        return out
+        """l_{i_1} * ... * l_{i_k}: the sorted monomial times the sign of
+        the permutation, and zero when an index repeats."""
+        indices = tuple(indices)
+        odds = tuple(("l", i) for i in sorted(set(indices)))
+        if len(odds) < len(indices):
+            coeff = ZERO
+        else:
+            inversions = sum(1 for a, b in combinations(indices, 2) if a > b)
+            coeff = -ONE if inversions % 2 else ONE
+        return ChainExpression(self.dims, {((), odds): coeff})
+
+    # -- values derived once per algebra -----------------------------------
+
+    @cached_property
+    def _disc_sum(self) -> ChainExpression:
+        """D = sum_j T^{e_j} q d_j."""
+        return _wrap(
+            self.dims,
+            {
+                ((), (("d", j),)): monomial(1, area, 1)
+                for j, area in enumerate(self.facet_areas)
+            },
+        )
+
+    @cached_property
+    def _tower_factors(self) -> tuple[ChainExpression, ...]:
+        """T^{a_t} q Q_t for each area class t."""
+        return tuple(
+            _wrap(self.dims, {((t,), ()): monomial(1, area, 1)})
+            for t, area in enumerate(self.class_areas)
+        )
 
     # -- operations -------------------------------------------------------------
 
@@ -316,6 +351,9 @@ class ChainAlgebra:
         self._check(e)
         out: dict[Monomial, NovikovElement] = {}
         for (evens, odds), c in e._coeffs.items():
+            if not evens:
+                continue
+            neg_c = -c
             for p, t in enumerate(evens):
                 rest = evens[:p] + evens[p + 1 :]
                 for j in self.class_members[t]:
@@ -324,27 +362,26 @@ class ChainAlgebra:
                         continue
                     sign, new_odds = merged
                     key = (rest, new_odds)
-                    out[key] = out.get(key, ZERO) + c * (-sign)
+                    out[key] = out.get(key, ZERO) + (neg_c if sign > 0 else c)
         return _wrap(self.dims, out)
 
     def floer_differential(self, e: ChainExpression) -> ChainExpression:
-        """(-1)^n (boundary(e) + D * e) with D = sum_j T^{e_j} q d_j."""
+        """(-1)^n (boundary(e) + D * e) with D = sum_j T^{e_j} q d_j.
+
+        D is built once per algebra; the sign (-1)^n is a negation of
+        the sum, applied only when n is odd.
+        """
         self._check(e)
-        D = _wrap(
-            self.dims,
-            {
-                ((), (("d", j),)): monomial(1, area, 1)
-                for j, area in enumerate(self.facet_areas)
-            },
-        )
-        return (self.boundary(e) + D * e) * (-1) ** self.n
+        out = self.boundary(e) + self._disc_sum * e
+        return -out if self.n % 2 else out
 
     def corrected_cycle(self, P: ChainExpression) -> ChainExpression:
         """P times the correction tower prod_t (1 + T^{a_t} q Q_t).
 
         Defined for classical expressions (l-generators only) over a
         balanced fiber; correction terms of symbolic dimension above n
-        are kept (callers may flag them via part_above_degree).
+        are kept (callers may flag them via part_above_degree).  The
+        factors T^{a_t} q Q_t are built once per algebra.
         """
         self._check(P)
         if not P.is_classical():
@@ -355,8 +392,8 @@ class ChainAlgebra:
                 "(each class disc-boundary sum must be null-homologous)"
             )
         out = P
-        for t, area in enumerate(self.class_areas):
-            out = out + self.Q(t) * out * monomial(1, area, 1)
+        for factor in self._tower_factors:
+            out = out + factor * out
         return out
 
     def reduce_degenerate_pairs(self, e: ChainExpression) -> ChainExpression:
@@ -367,44 +404,41 @@ class ChainAlgebra:
         symbol d_{j*} of class t, that symbol is rewritten to minus the
         sum of the remaining class members.  Leading symbols of distinct
         classes are disjoint, so the rewriting is confluent, and each
-        step shrinks the multiset of disc indices: it terminates.
+        step shrinks the multiset of disc indices: it terminates.  The
+        normal form is therefore linear, and it is computed in one
+        worklist pass: each term is rewritten until no redex is left and
+        only then added into the result.
         """
         self._check(e)
         leaders = {
             members[-1]: t for t, members in enumerate(self.class_members)
         }
-        coeffs = dict(e._coeffs)
-        while True:
-            redex = None
-            for mono in sorted(coeffs):
-                evens, odds = mono
-                for kind, j in odds:
-                    if kind == "d" and j in leaders and leaders[j] in evens:
-                        redex = (mono, j, leaders[j])
-                        break
-                if redex:
+        out: dict[Monomial, NovikovElement] = {}
+        work = list(e._coeffs.items())
+        while work:
+            mono, c = work.pop()
+            evens, odds = mono
+            for p, (kind, jstar) in enumerate(odds):
+                if kind == "d" and jstar in leaders and leaders[jstar] in evens:
                     break
-            if redex is None:
-                break
-            (evens, odds), jstar, t = redex[0], redex[1], redex[2]
-            c = coeffs.pop((evens, odds))
-            p = odds.index(("d", jstar))
-            sign_out = -1 if p % 2 else 1
+            else:
+                out[mono] = out.get(mono, ZERO) + c
+                continue
+            # d_{j*} leaves place p (sign (-1)^p) and each other member
+            # of its class is shuffled in, with minus the coefficient
             stripped = odds[:p] + odds[p + 1 :]
-            for j in self.class_members[t]:
+            out_even = p % 2 == 0
+            neg_c = -c
+            for j in self.class_members[leaders[jstar]]:
                 if j == jstar:
                     continue
                 merged = _merge_odds((("d", j),), stripped)
                 if merged is None:
                     continue
                 sign_in, new_odds = merged
-                key = (evens, new_odds)
-                acc = coeffs.get(key, ZERO) + c * (-sign_out * sign_in)
-                if acc:
-                    coeffs[key] = acc
-                else:
-                    coeffs.pop(key, None)
-        return _wrap(self.dims, coeffs)
+                same = (sign_in > 0) == out_even
+                work.append(((evens, new_odds), neg_c if same else c))
+        return _wrap(self.dims, out)
 
     def chain_map_certificate(self, P: ChainExpression) -> ChainMapCertificate:
         """Check that the corrected cycle is closed for the deformed

@@ -361,6 +361,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "analyze":
+            for flag, value in (("--lmax", args.lmax), ("--max-iters", args.max_iters)):
+                if value < 0:
+                    raise ParseError(f"{flag} must be a nonnegative integer")
             report = cmd_analyze(args)
         else:
             if args.grid < 1:

@@ -13,8 +13,10 @@ strictly increasing in (t_exp, q_exp).  The public constructor
 establishes it from any input; the arithmetic below relies on it and
 keeps it without sorting again: a sum merges two sorted tuples, and a
 product with a single term shifts every exponent by the same amount,
-which preserves the order.  _from_normal wraps a tuple that already
-satisfies the invariant and checks nothing.
+which preserves the order.  A product by the scalar 1 or -1 is the
+element or its negation, a product by ONE is the other operand, and a
+term with coefficient 1 only shifts exponents.  _from_normal wraps a
+tuple that already satisfies the invariant and checks nothing.
 
 Inverses are geometric series truncated at a caller-supplied T-exponent
 cutoff; the remainder a * invert(a) - 1 has valuation strictly above the
@@ -138,18 +140,27 @@ class NovikovElement:
 
     def __mul__(self, other) -> "NovikovElement":
         if isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
+            if other == -1:
+                return -self
             if not other:
                 return ZERO
             return _from_normal(tuple((c * other, t, q) for c, t, q in self._terms))
         if not isinstance(other, NovikovElement):
             return NotImplemented
-        a, b = self._terms, other._terms
-        if len(a) == 1:
-            a, b = b, a
+        x, y = (other, self) if len(self._terms) == 1 else (self, other)
+        a, b = x._terms, y._terms
         if len(b) == 1:
             # one term shifts every exponent alike: the order is kept
             c2, t2, q2 = b[0]
-            return _from_normal(tuple((c1 * c2, t1 + t2, q1 + q2) for c1, t1, q1 in a))
+            if c2 != 1:
+                return _from_normal(
+                    tuple((c1 * c2, t1 + t2, q1 + q2) for c1, t1, q1 in a)
+                )
+            if t2 or q2:
+                return _from_normal(tuple((c1, t1 + t2, q1 + q2) for c1, t1, q1 in a))
+            return x
         combined: dict[tuple[Fraction, int], Fraction] = {}
         for c1, t1, q1 in a:
             for c2, t2, q2 in b:

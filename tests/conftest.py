@@ -216,3 +216,42 @@ def assert_chain_normal(e) -> None:
     for _mono, c in e.items():
         assert c
         assert_normal(c)
+
+
+def oracle_reduce_degenerate_pairs(A, e):
+    """The degenerate-pair normal form as first written: rewrite the
+    least redex monomial in sorted order, merge its images into the
+    expression at once, and search again from the start."""
+    leaders = {members[-1]: t for t, members in enumerate(A.class_members)}
+    coeffs = {m: c for m, c in e.items()}
+    while True:
+        redex = None
+        for mono in sorted(coeffs):
+            evens, odds = mono
+            for kind, j in odds:
+                if kind == "d" and j in leaders and leaders[j] in evens:
+                    redex = (mono, j, leaders[j])
+                    break
+            if redex:
+                break
+        if redex is None:
+            break
+        (evens, odds), jstar, t = redex
+        c = coeffs.pop((evens, odds))
+        p = odds.index(("d", jstar))
+        sign_out = -1 if p % 2 else 1
+        stripped = odds[:p] + odds[p + 1 :]
+        for j in A.class_members[t]:
+            if j == jstar:
+                continue
+            ins = _oracle_insert_odd(stripped, ("d", j))
+            if ins is None:
+                continue
+            sign_in, new_odds = ins
+            key = (evens, new_odds)
+            acc = coeffs.get(key, ZERO) + c * (-sign_out * sign_in)
+            if acc:
+                coeffs[key] = acc
+            else:
+                coeffs.pop(key, None)
+    return chains.ChainExpression(A.dims, coeffs)

@@ -1,7 +1,8 @@
 import random
 from dataclasses import replace
 from fractions import Fraction as F
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, product
 
 import pytest
 
@@ -29,6 +30,7 @@ from conftest import (
     oracle_boundary,
     oracle_corrected_cycle,
     oracle_floer_differential,
+    oracle_reduce_degenerate_pairs,
 )
 
 RECT = make_toric("rect", 2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [0, -2, 0, -1])
@@ -467,3 +469,98 @@ def test_module_level_helpers_read_the_fiber_each_call(disc_area_calls):
     corrected_cycle(X, f, P)
     chain_map_certificate(X, f, P)
     assert disc_area_calls == [f, f]
+
+
+class TestReductionMatchesOracle:
+    """The one-pass worklist reduction against the sorted-redex loop."""
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_random_expressions(self, name):
+        A = oracle_case(name)
+        rng = random.Random(74)
+        for _ in range(150):
+            e = rand_chain(A, rng, max_terms=5)
+            assert A.reduce_degenerate_pairs(e) == oracle_reduce_degenerate_pairs(A, e)
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_rewrites_that_cancel(self, name):
+        # a class disc sum next to its Q is in the ideal, and so is x
+        # minus its normal form: every rewrite of the redex terms must
+        # cancel against the other terms
+        A = oracle_case(name)
+        rng = random.Random(75)
+        for _ in range(40):
+            y = rand_chain(A, rng)
+            x = rand_chain(A, rng, max_terms=5)
+            for t, members in enumerate(A.class_members):
+                class_sum = reduce(lambda a, b: a + b, (A.d(j) for j in members))
+                e = class_sum * A.Q(t) * y
+                assert not A.reduce_degenerate_pairs(e)
+                assert not oracle_reduce_degenerate_pairs(A, e)
+            e = x - oracle_reduce_degenerate_pairs(A, x)
+            assert not A.reduce_degenerate_pairs(e)
+            e = x + e * monomial(2, F(1, 2), 1)
+            assert A.reduce_degenerate_pairs(e) == oracle_reduce_degenerate_pairs(A, e)
+
+    def test_two_redexes_in_one_monomial(self):
+        # the rectangle's leaders d_4 (class 1) and d_2 (class 2) in one
+        # monomial with both correction chains
+        A = oracle_case("rect")
+        e = A.Q(0) * A.Q(1) * A.d(1) * A.d(3) * A.l(0)
+        red = A.reduce_degenerate_pairs(e)
+        assert red == oracle_reduce_degenerate_pairs(A, e)
+        assert red == A.Q(0) * A.Q(1) * A.d(0) * A.d(2) * A.l(0)
+
+
+class TestDerivedValuesFollowTheFields:
+    """D and the tower factors are derived from the algebra's own areas,
+    so a replaced algebra does not reuse the values of the original."""
+
+    def test_replaced_facet_areas(self):
+        _, _, A = algebra("CP2")
+        rng = random.Random(76)
+        e = rand_chain(A, rng, max_terms=5)
+        A.floer_differential(e)  # derive A's values first
+        B = replace(A, facet_areas=(F(1, 3), F(1, 3), F(1, 2)))
+        for _ in range(30):
+            e = rand_chain(B, rng)
+            assert B.floer_differential(e) == oracle_floer_differential(B, e)
+            assert A.floer_differential(e) == oracle_floer_differential(A, e)
+        assert B.floer_differential(B.one()) != A.floer_differential(A.one())
+
+    def test_replaced_class_areas(self):
+        A = oracle_case("rect")
+        A.corrected_cycle(A.one())
+        B = replace(A, class_areas=(F(1), F(1, 2)))
+        rng = random.Random(77)
+        for _ in range(30):
+            P = rand_classical(B, rng)
+            assert B.corrected_cycle(P) == oracle_corrected_cycle(B, P)
+            assert A.corrected_cycle(P) == oracle_corrected_cycle(A, P)
+
+
+class TestLMonomial:
+    def test_every_ordering_matches_the_product(self):
+        X = load_toric("CPn(4)")
+        A = ChainAlgebra.for_fiber(X, balanced_fiber(X))
+        for k in range(5):
+            for idx in product(range(4), repeat=k):
+                expected = reduce(lambda a, i: a * A.l(i), idx, A.one())
+                got = A.l_monomial(idx)
+                assert got == expected, idx
+                assert_chain_normal(got)
+                if len(set(idx)) < k:
+                    assert not got
+                else:
+                    assert len(got.monomials()) == 1
+
+    def test_generator_input(self):
+        _, _, A = algebra("CP2")
+        assert A.l_monomial(i for i in (1, 0)) == A.l(1) * A.l(0)
+        assert A.l_monomial(()) == A.one()
+
+    def test_out_of_range_raises(self):
+        _, _, A = algebra("CP2")
+        for idx in ((2,), (0, 2), (2, 2), (-1,), (1, 1, 5)):
+            with pytest.raises(DimensionMismatch):
+                A.l_monomial(idx)

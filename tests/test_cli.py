@@ -236,6 +236,23 @@ class TestExitCodes:
         )
         assert code == 4 and "error:" in err
 
+    @pytest.mark.parametrize("flag", ["--lmax", "--max-iters"])
+    def test_negative_count_rejected(self, capsys, flag):
+        code, out, err = run(capsys, "analyze", "--input", "CP2", flag, "-1")
+        assert code == 2 and "error:" in err and flag in err
+        assert out == ""
+        code, out, err = run(
+            capsys, "analyze", "--input", "CP2", "--fiber", "1/3,1/3", flag, "-1"
+        )
+        assert code == 2 and "error:" in err
+
+    def test_zero_counts_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "analyze", "--input", "CP2", "--lmax", "0", "--format", "json"
+        )
+        assert code == 0
+        assert [r["indices"] for r in json.loads(out)["l_products"]] == [[]]
+
 
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(

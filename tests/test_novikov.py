@@ -274,3 +274,28 @@ def test_products_stay_normal(a, b, s, k):
     assert_normal(a * s)
     assert_normal(a * k)
     assert_normal(a.truncate(s))
+
+
+# the fast paths of * by 1, -1, ONE and a term with coefficient 1
+unit_terms = st.builds(lambda t, m: monomial(1, t, m), fracs, st.integers(-2, 2))
+
+
+@given(elements)
+def test_product_by_unit_scalars(x):
+    for one in (1, F(1), ONE):
+        assert x * one == x
+        assert one * x == x
+    for minus_one in (-1, F(-1), -ONE):
+        assert x * minus_one == -x
+        assert minus_one * x == -x
+    for result in (x * 1, x * -1, x * F(-1), x * ONE, ONE * x, x * -ONE):
+        assert_normal(result)
+
+
+@given(elements, unit_terms)
+def test_product_with_unit_term_shifts_exponents(x, m):
+    _c, dt, dq = m.terms[0]
+    expected = NovikovElement([(c, t + dt, q + dq) for c, t, q in x.terms])
+    for result in (x * m, m * x):
+        assert result == expected
+        assert_normal(result)
