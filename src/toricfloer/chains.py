@@ -15,9 +15,9 @@ normalizes to zero here holds for every admissible choice of the
 correction chains.
 
 The deformed differential is d(e) = (-1)^n (boundary(e) + D * e) with
-D = sum_j T^{e_j} q d_j.  For a classical cycle P (l-generators only,
-so boundary(P) = 0) the certificate is d(prod_t (1 + T^{a_t} q Q_t) * P)
-= 0, with a_t the area of class t; corrected_cycle builds that product.
+D = sum_j T^{e_j} q d_j.  For a classical cycle P (l-generators only)
+the certificate is d(T * P) = 0 for the tower T = prod_t (1 + T^{a_t}
+q Q_t), with a_t the area of class t; corrected_cycle builds T * P.
 d of it telescopes down to terms that each contain a factor
 (sum_{j in class t} d_j) * Q_t.  Such a factor is minus half the
 boundary of the degenerate square Q_t * Q_t, a chain whose image in the
@@ -30,10 +30,17 @@ for dimension reasons alone).  Over-dimensional correction terms are
 kept in every expression, never dropped, and the counts are surfaced so
 a report can flag them.
 
-A ChainAlgebra builds D and the tower factors T^{a_t} q Q_t once, from
-its own facet and class areas.  Signs, (-1)^n and the shuffle signs of
-products, boundaries and the degenerate-pair reduction, are applied by
-negating a coefficient, never by multiplying it by an integer.
+A ChainAlgebra derives T, E = d(T) and reduce(E) once, from its own
+areas, and reads every certificate off products with them.  That is exact:
+
+* boundary is a derivation that kills l and d, so d(T * P) = E * P;
+* T and E have no l's and d-symbols sort before l-symbols, so
+  multiplying by P adds no shuffle sign: reduce(E * P) = reduce(E) * P;
+* the coefficient of Q_S * odds in T * P is T_S times that of odds in P.
+
+Signs, (-1)^n and the shuffle signs of products, boundaries and the
+degenerate-pair reduction, are applied by negating a coefficient, never
+by multiplying it by an integer.
 """
 
 from __future__ import annotations
@@ -48,13 +55,10 @@ from .errors import DimensionMismatch, NotBalanced
 from .novikov import ONE, ZERO, NovikovElement, _as_novikov, monomial
 from .toric import (
     AreaClass,
-    DiscClass,
     Fiber,
     ToricFano,
     _balance,
-    _plain_fiber,
-    area_partition,
-    disc_areas,
+    _fiber_partition,
 )
 
 OddGen = tuple[str, int]  # ("d", j) or ("l", i); "d" sorts before "l"
@@ -266,23 +270,15 @@ class ChainAlgebra:
 
     @classmethod
     def for_fiber(cls, X: ToricFano, f: Fiber) -> "ChainAlgebra":
-        classes = disc_areas(X, f)
-        partition = area_partition(classes)
-        _plain_fiber(f)  # balancedness is only decided without holonomy
-        return cls._from_areas(X, classes, partition)
+        return cls._from_areas(X, _fiber_partition(X, f))
 
     @classmethod
-    def _from_areas(
-        cls,
-        X: ToricFano,
-        classes: Sequence[DiscClass],
-        partition: Sequence[AreaClass],
-    ) -> "ChainAlgebra":
-        """for_fiber on disc areas and their partition already computed."""
+    def _from_areas(cls, X: ToricFano, partition: Sequence[AreaClass]) -> "ChainAlgebra":
+        """for_fiber on an area partition already computed for the fiber."""
         return cls(
             n=X.n,
             N=X.num_facets,
-            facet_areas=tuple(d.area for d in classes),
+            facet_areas=tuple(a for _, a in sorted((k, a) for a, ks in partition for k in ks)),
             class_areas=tuple(a for a, _ in partition),
             class_members=tuple(idxs for _, idxs in partition),
             balanced=_balance(X, partition).balanced,
@@ -336,12 +332,22 @@ class ChainAlgebra:
         )
 
     @cached_property
-    def _tower_factors(self) -> tuple[ChainExpression, ...]:
-        """T^{a_t} q Q_t for each area class t."""
-        return tuple(
-            _wrap(self.dims, {((t,), ()): monomial(1, area, 1)})
-            for t, area in enumerate(self.class_areas)
-        )
+    def _tower(self) -> ChainExpression:
+        """T = prod_t (1 + T^{a_t} q Q_t)."""
+        out = self.one()
+        for t, area in enumerate(self.class_areas):
+            out = out + _wrap(self.dims, {((t,), ()): monomial(1, area, 1)}) * out
+        return out
+
+    @cached_property
+    def _tower_differential(self) -> ChainExpression:
+        """E = d(T)."""
+        return self.floer_differential(self._tower)
+
+    @cached_property
+    def _reduced_tower_differential(self) -> ChainExpression:
+        """reduce(E), the normal form of E modulo degenerate pairs."""
+        return self.reduce_degenerate_pairs(self._tower_differential)
 
     # -- operations -------------------------------------------------------------
 
@@ -376,12 +382,12 @@ class ChainAlgebra:
         return -out if self.n % 2 else out
 
     def corrected_cycle(self, P: ChainExpression) -> ChainExpression:
-        """P times the correction tower prod_t (1 + T^{a_t} q Q_t).
+        """T * P, with T = prod_t (1 + T^{a_t} q Q_t) the correction tower.
 
         Defined for classical expressions (l-generators only) over a
         balanced fiber; correction terms of symbolic dimension above n
-        are kept (callers may flag them via part_above_degree).  The
-        factors T^{a_t} q Q_t are built once per algebra.
+        are kept (callers may flag them via part_above_degree).  T is
+        built once per algebra.
         """
         self._check(P)
         if not P.is_classical():
@@ -391,10 +397,7 @@ class ChainAlgebra:
                 "correction chains only exist over a balanced fiber "
                 "(each class disc-boundary sum must be null-homologous)"
             )
-        out = P
-        for factor in self._tower_factors:
-            out = out + factor * out
-        return out
+        return self._tower * P
 
     def reduce_degenerate_pairs(self, e: ChainExpression) -> ChainExpression:
         """Normal form modulo the ideal of degenerate pairs
@@ -442,26 +445,20 @@ class ChainAlgebra:
 
     def chain_map_certificate(self, P: ChainExpression) -> ChainMapCertificate:
         """Check that the corrected cycle is closed for the deformed
-        differential, in the strongest sense available symbolically."""
-        corrected = self.corrected_cycle(P)
-        # corrected_cycle admits only l-generators, so boundary(P) = 0 and
-        # the corrected cycle itself must be closed
-        diff = self.floer_differential(corrected)
+        differential, in the strongest sense available symbolically.
 
+        The counts are read off E * P = d(T * P) and the verdict off
+        reduce(E) * P.  The filtration holds when no T_S * c lowers the
+        valuation of a coefficient c of P: for P != 0, when no T_S does.
+        """
+        corrected = self.corrected_cycle(P)
+        diff = self._tower_differential * P
         residual = len(diff._coeffs)
         overdim = sum(1 for m in diff._coeffs if _degree(m) > self.n)
-        reduced = self.reduce_degenerate_pairs(diff)
-        reduced_to_zero = not reduced
-
-        filtration_ok = True
-        num_classes = len(self.class_areas)
-        for (_, odds), c in P._coeffs.items():
-            base_val = c.valuation()
-            for mask in range(2**num_classes):
-                S = tuple(t for t in range(num_classes) if mask >> t & 1)
-                if corrected.coefficient((S, odds)).valuation() < base_val:
-                    filtration_ok = False
-
+        reduced_to_zero = not (self._reduced_tower_differential * P)
+        filtration_ok = not P or all(
+            c.valuation() >= 0 for c in self._tower._coeffs.values()
+        )
         return ChainMapCertificate(
             holds=reduced_to_zero and filtration_ok,
             residual_terms=residual,

@@ -175,24 +175,18 @@ def cmd_analyze(args) -> AnalysisReport:
     doc["l_products"] = l_rows
 
     if balanced:
-        algebra = chains.ChainAlgebra._from_areas(X, classes, partition)
-        total = 0
-        holds = 0
-        over_corr = 0
-        over_res = 0
-        square_rule = 0
-        for subset in subsets_graded(X.n):
-            cert = algebra.chain_map_certificate(algebra.l_monomial(subset))
-            total += 1
-            holds += cert.holds
-            over_corr += cert.correction_terms_above_n
-            over_res += cert.overdimension_terms
-            square_rule += cert.square_rule_terms
+        algebra = chains.ChainAlgebra._from_areas(X, partition)
+        certs = [
+            algebra.chain_map_certificate(algebra.l_monomial(subset))
+            for subset in subsets_graded(X.n)
+        ]
+        over_corr = sum(c.correction_terms_above_n for c in certs)
+        square_rule = sum(c.square_rule_terms for c in certs)
         doc["chain_map"] = {
-            "monomials_checked": total,
-            "all_hold": holds == total,
+            "monomials_checked": len(certs),
+            "all_hold": all(c.holds for c in certs),
             "correction_terms_above_dim": over_corr,
-            "residual_terms_above_dim": over_res,
+            "residual_terms_above_dim": sum(c.overdimension_terms for c in certs),
             "residual_terms_square_rule": square_rule,
         }
         if over_corr or square_rule:

@@ -29,7 +29,7 @@ from .clifford import CliffordElement, cl_mul
 from .errors import NotBalanced
 from .novikov import DEFAULT_CUTOFF, ZERO, NovikovElement, monomial
 from .potential import QuadraticForm, _class_sum, _hessian
-from .toric import AreaClass, Fiber, ToricFano, _balance, _plain_fiber, area_partition, disc_areas
+from .toric import AreaClass, Fiber, ToricFano, _balance, _fiber_partition
 
 #: cohomology classes of the fiber torus, wedge products of the degree-1
 #: generators; the same container as CliffordElement, multiplied with Q = 0
@@ -58,7 +58,7 @@ def wedge(x: ExteriorClass, y: ExteriorClass) -> ExteriorClass:
 def obstruction_form(X: ToricFano, f: Fiber) -> list[NovikovElement]:
     """Coefficients alpha_i = sum_k v_ki * T^{e_k} q of the one-form alpha,
     summed per class of equal disc area."""
-    return _obstruction_form(X, area_partition(disc_areas(X, f)))
+    return _obstruction_form(X, _fiber_partition(X, f))
 
 
 def _obstruction_form(
@@ -220,7 +220,7 @@ def l_product(X: ToricFano, f: Fiber, idx: Sequence[int] = ()) -> NovikovElement
     for i in idx:
         if not 0 <= i < X.n:
             raise IndexError(f"axis {i} out of range for dimension {X.n}")
-    return _l_product(X, area_partition(disc_areas(X, f)), idx)
+    return _l_product(X, _fiber_partition(X, f), idx)
 
 
 def _l_product(
@@ -240,7 +240,7 @@ def m2_product(
     NotBalanced when the fiber is not balanced (the cohomology is zero
     there and carries no ring).
     """
-    partition = area_partition(disc_areas(X, _plain_fiber(f)))
+    partition = _fiber_partition(X, f)
     ok, sums = _balance(X, partition)
     if not ok:
         raise NotBalanced(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotInterior
 from .novikov import ZERO, NovikovElement, _from_normal
-from .toric import AreaClass, Fiber, ToricFano, area_partition, disc_areas, is_balanced
+from .toric import AreaClass, Fiber, ToricFano, _fiber_partition, area_partition, disc_areas, is_balanced
 
 Rational = Union[int, Fraction]
 
@@ -225,7 +225,7 @@ def formal_hessian(X: ToricFano, f: Fiber) -> QuadraticForm:
 
     Each entry is summed per class of equal disc area, not per disc.
     """
-    return _hessian(X, area_partition(disc_areas(X, f)))
+    return _hessian(X, _fiber_partition(X, f))
 
 
 def _hessian(X: ToricFano, partition: Sequence[AreaClass]) -> QuadraticForm:

@@ -178,7 +178,8 @@ class Fiber:
     u is always exact rational.  Solver output that could not be rounded
     to an exactly balanced point carries the binary expansion of the
     float iterate and exact=False.  Holonomy angles are in turns and are
-    only consumed by the numeric side of the potential module.
+    only consumed by the numeric side of the potential module; the exact
+    side raises ValueError on a nontrivial holonomy.
     """
 
     u: tuple[Fraction, ...]
@@ -397,15 +398,19 @@ def area_partition(classes: Sequence[DiscClass]) -> tuple[AreaClass, ...]:
     )
 
 
-def _plain_fiber(f: Union[Fiber, Sequence[Rational]]) -> Fiber:
-    """f as a Fiber, which the exact balancedness test needs without holonomy."""
+def _fiber_partition(
+    X: ToricFano, f: Union[Fiber, Sequence[Rational]]
+) -> tuple[AreaClass, ...]:
+    """area_partition(disc_areas(X, f)) for the exact side, which is only
+    defined at trivial holonomy: every exact per-fiber entry point starts here.
+    """
     fiber = _as_fiber(f)
     if not fiber.has_trivial_holonomy():
         raise ValueError(
-            "is_balanced assumes trivial holonomy; "
+            "the exact side assumes trivial holonomy; "
             "use potential.twisted_class_sums for the weighted test"
         )
-    return fiber
+    return area_partition(disc_areas(X, fiber))
 
 
 def is_balanced(X: ToricFano, f: Union[Fiber, Sequence[Rational]]) -> BalanceResult:
@@ -414,7 +419,7 @@ def is_balanced(X: ToricFano, f: Union[Fiber, Sequence[Rational]]) -> BalanceRes
     Requires trivial holonomy; the holonomy-weighted variant lives in the
     potential module and is numeric.
     """
-    return _balance(X, area_partition(disc_areas(X, _plain_fiber(f))))
+    return _balance(X, _fiber_partition(X, f))
 
 
 def _balance(X: ToricFano, partition: Sequence[AreaClass]) -> BalanceResult:

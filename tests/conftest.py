@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricfloer import Fiber, chains, cli, disc_areas, floer, load_toric, potential, toric
+from toricfloer import Fiber, chains, cli, disc_areas, load_toric, potential, toric
 from toricfloer.novikov import ZERO, monomial
 
 BUILTIN_NAMES = ["CP1", "CP2", "CP1xCP1", "CPn(3)"]
@@ -25,7 +25,7 @@ def disc_area_calls(monkeypatch):
         calls.append(f)
         return original(X, f)
 
-    for module in (toric, potential, floer, chains, cli):
+    for module in (toric, potential, cli):
         monkeypatch.setattr(module, "disc_areas", counting)
     return calls
 
@@ -255,3 +255,30 @@ def oracle_reduce_degenerate_pairs(A, e):
             else:
                 coeffs.pop(key, None)
     return chains.ChainExpression(A.dims, coeffs)
+
+
+def oracle_chain_map_certificate(A, P):
+    """The chain-map certificate along its full path, once per P: build
+    the corrected cycle, differentiate and reduce it, and check the
+    filtration on every set of classes against every coefficient of P."""
+    corrected = oracle_corrected_cycle(A, P)
+    diff = oracle_floer_differential(A, corrected)
+    residual = len(diff.items())
+    overdim = sum(1 for mono, _ in diff.items() if chains._degree(mono) > A.n)
+    reduced_to_zero = not oracle_reduce_degenerate_pairs(A, diff)
+    filtration_ok = True
+    num_classes = len(A.class_areas)
+    for (_, odds), c in P.items():
+        for mask in range(2**num_classes):
+            S = tuple(t for t in range(num_classes) if mask >> t & 1)
+            if corrected.coefficient((S, odds)).valuation() < c.valuation():
+                filtration_ok = False
+    return chains.ChainMapCertificate(
+        holds=reduced_to_zero and filtration_ok,
+        residual_terms=residual,
+        overdimension_terms=overdim,
+        square_rule_terms=residual - overdim,
+        reduced_to_zero=reduced_to_zero,
+        filtration_ok=filtration_ok,
+        correction_terms_above_n=len(corrected.part_above_degree(A.n).items()),
+    )

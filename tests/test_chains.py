@@ -28,6 +28,7 @@ from conftest import (
     assert_chain_normal,
     balanced_fiber,
     oracle_boundary,
+    oracle_chain_map_certificate,
     oracle_corrected_cycle,
     oracle_floer_differential,
     oracle_reduce_degenerate_pairs,
@@ -35,6 +36,13 @@ from conftest import (
 
 RECT = make_toric("rect", 2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [0, -2, 0, -1])
 RECT_CENTER = Fiber((F(1), F(1, 2)))
+CUBE3 = make_toric(
+    "CP1^3",
+    3,
+    [tuple(s if j == i else 0 for j in range(3)) for i in range(3) for s in (1, -1)],
+    [0, -1] * 3,
+)
+CUBE3_CENTER = Fiber((F(1, 2),) * 3)
 
 
 def algebra(name):
@@ -380,7 +388,53 @@ ORACLE_CASES = BUILTIN_NAMES + ["rect"]
 def oracle_case(name):
     if name == "rect":
         return ChainAlgebra.for_fiber(RECT, RECT_CENTER)
+    if name == "(CP1)^3":
+        return ChainAlgebra.for_fiber(CUBE3, CUBE3_CENTER)
     return algebra(name)[2]
+
+
+# the certificate is also compared on (CP1)^3, where eight basis
+# monomials share one area class
+CERTIFICATE_CASES = ORACLE_CASES + ["(CP1)^3"]
+
+# algebras whose areas disagree with their partition: the two of
+# TestCertificateCanFail, and a negative class area, which lowers the
+# valuation of every correction and so fails the filtration check
+REPLACED_CP2 = {
+    "class_area_off": {"class_areas": (F(1, 2),)},
+    "facet_area_off": {"facet_areas": (F(1, 3), F(1, 3), F(1, 2))},
+    "negative_class_area": {"class_areas": (F(-1, 2),)},
+}
+
+
+def assert_certificates_match_oracle(A, rng, random_inputs=40):
+    """Every basis monomial, P = 0, and random classical P with Novikov
+    coefficients."""
+    inputs = [A.l_monomial(s) for r in range(A.n + 1) for s in combinations(range(A.n), r)]
+    inputs += [A.zero()] + [rand_classical(A, rng) for _ in range(random_inputs)]
+    for P in inputs:
+        assert A.chain_map_certificate(P) == oracle_chain_map_certificate(A, P), str(P)
+
+
+class TestCertificateMatchesOracle:
+    """The certificate read off the algebra's tower against the full
+    path of correcting, differentiating and reducing each P."""
+
+    @pytest.mark.parametrize("name", CERTIFICATE_CASES)
+    def test_fiber_algebras(self, name):
+        assert_certificates_match_oracle(oracle_case(name), random.Random(78))
+
+    @pytest.mark.parametrize("case", sorted(REPLACED_CP2))
+    def test_replaced_algebras(self, case):
+        B = replace(oracle_case("CP2"), **REPLACED_CP2[case])
+        assert_certificates_match_oracle(B, random.Random(79))
+
+    def test_filtration_can_fail(self):
+        B = replace(oracle_case("CP2"), **REPLACED_CP2["negative_class_area"])
+        cert = B.chain_map_certificate(B.l(0))
+        assert not cert.filtration_ok and not cert.holds
+        assert oracle_chain_map_certificate(B, B.l(0)) == cert
+        assert B.chain_map_certificate(B.zero()).filtration_ok
 
 
 class TestAlgebraFormsMatchOracle:
@@ -513,8 +567,9 @@ class TestReductionMatchesOracle:
 
 
 class TestDerivedValuesFollowTheFields:
-    """D and the tower factors are derived from the algebra's own areas,
-    so a replaced algebra does not reuse the values of the original."""
+    """D, the tower T, E = d(T) and reduce(E) are derived from the
+    algebra's own areas, so a replaced algebra does not reuse the values
+    of the original."""
 
     def test_replaced_facet_areas(self):
         _, _, A = algebra("CP2")
@@ -537,6 +592,27 @@ class TestDerivedValuesFollowTheFields:
             P = rand_classical(B, rng)
             assert B.corrected_cycle(P) == oracle_corrected_cycle(B, P)
             assert A.corrected_cycle(P) == oracle_corrected_cycle(A, P)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"class_areas": (F(1), F(1, 2))},
+            {"facet_areas": (F(1), F(1), F(1, 2), F(1))},
+        ],
+        ids=["class_areas", "facet_areas"],
+    )
+    def test_replaced_tower_and_its_differential(self, fields):
+        A = oracle_case("rect")
+        A.chain_map_certificate(A.one())  # derive A's T, E and reduce(E) first
+        B = replace(A, **fields)
+        for C in (B, A):
+            T = oracle_corrected_cycle(C, C.one())
+            E = oracle_floer_differential(C, T)
+            assert C._tower == T
+            assert C._tower_differential == E
+            assert C._reduced_tower_differential == oracle_reduce_degenerate_pairs(C, E)
+        assert B._tower_differential != A._tower_differential
+        assert_certificates_match_oracle(B, random.Random(80), random_inputs=10)
 
 
 class TestLMonomial:

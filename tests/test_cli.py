@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricfloer import cli
+from toricfloer import ChainAlgebra, cli
 from toricfloer.cli import CONVENTION_NOTE, main
 from toricfloer.novikov import ZERO, monomial
 
@@ -146,6 +146,26 @@ class TestAnalyzeJson:
         )
         assert code == 0
         assert len(disc_area_calls) == 1
+
+    def test_one_tower_per_fiber(self, capsys, monkeypatch):
+        # the 16 certificates of CPn(4) share one differential and one
+        # reduction of the correction tower
+        calls = {"floer_differential": 0, "reduce_degenerate_pairs": 0}
+        for name in calls:
+            original = getattr(ChainAlgebra, name)
+
+            def counting(self, e, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, e)
+
+            monkeypatch.setattr(ChainAlgebra, name, counting)
+        code, out, _ = run(capsys, "analyze", "--input", "CPn(4)", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["fiber"]["source"] == "solver"
+        assert doc["chain_map"]["monomials_checked"] == 16
+        assert doc["chain_map"]["all_hold"] is True
+        assert calls == {"floer_differential": 1, "reduce_degenerate_pairs": 1}
 
     def test_rationals_are_strings(self, capsys):
         code, out, _ = run(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricfloer import (
+    ChainAlgebra,
     CliffordElement,
     Fiber,
     NotBalanced,
@@ -26,6 +27,7 @@ from toricfloer import (
     obstruction_form,
     subsets_graded,
     superpotential_derivative,
+    twisted_class_sums,
     wedge,
 )
 from toricfloer.floer import apply_differential, differential_matrix
@@ -490,3 +492,40 @@ def test_direct_differential_matches_wedge(n):
                 e_S = CliffordElement.basis_element(n, subset)
                 expected = wedge(a, e_S) * sign
                 assert apply_differential(X, alpha, subset, sign) == expected
+
+
+# The exact side is only defined at trivial holonomy.  At the CP2
+# barycenter the holonomy (1/4, 0) leaves a nonzero twisted class sum,
+# so the twisted potential is not critical there and an untwisted answer
+# (rank 4, alpha = 0) would be wrong.
+TWISTED_CP2 = Fiber((F(1, 3), F(1, 3)), holonomy=(F(1, 4), F(0)))
+UNIT2 = CliffordElement.unit(2)
+EXACT_ENTRY_POINTS = {
+    "hf_rank": hf_rank,
+    "obstruction_form": obstruction_form,
+    "l_product": lambda X, f: l_product(X, f, (0, 1)),
+    "formal_hessian": formal_hessian,
+    "is_balanced": is_balanced,
+    "m2_product": lambda X, f: m2_product(X, f, UNIT2, UNIT2),
+    "ChainAlgebra.for_fiber": ChainAlgebra.for_fiber,
+}
+
+
+class TestExactSideRejectsHolonomy:
+    def test_twisted_potential_is_not_critical(self):
+        (s,) = twisted_class_sums(load_toric("CP2"), TWISTED_CP2)
+        assert abs(s).max() > 1
+
+    @pytest.mark.parametrize("entry", sorted(EXACT_ENTRY_POINTS))
+    def test_nontrivial_holonomy_raises(self, entry):
+        X = load_toric("CP2")
+        with pytest.raises(ValueError, match="holonomy") as info:
+            EXACT_ENTRY_POINTS[entry](X, TWISTED_CP2)
+        assert "twisted_class_sums" in str(info.value)
+
+    @pytest.mark.parametrize("entry", sorted(EXACT_ENTRY_POINTS))
+    def test_zero_holonomy_is_trivial(self, entry):
+        X = load_toric("CP2")
+        fn = EXACT_ENTRY_POINTS[entry]
+        untwisted = fn(X, Fiber(TWISTED_CP2.u))
+        assert fn(X, Fiber(TWISTED_CP2.u, holonomy=(F(0), F(0)))) == untwisted
