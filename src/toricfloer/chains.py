@@ -52,7 +52,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, NotBalanced
-from .novikov import ONE, ZERO, NovikovElement, _as_novikov, monomial
+from .novikov import ONE, ZERO, NovikovElement, _Combination, monomial
 from .toric import (
     AreaClass,
     Fiber,
@@ -92,90 +92,56 @@ def _degree(mono: Monomial) -> int:
     return len(odds) + 2 * len(evens)
 
 
-class ChainExpression:
+class ChainExpression(_Combination):
     """A Novikov-linear combination of monomials in the chain symbols."""
 
-    __slots__ = ("dims", "_coeffs")
+    __slots__ = ()
 
     def __init__(self, dims: Dims, coeffs: Mapping[Monomial, Scalar] = ()):
-        self.dims = dims
-        n, N, l = dims
-        clean: dict[Monomial, NovikovElement] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        for mono, c in items:
-            evens, odds = mono
-            evens = tuple(sorted(evens))
-            if any(not 0 <= t < l for t in evens):
-                raise DimensionMismatch(f"correction index out of range in {mono}")
-            for kind, i in odds:
-                limit = N if kind == "d" else n
-                if kind not in ("d", "l") or not 0 <= i < limit:
-                    raise DimensionMismatch(f"bad odd generator {(kind, i)}")
-            if list(odds) != sorted(set(odds)):
-                raise ValueError(f"odd generators must be strictly sorted in {mono}")
-            c = _as_novikov(c)
-            if not c:
-                continue
-            key = (evens, odds)
-            acc = clean.get(key, ZERO) + c
-            if acc:
-                clean[key] = acc
-            else:
-                clean.pop(key, None)
-        self._coeffs = clean
+        super().__init__(dims, coeffs)
 
-    # -- linear structure --------------------------------------------------
+    @property
+    def dims(self) -> Dims:
+        return self._space
 
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
+    def _normal_key(self, mono: Monomial) -> Monomial:
+        n, N, l = self._space
+        evens, odds = mono
+        evens = tuple(sorted(evens))
+        if any(not 0 <= t < l for t in evens):
+            raise DimensionMismatch(f"correction index out of range in {mono}")
+        for kind, i in odds:
+            limit = N if kind == "d" else n
+            if kind not in ("d", "l") or not 0 <= i < limit:
+                raise DimensionMismatch(f"bad odd generator {(kind, i)}")
+        if list(odds) != sorted(set(odds)):
+            raise ValueError(f"odd generators must be strictly sorted in {mono}")
+        return (evens, tuple(odds))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ChainExpression)
-            and self.dims == other.dims
-            and self._coeffs == other._coeffs
-        )
+    _grade = staticmethod(_degree)
 
-    def __add__(self, other: "ChainExpression") -> "ChainExpression":
-        if not isinstance(other, ChainExpression):
-            return NotImplemented
-        if self.dims != other.dims:
-            raise DimensionMismatch("expressions live over different fibers")
-        out = dict(self._coeffs)
-        for m, c in other._coeffs.items():
-            out[m] = out.get(m, ZERO) + c
-        return _wrap(self.dims, out)
+    @staticmethod
+    def _word(mono: Monomial) -> str:
+        evens, odds = mono
+        gens = [f"Q_{t + 1}" for t in evens] + [f"{kind}_{i + 1}" for kind, i in odds]
+        return "*".join(gens) if gens else "1"
 
-    def __sub__(self, other: "ChainExpression") -> "ChainExpression":
-        return self + (-other)
-
-    def __neg__(self) -> "ChainExpression":
-        return _wrap(self.dims, {m: -c for m, c in self._coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, ChainExpression):
-            if self.dims != other.dims:
-                raise DimensionMismatch("expressions live over different fibers")
-            out: dict[Monomial, NovikovElement] = {}
-            for (e1, o1), c1 in self._coeffs.items():
-                for (e2, o2), c2 in other._coeffs.items():
-                    merged = _merge_odds(o1, o2)
-                    if merged is None:
-                        continue
-                    sign, odds = merged
-                    key = (tuple(sorted(e1 + e2)), odds)
-                    c = c1 * c2
-                    out[key] = out.get(key, ZERO) + (c if sign > 0 else -c)
-            return _wrap(self.dims, out)
-        c = _as_novikov(other)
-        return _wrap(self.dims, {m: v * c for m, v in self._coeffs.items()})
-
-    __rmul__ = __mul__
+    def _product(self, other: "ChainExpression") -> "ChainExpression":
+        """The graded-commutative product: evens commute, odds shuffle."""
+        self._check_space(other)
+        out: dict[Monomial, NovikovElement] = {}
+        for (e1, o1), c1 in self._coeffs.items():
+            for (e2, o2), c2 in other._coeffs.items():
+                merged = _merge_odds(o1, o2)
+                if merged is None:
+                    continue
+                sign, odds = merged
+                key = (tuple(sorted(e1 + e2)), odds)
+                c = c1 * c2
+                out[key] = out.get(key, ZERO) + (c if sign > 0 else -c)
+        return self._from_normal(self.dims, out)
 
     # -- inspection ----------------------------------------------------------
-
-    def items(self):
-        return sorted(self._coeffs.items(), key=lambda kv: (_degree(kv[0]), kv[0]))
 
     def coefficient(self, mono: Monomial) -> NovikovElement:
         evens, odds = mono
@@ -189,7 +155,7 @@ class ChainExpression:
 
     def part_above_degree(self, n: int) -> "ChainExpression":
         """Terms whose symbolic chain dimension exceeds n (kept, flaggable)."""
-        return _wrap(
+        return self._from_normal(
             self.dims, {m: c for m, c in self._coeffs.items() if _degree(m) > n}
         )
 
@@ -199,40 +165,6 @@ class ChainExpression:
             not evens and all(kind == "l" for kind, _ in odds)
             for evens, odds in self._coeffs
         )
-
-    # -- rendering -------------------------------------------------------------
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        pieces = []
-        for (evens, odds), coeff in self.items():
-            gens = [f"Q_{t + 1}" for t in evens]
-            gens += [f"{kind}_{i + 1}" for kind, i in odds]
-            body = "*".join(gens) if gens else "1"
-            cs = str(coeff)
-            if cs == "1":
-                pieces.append(body)
-            elif cs == "-1":
-                pieces.append(f"-{body}")
-            elif len(coeff.terms) > 1:
-                pieces.append(f"({cs})*{body}")
-            else:
-                pieces.append(f"{cs}*{body}")
-        return " + ".join(pieces).replace("+ -", "- ")
-
-    def __repr__(self) -> str:
-        return f"ChainExpression[{self}]"
-
-
-def _wrap(dims: Dims, coeffs: dict[Monomial, NovikovElement]) -> ChainExpression:
-    """An expression over monomials already in normal form (sorted evens,
-    strictly sorted odds in range) with Novikov coefficients, unchecked;
-    zero coefficients are dropped."""
-    out = object.__new__(ChainExpression)
-    out.dims = dims
-    out._coeffs = {m: c for m, c in coeffs.items() if c}
-    return out
 
 
 @dataclass(frozen=True)
@@ -323,7 +255,7 @@ class ChainAlgebra:
     @cached_property
     def _disc_sum(self) -> ChainExpression:
         """D = sum_j T^{e_j} q d_j."""
-        return _wrap(
+        return ChainExpression._from_normal(
             self.dims,
             {
                 ((), (("d", j),)): monomial(1, area, 1)
@@ -336,7 +268,8 @@ class ChainAlgebra:
         """T = prod_t (1 + T^{a_t} q Q_t)."""
         out = self.one()
         for t, area in enumerate(self.class_areas):
-            out = out + _wrap(self.dims, {((t,), ()): monomial(1, area, 1)}) * out
+            Q_term = ChainExpression._from_normal(self.dims, {((t,), ()): monomial(1, area, 1)})
+            out = out + Q_term * out
         return out
 
     @cached_property
@@ -369,7 +302,7 @@ class ChainAlgebra:
                     sign, new_odds = merged
                     key = (rest, new_odds)
                     out[key] = out.get(key, ZERO) + (neg_c if sign > 0 else c)
-        return _wrap(self.dims, out)
+        return ChainExpression._from_normal(self.dims, out)
 
     def floer_differential(self, e: ChainExpression) -> ChainExpression:
         """(-1)^n (boundary(e) + D * e) with D = sum_j T^{e_j} q d_j.
@@ -441,7 +374,7 @@ class ChainAlgebra:
                 sign_in, new_odds = merged
                 same = (sign_in > 0) == out_even
                 work.append(((evens, new_odds), neg_c if same else c))
-        return _wrap(self.dims, out)
+        return ChainExpression._from_normal(self.dims, out)
 
     def chain_map_certificate(self, P: ChainExpression) -> ChainMapCertificate:
         """Check that the corrected cycle is closed for the deformed

@@ -11,8 +11,6 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Optional
 
-import numpy as np
-
 from . import chains
 from .errors import (
     InvalidPolytope,

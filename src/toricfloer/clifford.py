@@ -16,37 +16,41 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .errors import DimensionMismatch
-from .novikov import ONE, ZERO, NovikovElement, _as_novikov
+from .novikov import ONE, ZERO, NovikovElement, _Combination
 from .potential import QuadraticForm
 
 Subset = tuple[int, ...]
 Scalar = Union[int, Fraction, NovikovElement]
 
 
-class CliffordElement:
+class CliffordElement(_Combination):
     """Linear combination of basis words C_S with Novikov coefficients."""
 
-    __slots__ = ("n", "_coeffs")
+    __slots__ = ()
 
     def __init__(self, n: int, coeffs: Mapping[Subset, Scalar] = ()):
-        self.n = n
-        clean: dict[Subset, NovikovElement] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        for subset, c in items:
-            key = tuple(subset)
-            if any(not 0 <= i < n for i in key):
-                raise DimensionMismatch(f"index subset {key} out of range for n={n}")
-            if list(key) != sorted(set(key)):
-                raise ValueError(f"index subset {key} must be strictly increasing")
-            c = _as_novikov(c)
-            if not c:
-                continue
-            acc = clean.get(key, ZERO) + c
-            if acc:
-                clean[key] = acc
-            else:
-                clean.pop(key, None)
-        self._coeffs = clean
+        super().__init__(n, coeffs)
+
+    @property
+    def n(self) -> int:
+        return self._space
+
+    def _normal_key(self, subset: Iterable[int]) -> Subset:
+        key = tuple(subset)
+        if any(not 0 <= i < self._space for i in key):
+            raise DimensionMismatch(f"index subset {key} out of range for n={self._space}")
+        if list(key) != sorted(set(key)):
+            raise ValueError(f"index subset {key} must be strictly increasing")
+        return key
+
+    _grade = staticmethod(len)
+
+    @staticmethod
+    def _word(subset: Subset) -> str:
+        return "[L]" if not subset else "C_{" + ",".join(str(i + 1) for i in subset) + "}"
+
+    def _product(self, other):
+        raise TypeError("use cl_mul(Q, x, y): the product needs the quadratic form")
 
     # -- constructors ----------------------------------------------------
 
@@ -72,84 +76,17 @@ class CliffordElement:
     def coefficient(self, subset: Iterable[int]) -> NovikovElement:
         return self._coeffs.get(tuple(subset), ZERO)
 
-    def items(self):
-        return sorted(self._coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
     def grade(self, d: int) -> "CliffordElement":
         """The part supported on subsets of size d."""
-        return CliffordElement(
+        return self._from_normal(
             self.n, {s: c for s, c in self._coeffs.items() if len(s) == d}
         )
 
     def grades(self) -> set[int]:
         return {len(s) for s in self._coeffs}
 
-    # -- linear structure ---------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CliffordElement)
-            and self.n == other.n
-            and self._coeffs == other._coeffs
-        )
-
     def __hash__(self):
         return hash((self.n, tuple(self.items())))
-
-    def __add__(self, other: "CliffordElement") -> "CliffordElement":
-        if not isinstance(other, CliffordElement):
-            return NotImplemented
-        if self.n != other.n:
-            raise DimensionMismatch(f"cannot add over n={self.n} and n={other.n}")
-        out = dict(self._coeffs)
-        for s, c in other._coeffs.items():
-            out[s] = out.get(s, ZERO) + c
-        return CliffordElement(self.n, out)
-
-    def __sub__(self, other: "CliffordElement") -> "CliffordElement":
-        return self + (-other)
-
-    def __neg__(self) -> "CliffordElement":
-        return CliffordElement(self.n, {s: -c for s, c in self._coeffs.items()})
-
-    def __mul__(self, scalar: Scalar) -> "CliffordElement":
-        if isinstance(scalar, CliffordElement):
-            raise TypeError(
-                "use cl_mul(Q, x, y): the product needs the quadratic form"
-            )
-        c = _as_novikov(scalar)
-        return CliffordElement(
-            self.n, {s: v * c for s, v in self._coeffs.items()}
-        )
-
-    __rmul__ = __mul__
-
-    # -- rendering ----------------------------------------------------------
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        pieces = []
-        for subset, coeff in self.items():
-            basis = "[L]" if not subset else "C_{" + ",".join(
-                str(i + 1) for i in subset
-            ) + "}"
-            cs = str(coeff)
-            if cs == "1":
-                pieces.append(basis)
-            elif cs == "-1":
-                pieces.append(f"-{basis}")
-            elif len(coeff.terms) > 1:
-                pieces.append(f"({cs})*{basis}")
-            else:
-                pieces.append(f"{cs}*{basis}")
-        return " + ".join(pieces).replace("+ -", "- ")
-
-    def __repr__(self) -> str:
-        return f"CliffordElement[{self}]"
 
 
 def _word_normal_form(
@@ -191,7 +128,7 @@ def cl_mul(Q: QuadraticForm, x: CliffordElement, y: CliffordElement) -> Clifford
             c = cx * cy
             for subset, unit_coeff in _word_normal_form(Q, sx + sy):
                 out[subset] = out.get(subset, ZERO) + c * unit_coeff
-    return CliffordElement(x.n, out)
+    return CliffordElement._from_normal(x.n, out)
 
 
 def cl_grade(x: CliffordElement, d: int) -> CliffordElement:

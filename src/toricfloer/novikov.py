@@ -21,13 +21,23 @@ tuple that already satisfies the invariant and checks nothing.
 Inverses are geometric series truncated at a caller-supplied T-exponent
 cutoff; the remainder a * invert(a) - 1 has valuation strictly above the
 cutoff.
+
+_Combination is the one kernel for Novikov-linear combinations over a
+graded basis: CliffordElement (index subsets) and ChainExpression (chain
+monomials) subclass it and supply only the key normal form, the grade,
+the printed basis word and their own product.  Sums, negation, scalar
+products, equality, ordering and rendering are written once here.  Its
+constructor validates caller keys; _Combination._from_normal wraps
+results whose keys are already normal without checking them again.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Mapping, Union
+
+from .errors import DimensionMismatch
 
 Rational = Union[int, Fraction]
 
@@ -89,7 +99,13 @@ class NovikovElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._terms)
+        # a constant equals its scalar, so it must hash like it
+        terms = self._terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and not terms[0][1] and not terms[0][2]:
+            return hash(terms[0][0])
+        return hash(terms)
 
     def __add__(self, other) -> "NovikovElement":
         other = self._coerce(other)
@@ -292,3 +308,96 @@ def _as_novikov(x: Union[Rational, NovikovElement]) -> NovikovElement:
 
 ZERO = NovikovElement()
 ONE = monomial(1)
+
+
+class _Combination:
+    """A finite Novikov-linear combination of basis keys over a space.
+
+    Subclasses supply _normal_key(key), which returns the key in normal
+    form and raises on a key outside the space, the static _grade(key)
+    that orders items() and _word(key) that prints it, and _product.
+    Every key is normal and every coefficient a nonzero NovikovElement.
+    """
+
+    __slots__ = ("_space", "_coeffs")
+
+    def __init__(self, space, coeffs=()):
+        self._space = space
+        clean: dict = {}
+        for key, c in coeffs.items() if isinstance(coeffs, Mapping) else coeffs:
+            key = self._normal_key(key)
+            clean[key] = clean.get(key, ZERO) + _as_novikov(c)
+        self._coeffs = {k: c for k, c in clean.items() if c}
+
+    @classmethod
+    def _from_normal(cls, space, coeffs: dict):
+        """A combination over keys already in normal form, unchecked; zero
+        coefficients are dropped."""
+        out = object.__new__(cls)
+        out._space = space
+        out._coeffs = {k: c for k, c in coeffs.items() if c}
+        return out
+
+    def _check_space(self, other) -> None:
+        if self._space != other._space:
+            raise DimensionMismatch(
+                f"cannot combine {type(self).__name__}s over "
+                f"{self._space} and {other._space}"
+            )
+
+    # -- linear structure --------------------------------------------------
+
+    def __bool__(self) -> bool:
+        return bool(self._coeffs)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self._space == other._space
+            and self._coeffs == other._coeffs
+        )
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check_space(other)
+        out = dict(self._coeffs)
+        for k, c in other._coeffs.items():
+            out[k] = out.get(k, ZERO) + c
+        return self._from_normal(self._space, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._from_normal(self._space, {k: -c for k, c in self._coeffs.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return self._product(other)
+        c = _as_novikov(other)
+        return self._from_normal(self._space, {k: v * c for k, v in self._coeffs.items()})
+
+    __rmul__ = __mul__
+
+    # -- inspection and rendering -------------------------------------------
+
+    def items(self):
+        return sorted(self._coeffs.items(), key=lambda kv: (self._grade(kv[0]), kv[0]))
+
+    def __str__(self) -> str:
+        pieces = []
+        for key, coeff in self.items():
+            word, cs = self._word(key), str(coeff)
+            if cs == "1":
+                pieces.append(word)
+            elif cs == "-1":
+                pieces.append(f"-{word}")
+            elif len(coeff.terms) > 1:
+                pieces.append(f"({cs})*{word}")
+            else:
+                pieces.append(f"{cs}*{word}")
+        return " + ".join(pieces).replace("+ -", "- ") if pieces else "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}[{self}]"

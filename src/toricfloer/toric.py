@@ -9,6 +9,11 @@ of equidistant facets has normals summing to zero.
 
 Validation and interior-point witnesses use exact Fourier-Motzkin
 elimination over Fraction, so no tolerance enters any decision.
+Boundedness is read off the n per-axis projections that also give the
+coordinate bounds: eliminating every other variable combines rows by
+their coefficients alone, so axis i lacks a lower or an upper bound
+exactly when the recession cone {d : <d, v_k> >= 0} holds a d with
+d_i != 0, whatever the offsets, and even when the polytope is empty.
 """
 
 from __future__ import annotations
@@ -115,8 +120,20 @@ def _solve_strict(rows: list[_Row], nvars: int) -> Optional[tuple[Fraction, ...]
     return tuple(values)
 
 
-def _feasible(rows: list[_Row], nvars: int) -> bool:
-    return _solve_strict(rows, nvars) is not None
+def _coordinate_bounds(rows: list[_Row], nvars: int) -> list[tuple[Fraction, Fraction]]:
+    """Exact [min, max] of each coordinate over {x : rows}, one projection
+    per axis; raises InvalidPolytope when an axis is unbounded, which the
+    module docstring shows is decided by the normals alone."""
+    bounds = []
+    for i in range(nvars):
+        perm = [i] + [j for j in range(nvars) if j != i]
+        single = _stages([(tuple(a[p] for p in perm), b, s) for a, b, s in rows], nvars)[1]
+        lowers = [b / a[0] for a, b, _s in single if a[0] > 0]
+        uppers = [b / a[0] for a, b, _s in single if a[0] < 0]
+        if not lowers or not uppers:
+            raise InvalidPolytope("normals do not positively span, polytope is unbounded")
+        bounds.append((max(lowers), min(uppers)))
+    return bounds
 
 
 # ---------------------------------------------------------------------------
@@ -145,27 +162,7 @@ class ToricFano:
 
     def coordinate_bounds(self) -> list[tuple[Fraction, Fraction]]:
         """Exact [min, max] of each coordinate over the closed polytope."""
-        bounds = []
-        for i in range(self.n):
-            perm = [i] + [j for j in range(self.n) if j != i]
-            rows = [
-                (tuple(a[p] for p in perm), b, False)
-                for a, b, _ in self.facet_rows(strict=False)
-            ]
-            single = _stages(rows, self.n)[1]
-            lo, hi = None, None
-            for a, b, _s in single:
-                c = a[0]
-                if c > 0:
-                    val = b / c
-                    lo = val if lo is None else max(lo, val)
-                elif c < 0:
-                    val = b / c
-                    hi = val if hi is None else min(hi, val)
-            if lo is None or hi is None:
-                raise InvalidPolytope("polytope is unbounded")
-            bounds.append((lo, hi))
-        return bounds
+        return _coordinate_bounds(self.facet_rows(strict=False), self.n)
 
     def __str__(self) -> str:
         return f"{self.name}: {self.num_facets} facets in dim {self.n}"
@@ -242,22 +239,10 @@ def make_toric(
         if not _primitive(v):
             raise InvalidPolytope(f"facet normal {v} is not primitive")
 
-    # bounded iff the recession cone {d : <d, v_k> >= 0 for all k} is {0}
-    cone = [(tuple(Fraction(c) for c in v), Fraction(0), False) for v in vs]
-    for i in range(n):
-        for sign in (1, -1):
-            axis = tuple(
-                Fraction(sign if j == i else 0) for j in range(n)
-            )
-            if _feasible(cone + [(axis, Fraction(0), True)], n):
-                raise InvalidPolytope(
-                    "normals do not positively span, polytope is unbounded"
-                )
-
-    witness = _solve_strict(
-        [(tuple(Fraction(c) for c in v), lam, True) for v, lam in zip(vs, lams)],
-        n,
-    )
+    rows = [(tuple(Fraction(c) for c in v), lam) for v, lam in zip(vs, lams)]
+    # raises when the normals do not positively span
+    _coordinate_bounds([(a, lam, False) for a, lam in rows], n)
+    witness = _solve_strict([(a, lam, True) for a, lam in rows], n)
     if witness is None:
         raise InvalidPolytope("polytope has empty interior")
     return ToricFano(name, n, vs, lams, witness)
@@ -344,8 +329,11 @@ def load_toric(source: Union[str, dict]) -> ToricFano:
         return builtin
     text = source
     if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read polytope file {source!r}: {exc}") from exc
     stripped = text.lstrip()
     if not stripped.startswith("{"):
         raise ParseError(

@@ -218,6 +218,17 @@ def assert_chain_normal(e) -> None:
         assert_normal(c)
 
 
+def assert_clifford_normal(x) -> None:
+    """x's keys are strictly increasing index tuples in range(x.n), and
+    every coefficient is nonzero and in Novikov normal form."""
+    for subset, c in x._coeffs.items():
+        assert type(subset) is tuple
+        assert all(type(i) is int and 0 <= i < x.n for i in subset)
+        assert all(a < b for a, b in zip(subset, subset[1:]))
+        assert c
+        assert_normal(c)
+
+
 def oracle_reduce_degenerate_pairs(A, e):
     """The degenerate-pair normal form as first written: rewrite the
     least redex monomial in sorted order, merge its images into the
@@ -282,3 +293,45 @@ def oracle_chain_map_certificate(A, P):
         filtration_ok=filtration_ok,
         correction_terms_above_n=len(corrected.part_above_degree(A.n).items()),
     )
+
+
+# Test oracle: polytope validation as first written.  Boundedness is one
+# exact feasibility solve per signed axis on the recession cone
+# {d : <d, v_k> >= 0}, and the coordinate bounds are read per axis.
+
+
+def _oracle_coordinate_bounds(normals, offsets, n):
+    bounds = []
+    for i in range(n):
+        perm = [i] + [j for j in range(n) if j != i]
+        rows = [
+            (tuple(Fraction(v[p]) for p in perm), Fraction(lam), False)
+            for v, lam in zip(normals, offsets)
+        ]
+        lo, hi = None, None
+        for a, b, _s in toric._stages(rows, n)[1]:
+            c = a[0]
+            if c > 0:
+                lo = b / c if lo is None else max(lo, b / c)
+            elif c < 0:
+                hi = b / c if hi is None else min(hi, b / c)
+        bounds.append((lo, hi))
+    return bounds
+
+
+def oracle_validate(normals, offsets, n):
+    """("unbounded" | "empty" | "ok", interior witness, coordinate bounds)
+    for primitive normals of dimension n, as make_toric first decided it."""
+    cone = [(tuple(Fraction(c) for c in v), Fraction(0), False) for v in normals]
+    for i in range(n):
+        for sign in (1, -1):
+            axis = tuple(Fraction(sign if j == i else 0) for j in range(n))
+            if toric._solve_strict(cone + [(axis, Fraction(0), True)], n) is not None:
+                return "unbounded", None, None
+    witness = toric._solve_strict(
+        [(tuple(Fraction(c) for c in v), Fraction(lam), True) for v, lam in zip(normals, offsets)],
+        n,
+    )
+    if witness is None:
+        return "empty", None, None
+    return "ok", witness, _oracle_coordinate_bounds(normals, offsets, n)

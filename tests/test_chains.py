@@ -118,6 +118,12 @@ class TestExpressionBasics:
         with pytest.raises(ValueError):
             ChainExpression(A.dims, {((), (("l", 0), ("l", 0))): ONE})
 
+    def test_factories_validate(self):
+        _, _, A = algebra("CP2")
+        for make, index in ((A.l, 2), (A.d, 3), (A.Q, 1), (A.l, -1)):
+            with pytest.raises(DimensionMismatch):
+                make(index)
+
     def test_mixed_dims_rejected(self):
         _, _, A = algebra("CP2")
         _, _, B = algebra("CP1")

@@ -238,6 +238,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "analyze", "--input", UNBOUNDED_JSON)
         assert code == 2 and "error:" in err
 
+    def test_unreadable_input_file(self, capsys, tmp_path):
+        code, out, err = run(capsys, "analyze", "--input", str(tmp_path))
+        assert code == 2 and err.startswith("error:") and out == ""
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+        for command in (("analyze",), ("scan", "--grid", "2")):
+            code, out, err = run(capsys, *command, "--input", str(latin1))
+            assert code == 2 and err.startswith("error:") and out == ""
+
     def test_bad_fiber_argument(self, capsys):
         code, _, err = run(capsys, "analyze", "--input", "CP2", "--fiber", "x,y")
         assert code == 2 and "error:" in err

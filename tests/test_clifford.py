@@ -15,7 +15,7 @@ from toricfloer import (
 )
 from toricfloer.novikov import ONE, ZERO, NovikovElement, monomial
 
-from conftest import balanced_fiber
+from conftest import assert_clifford_normal, balanced_fiber
 
 T13 = monomial(1, F(1, 3), 1)
 
@@ -89,6 +89,36 @@ class TestElementBasics:
         assert x.grade(0) == CliffordElement.unit(2)
         assert cl_grade(x, 2).coefficient((0, 1)) == ONE
         assert not x.grade(1)
+
+
+class TestResultsStayNormal:
+    """Results are built without validating their keys again, so check
+    the invariant directly, on inputs where terms cancel."""
+
+    def test_products_sums_scalars_and_grades(self, builtin):
+        Q = builtin_form(builtin)
+        n = builtin.n
+        rng = random.Random(36)
+        scalars = [0, 1, -1, F(2, 3), ZERO, monomial(-1, F(1, 2), 1), ONE - monomial(1, 1, 1)]
+        for _ in range(150):
+            x = rand_clifford(rng, n)
+            y = rand_clifford(rng, n)
+            s = rng.choice(scalars)
+            results = [
+                cl_mul(Q, x, y),
+                cl_mul(Q, x, x),
+                x + y,
+                x - y,
+                x - x,
+                -x,
+                x * s,
+                s * y,
+                cl_grade(cl_mul(Q, x, y), rng.randint(0, n)),
+            ]
+            for r in results:
+                assert_clifford_normal(r)
+                assert CliffordElement(n, r.items()) == r
+            assert not x - x
 
 
 class TestGoldenProducts:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from toricfloer import (
     ChainAlgebra,
     CliffordElement,
+    DimensionMismatch,
     Fiber,
     NotBalanced,
     boundary_pairing,
@@ -492,6 +493,11 @@ def test_direct_differential_matches_wedge(n):
                 e_S = CliffordElement.basis_element(n, subset)
                 expected = wedge(a, e_S) * sign
                 assert apply_differential(X, alpha, subset, sign) == expected
+
+
+def test_apply_differential_validates_the_callers_subset():
+    with pytest.raises(DimensionMismatch):
+        apply_differential(load_toric("CP2"), [ONE, ONE], (5,), 1)
 
 
 # The exact side is only defined at trivial holonomy.  At the CP2

@@ -47,6 +47,13 @@ class TestNormalization:
         assert ONE == 1
         assert monomial(1, 1, 0) != 1
 
+    def test_constants_hash_as_their_scalar(self):
+        assert hash(ONE) == hash(1)
+        assert hash(ZERO) == hash(0)
+        assert hash(monomial(F(1, 2))) == hash(F(1, 2))
+        assert len({ONE, 1}) == 1
+        assert len({ZERO, 0, monomial(0, 1, 1)}) == 1
+
     def test_rejects_non_integer_q(self):
         with pytest.raises(TypeError):
             NovikovElement([(1, 0, F(1, 2))])

@@ -161,6 +161,18 @@ class TestSolver:
         with pytest.raises(NoConvergence):
             find_critical_fiber(X, tol=0.0, max_iters=5)
 
+    # Known solver defects on a dilated CP2: the iterate stops short of
+    # the exact center at scale 60, and at scale 3000 exp underflows, the
+    # gradient reads 0 and the starting witness comes back.  Strict, so
+    # the fix that makes them pass has to remove the markers.
+    @pytest.mark.xfail(strict=True, reason="solver is not scale-robust")
+    @pytest.mark.parametrize("scale", [60, 3000])
+    def test_dilated_cp2_lands_exactly_on_center(self, scale):
+        X = make_toric(f"CP2x{scale}", 2, [(1, 0), (0, 1), (-1, -1)], [0, 0, -scale])
+        f = find_critical_fiber(X)
+        assert f.exact
+        assert f.u == (F(scale, 3), F(scale, 3))
+
     def test_hessian_positive_definite_at_solution(self, builtin):
         from toricfloer.potential import _w_grad_hess
 

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -18,7 +19,7 @@ from toricfloer import (
     make_toric,
 )
 
-from conftest import balanced_fiber, random_interior_fiber
+from conftest import balanced_fiber, oracle_validate, random_interior_fiber
 
 RECT_DOC = {
     "name": "rect",
@@ -97,6 +98,46 @@ class TestValidation:
     def test_bad_dimension(self):
         with pytest.raises(InvalidPolytope):
             make_toric("bad", 0, [], [])
+
+
+class TestValidationMatchesOracle:
+    """make_toric's verdict, witness and bounds against the recession-cone
+    check it replaced, on random normal sets; many are unbounded, many
+    empty, and some both, which must still read as unbounded."""
+
+    @staticmethod
+    def _verdict(normals, offsets, n):
+        try:
+            X = make_toric("random", n, normals, offsets)
+        except InvalidPolytope as exc:
+            if "unbounded" in str(exc):
+                return "unbounded", None, None
+            assert "empty interior" in str(exc)
+            return "empty", None, None
+        return "ok", X.interior_point, X.coordinate_bounds()
+
+    def test_random_normal_sets(self):
+        rng = random.Random(7)
+        seen = {"unbounded": 0, "empty": 0, "ok": 0}
+        for _ in range(400):
+            n = rng.randint(1, 3)
+            size = n + rng.randint(1, 3)
+            normals = []
+            while len(normals) < size:
+                v = tuple(rng.randint(-2, 2) for _ in range(n))
+                if math.gcd(*v) == 1:
+                    normals.append(v)
+            offsets = [F(rng.randint(-6, 3), rng.randint(1, 3)) for _ in normals]
+            got = self._verdict(normals, offsets, n)
+            assert got == oracle_validate(normals, offsets, n), (normals, offsets)
+            seen[got[0]] += 1
+        assert min(seen.values()) >= 40, seen
+
+    def test_empty_and_unbounded_reads_unbounded(self):
+        normals, offsets = [(1, 0), (-1, 0), (0, 1)], [0, 1, 0]
+        assert oracle_validate(normals, offsets, 2)[0] == "unbounded"
+        with pytest.raises(InvalidPolytope, match="do not positively span"):
+            make_toric("bad", 2, normals, offsets)
 
 
 class TestJsonLoading:
