@@ -31,12 +31,21 @@ kept in every expression, never dropped, and the counts are surfaced so
 a report can flag them.
 
 A ChainAlgebra derives T, E = d(T) and reduce(E) once, from its own
-areas, and reads every certificate off products with them.  That is exact:
+areas, and reads every certificate for a classical P off the degree
+histograms of T, E and P, with no product at all.  That is exact:
 
 * boundary is a derivation that kills l and d, so d(T * P) = E * P;
-* T and E have no l's and d-symbols sort before l-symbols, so
-  multiplying by P adds no shuffle sign: reduce(E * P) = reduce(E) * P;
-* the coefficient of Q_S * odds in T * P is T_S times that of odds in P.
+* T and E have no l's and d-symbols sort before l-symbols, so the map
+  (m, p) -> m * p from monomials of T or E and of P is injective, adds
+  degrees and carries the sign +1; hence reduce(E * P) = reduce(E) * P;
+* the Novikov ring is a domain, so no product of two nonzero
+  coefficients vanishes.
+
+So E * P has |E| * |P| terms, the terms of T * P or E * P above degree n
+are the pairs of degrees summing past n, and reduce(E) * P vanishes
+exactly when P or reduce(E) does.  The coefficient of Q_S * odds in
+T * P is T_S times that of odds in P, so the filtration is one check on
+the coefficients of T.
 
 Signs, (-1)^n and the shuffle signs of products, boundaries and the
 degenerate-pair reduction, are applied by negating a coefficient, never
@@ -45,6 +54,7 @@ by multiplying it by an integer.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -90,6 +100,19 @@ def _merge_odds(a: tuple[OddGen, ...], b: tuple[OddGen, ...]):
 def _degree(mono: Monomial) -> int:
     evens, odds = mono
     return len(odds) + 2 * len(evens)
+
+
+def _degree_histogram(e: ChainExpression) -> Counter:
+    """How many monomials of e there are in each degree."""
+    return Counter(_degree(m) for m in e._coeffs)
+
+
+def _pairs_above(hist_a: Counter, hist_b: Counter, n: int) -> int:
+    """The number of pairs of monomials, one counted in each histogram,
+    whose degrees sum past n."""
+    return sum(
+        ca * cb for a, ca in hist_a.items() for b, cb in hist_b.items() if a + b > n
+    )
 
 
 class ChainExpression(_Combination):
@@ -282,6 +305,19 @@ class ChainAlgebra:
         """reduce(E), the normal form of E modulo degenerate pairs."""
         return self.reduce_degenerate_pairs(self._tower_differential)
 
+    @cached_property
+    def _tower_filtration_ok(self) -> bool:
+        """No coefficient T_S of T lowers a valuation."""
+        return all(c.valuation() >= 0 for c in self._tower._coeffs.values())
+
+    @cached_property
+    def _tower_degrees(self) -> Counter:
+        return _degree_histogram(self._tower)
+
+    @cached_property
+    def _tower_differential_degrees(self) -> Counter:
+        return _degree_histogram(self._tower_differential)
+
     # -- operations -------------------------------------------------------------
 
     def boundary(self, e: ChainExpression) -> ChainExpression:
@@ -322,14 +358,7 @@ class ChainAlgebra:
         are kept (callers may flag them via part_above_degree).  T is
         built once per algebra.
         """
-        self._check(P)
-        if not P.is_classical():
-            raise ValueError("corrected_cycle expects an expression in l-generators")
-        if not self.balanced:
-            raise NotBalanced(
-                "correction chains only exist over a balanced fiber "
-                "(each class disc-boundary sum must be null-homologous)"
-            )
+        self._check_correctable(P)
         return self._tower * P
 
     def reduce_degenerate_pairs(self, e: ChainExpression) -> ChainExpression:
@@ -380,18 +409,23 @@ class ChainAlgebra:
         """Check that the corrected cycle is closed for the deformed
         differential, in the strongest sense available symbolically.
 
-        The counts are read off E * P = d(T * P) and the verdict off
-        reduce(E) * P.  The filtration holds when no T_S * c lowers the
-        valuation of a coefficient c of P: for P != 0, when no T_S does.
+        Every field is read off the degree histograms of T, E = d(T) and
+        P, and the verdict off reduce(E), with no chain product.  T and E
+        have no l's, and d-symbols sort before l-symbols, so m * p is
+        injective on pairs of monomials and its sign is +1; the Novikov
+        ring is a domain, so no product of nonzero coefficients vanishes.
+        Hence E * P = d(T * P) has |E| * |P| terms, the overdimensional
+        ones are the pairs of degrees summing past n, and
+        reduce(E) * P = 0 exactly when P = 0 or reduce(E) = 0.  The
+        filtration holds when no T_S * c lowers the valuation of a
+        coefficient c of P: for P != 0, when no T_S does.
         """
-        corrected = self.corrected_cycle(P)
-        diff = self._tower_differential * P
-        residual = len(diff._coeffs)
-        overdim = sum(1 for m in diff._coeffs if _degree(m) > self.n)
-        reduced_to_zero = not (self._reduced_tower_differential * P)
-        filtration_ok = not P or all(
-            c.valuation() >= 0 for c in self._tower._coeffs.values()
-        )
+        self._check_correctable(P)
+        P_degrees = _degree_histogram(P)
+        residual = len(self._tower_differential._coeffs) * len(P._coeffs)
+        overdim = _pairs_above(self._tower_differential_degrees, P_degrees, self.n)
+        reduced_to_zero = not P or not self._reduced_tower_differential
+        filtration_ok = not P or self._tower_filtration_ok
         return ChainMapCertificate(
             holds=reduced_to_zero and filtration_ok,
             residual_terms=residual,
@@ -399,9 +433,7 @@ class ChainAlgebra:
             square_rule_terms=residual - overdim,
             reduced_to_zero=reduced_to_zero,
             filtration_ok=filtration_ok,
-            correction_terms_above_n=len(
-                corrected.part_above_degree(self.n)._coeffs
-            ),
+            correction_terms_above_n=_pairs_above(self._tower_degrees, P_degrees, self.n),
         )
 
     def verify_chain_map(self, P: ChainExpression) -> bool:
@@ -411,6 +443,17 @@ class ChainAlgebra:
         if e.dims != self.dims:
             raise DimensionMismatch(
                 f"expression dims {e.dims} do not match fiber dims {self.dims}"
+            )
+
+    def _check_correctable(self, P: ChainExpression):
+        """P is classical and the fiber balanced, as correction needs."""
+        self._check(P)
+        if not P.is_classical():
+            raise ValueError("corrected_cycle expects an expression in l-generators")
+        if not self.balanced:
+            raise NotBalanced(
+                "correction chains only exist over a balanced fiber "
+                "(each class disc-boundary sum must be null-homologous)"
             )
 
 

@@ -159,17 +159,19 @@ def cmd_analyze(args) -> AnalysisReport:
                 )
         doc["clifford_relations"] = relations
 
+    # l is symmetric in its indices: one value per sorted index tuple,
+    # one row per ordered tuple
+    l_columns: dict[tuple[int, ...], dict] = {}
     l_rows = []
     for m in range(args.lmax + 1):
         for idx in iter_product(range(X.n), repeat=m):
-            value = _l_product(X, partition, idx)
-            row = {
-                "indices": [i + 1 for i in idx],
-                "value": render_novikov(value, args.two_pi),
-            }
-            if args.numeric:
-                row["numeric"] = repr(value.numeric())
-            l_rows.append(row)
+            key = tuple(sorted(idx))
+            if key not in l_columns:
+                value = _l_product(X, partition, key)
+                l_columns[key] = {"value": render_novikov(value, args.two_pi)}
+                if args.numeric:
+                    l_columns[key]["numeric"] = repr(value.numeric())
+            l_rows.append({"indices": [i + 1 for i in idx], **l_columns[key]})
     doc["l_products"] = l_rows
 
     if balanced:

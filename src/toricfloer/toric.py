@@ -149,20 +149,16 @@ class ToricFano:
     normals: tuple[tuple[int, ...], ...]
     offsets: tuple[Fraction, ...]
     interior_point: tuple[Fraction, ...] = field(compare=False)
+    bounds: tuple[tuple[Fraction, Fraction], ...] = field(compare=False)
 
     @property
     def num_facets(self) -> int:
         return len(self.normals)
 
-    def facet_rows(self, strict: bool) -> list[_Row]:
-        return [
-            (tuple(Fraction(c) for c in v), lam, strict)
-            for v, lam in zip(self.normals, self.offsets)
-        ]
-
     def coordinate_bounds(self) -> list[tuple[Fraction, Fraction]]:
-        """Exact [min, max] of each coordinate over the closed polytope."""
-        return _coordinate_bounds(self.facet_rows(strict=False), self.n)
+        """Exact [min, max] of each coordinate over the closed polytope,
+        as make_toric computed them."""
+        return list(self.bounds)
 
     def __str__(self) -> str:
         return f"{self.name}: {self.num_facets} facets in dim {self.n}"
@@ -241,11 +237,11 @@ def make_toric(
 
     rows = [(tuple(Fraction(c) for c in v), lam) for v, lam in zip(vs, lams)]
     # raises when the normals do not positively span
-    _coordinate_bounds([(a, lam, False) for a, lam in rows], n)
+    bounds = _coordinate_bounds([(a, lam, False) for a, lam in rows], n)
     witness = _solve_strict([(a, lam, True) for a, lam in rows], n)
     if witness is None:
         raise InvalidPolytope("polytope has empty interior")
-    return ToricFano(name, n, vs, lams, witness)
+    return ToricFano(name, n, vs, lams, witness, tuple(bounds))
 
 
 def _builtin(name: str) -> Optional[ToricFano]:
@@ -425,7 +421,7 @@ def _balance(X: ToricFano, partition: Sequence[AreaClass]) -> BalanceResult:
 def interior_grid(X: ToricFano, step: Fraction) -> Iterable[tuple[Fraction, ...]]:
     """Rational grid points with spacing `step` strictly inside the polytope."""
     ranges = []
-    for lo, hi in X.coordinate_bounds():
+    for lo, hi in X.bounds:
         start = math.floor(lo / step)
         stop = math.ceil(hi / step)
         ranges.append([step * k for k in range(start, stop + 1)])

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -14,6 +15,7 @@ from toricfloer import (
     NotBalanced,
     boundary,
     chain_map_certificate,
+    cli,
     corrected_cycle,
     floer_differential,
     load_toric,
@@ -36,13 +38,16 @@ from conftest import (
 
 RECT = make_toric("rect", 2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [0, -2, 0, -1])
 RECT_CENTER = Fiber((F(1), F(1, 2)))
-CUBE3 = make_toric(
-    "CP1^3",
-    3,
-    [tuple(s if j == i else 0 for j in range(3)) for i in range(3) for s in (1, -1)],
-    [0, -1] * 3,
-)
-CUBE3_CENTER = Fiber((F(1, 2),) * 3)
+
+
+def cube(m):
+    """(CP1)^m, the unit m-cube."""
+    return make_toric(
+        f"CP1^{m}",
+        m,
+        [tuple(s if j == i else 0 for j in range(m)) for i in range(m) for s in (1, -1)],
+        [0, -1] * m,
+    )
 
 
 def algebra(name):
@@ -348,6 +353,27 @@ class TestChainMapCertificate:
         P = A.l(0) * monomial(3, F(1, 2), 0) - A.l_monomial((0, 1))
         assert A.verify_chain_map(P)
 
+    def test_no_chain_product_once_the_tower_is_derived(self, monkeypatch):
+        _, _, A = algebra("CPn(4)")
+        A._tower, A._tower_differential, A._reduced_tower_differential  # derive them
+        products = []
+        original = ChainExpression._product
+
+        def counting(self, other):
+            products.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(ChainExpression, "_product", counting)
+        certs = [
+            A.chain_map_certificate(A.l_monomial(s))
+            for r in range(A.n + 1)
+            for s in combinations(range(A.n), r)
+        ]
+        assert len(certs) == 16 and all(c.holds for c in certs)
+        assert products == []
+        A.corrected_cycle(A.one())  # the counter does see a product
+        assert len(products) == 1
+
 
 class TestModuleLevelHelpers:
     def test_delegation_matches_algebra(self):
@@ -394,14 +420,15 @@ ORACLE_CASES = BUILTIN_NAMES + ["rect"]
 def oracle_case(name):
     if name == "rect":
         return ChainAlgebra.for_fiber(RECT, RECT_CENTER)
-    if name == "(CP1)^3":
-        return ChainAlgebra.for_fiber(CUBE3, CUBE3_CENTER)
+    if name.startswith("(CP1)^"):
+        m = int(name[len("(CP1)^"):])
+        return ChainAlgebra.for_fiber(cube(m), Fiber((F(1, 2),) * m))
     return algebra(name)[2]
 
 
-# the certificate is also compared on (CP1)^3, where eight basis
-# monomials share one area class
-CERTIFICATE_CASES = ORACLE_CASES + ["(CP1)^3"]
+# the certificate is also compared on CPn(5), (CP1)^3 and (CP1)^4, where
+# up to 2^4 basis monomials share one area class
+CERTIFICATE_CASES = ORACLE_CASES + ["CPn(5)", "(CP1)^3", "(CP1)^4"]
 
 # algebras whose areas disagree with their partition: the two of
 # TestCertificateCanFail, and a negative class area, which lowers the
@@ -413,11 +440,21 @@ REPLACED_CP2 = {
 }
 
 
+def rand_mixed_degree(A, rng):
+    """A random classical P with one monomial in each degree 0..n."""
+    out = A.zero()
+    for r in range(A.n + 1):
+        coeff = monomial(F(rng.choice([-2, -1, 1, 3])), F(rng.randint(0, 3), 2), rng.randint(0, 2))
+        out = out + A.l_monomial(sorted(rng.sample(range(A.n), r))) * coeff
+    return out
+
+
 def assert_certificates_match_oracle(A, rng, random_inputs=40):
-    """Every basis monomial, P = 0, and random classical P with Novikov
-    coefficients."""
+    """Every basis monomial, P = 0, random classical P with Novikov
+    coefficients, and random P with a term in every degree."""
     inputs = [A.l_monomial(s) for r in range(A.n + 1) for s in combinations(range(A.n), r)]
     inputs += [A.zero()] + [rand_classical(A, rng) for _ in range(random_inputs)]
+    inputs += [rand_mixed_degree(A, rng) for _ in range(random_inputs // 4)]
     for P in inputs:
         assert A.chain_map_certificate(P) == oracle_chain_map_certificate(A, P), str(P)
 
@@ -434,6 +471,40 @@ class TestCertificateMatchesOracle:
     def test_replaced_algebras(self, case):
         B = replace(oracle_case("CP2"), **REPLACED_CP2[case])
         assert_certificates_match_oracle(B, random.Random(79))
+
+    @pytest.mark.parametrize("name", ["CPn(6)", "(CP1)^5"])
+    def test_summed_oracle_matches_analyze(self, name, capsys):
+        # beyond the golden files: analyze's chain_map block against the
+        # oracle certificates of every basis monomial at the solver fiber
+        if name.startswith("(CP1)^"):
+            X = cube(5)
+            source = json.dumps(
+                {
+                    "name": X.name,
+                    "dim": X.n,
+                    "facets": [
+                        {"normal": list(v), "offset": str(lam)}
+                        for v, lam in zip(X.normals, X.offsets)
+                    ],
+                }
+            )
+        else:
+            X, source = load_toric(name), name
+        assert cli.main(["analyze", "--input", source, "--format", "json", "--lmax", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        A = ChainAlgebra.for_fiber(X, Fiber(tuple(F(u) for u in doc["fiber"]["u"])))
+        certs = [
+            oracle_chain_map_certificate(A, A.l_monomial(s))
+            for r in range(X.n + 1)
+            for s in combinations(range(X.n), r)
+        ]
+        assert doc["chain_map"] == {
+            "monomials_checked": 2**X.n,
+            "all_hold": all(c.holds for c in certs),
+            "correction_terms_above_dim": sum(c.correction_terms_above_n for c in certs),
+            "residual_terms_above_dim": sum(c.overdimension_terms for c in certs),
+            "residual_terms_square_rule": sum(c.square_rule_terms for c in certs),
+        }
 
     def test_filtration_can_fail(self):
         B = replace(oracle_case("CP2"), **REPLACED_CP2["negative_class_area"])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricfloer import ChainAlgebra, cli
+from toricfloer import ChainAlgebra, cli, toric
 from toricfloer.cli import CONVENTION_NOTE, main
 from toricfloer.novikov import ZERO, monomial
 
@@ -88,6 +88,24 @@ class TestAnalyzeText:
         assert code == 0
         rows = [line for line in out.splitlines() if line.startswith("  l(")]
         assert len(rows) == 2
+
+    def test_one_l_product_per_index_multiset(self, capsys, monkeypatch):
+        # l is symmetric: the 85 ordered index tuples of length <= 3 over
+        # four axes fall into 35 multisets
+        calls = []
+        original = cli._l_product
+
+        def counting(X, partition, idx):
+            calls.append(idx)
+            return original(X, partition, idx)
+
+        monkeypatch.setattr(cli, "_l_product", counting)
+        code, out, _ = run(
+            capsys, "analyze", "--input", "CPn(4)", "--lmax", "3", "--format", "json"
+        )
+        assert code == 0
+        assert len(json.loads(out)["l_products"]) == 85
+        assert len(calls) == len(set(calls)) == 35
 
     def test_numeric_column(self, capsys):
         code, out, _ = run(
@@ -222,6 +240,21 @@ class TestScan:
         code, out, _ = run(capsys, "scan", "--input", "CP2", "--grid", "6", "--format", "json")
         assert code == 0
         assert json.loads(out)["unbalanced_points_with_nonzero_rank"] == 9
+
+    def test_coordinate_bounds_computed_once(self, capsys, monkeypatch):
+        # make_toric's per-axis projections also give the grid's ranges
+        calls = []
+        original = toric._coordinate_bounds
+
+        def counting(rows, nvars):
+            calls.append(nvars)
+            return original(rows, nvars)
+
+        monkeypatch.setattr(toric, "_coordinate_bounds", counting)
+        code, out, _ = run(capsys, "scan", "--input", "CPn(3)", "--grid", "4", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["points_scanned"] == 1
+        assert calls == [3]
 
     def test_grid_validation(self, capsys):
         code, _, err = run(capsys, "scan", "--input", "CP2", "--grid", "0")

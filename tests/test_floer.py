@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import permutations
 from itertools import product as iter_product
 
 import pytest
@@ -357,6 +358,21 @@ class TestLProducts:
             for i in range(builtin.n):
                 for j in range(builtin.n):
                     assert l_product(builtin, f, (i, j)) == Q.entry(i, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(BUILTIN_NAMES + ["rect"]),
+    seed=st.integers(0, 2**16),
+    idx=st.lists(st.integers(0, 2), max_size=4),
+)
+def test_l_product_unchanged_under_every_permutation(name, seed, idx):
+    X = RECT if name == "rect" else load_toric(name)
+    f = random_interior_fiber(X, random.Random(seed), denom=12)
+    idx = tuple(i % X.n for i in idx)
+    value = l_product(X, f, idx)
+    for perm in permutations(idx):
+        assert l_product(X, f, perm) == value
 
 
 class TestDivisorRelation:
