@@ -6,7 +6,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Optional
@@ -21,7 +21,7 @@ from .errors import (
 # hf_rank stays bound here: the benchmark's tracer test resolves cli.hf_rank
 from .floer import _hf_rank, _l_product, _obstruction_form, hf_rank, subsets_graded  # noqa: F401
 from .novikov import NovikovElement, _render
-from .potential import _hessian, find_critical_fiber, superpotential_derivative
+from .potential import _hessian, _w_grad_hess, find_critical_fiber
 from .toric import Fiber, ToricFano, _balance, area_partition, disc_areas, interior_grid
 
 EXIT_OK = 0
@@ -51,13 +51,9 @@ def render_novikov(e: NovikovElement, two_pi: bool = False) -> str:
 @dataclass
 class AnalysisReport:
     doc: dict
-    text_lines: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
         return json.dumps(self.doc, indent=2, sort_keys=True)
-
-    def to_text(self) -> str:
-        return "\n".join(self.text_lines)
 
 
 def _parse_fiber_arg(arg: str, n: int) -> Fiber:
@@ -68,13 +64,6 @@ def _parse_fiber_arg(arg: str, n: int) -> Fiber:
     if len(coords) != n:
         raise ParseError(f"fiber point has {len(coords)} coordinates, expected {n}")
     return Fiber(coords)
-
-
-def _gradient_norm(X: ToricFano, fiber: Fiber) -> float:
-    theta = [float(u) for u in fiber.u]
-    return max(
-        abs(superpotential_derivative(X, theta, (i,))) for i in range(X.n)
-    )
 
 
 def cmd_analyze(args) -> AnalysisReport:
@@ -91,7 +80,8 @@ def cmd_analyze(args) -> AnalysisReport:
     balanced, class_sums = _balance(X, partition)
     rank = _hf_rank(X.n, _obstruction_form(X, partition))
     Q = _hessian(X, partition)
-    grad_norm = _gradient_norm(X, fiber)
+    # the solver's gradient, read at the reported fiber
+    grad_norm = max(map(abs, _w_grad_hess(X, [float(u) for u in fiber.u])[1]))
 
     notes = [CONVENTION_NOTE]
     if args.two_pi:
@@ -197,7 +187,7 @@ def cmd_analyze(args) -> AnalysisReport:
                 "in chain_map, not dropped."
             )
 
-    return AnalysisReport(doc, _analysis_text(doc))
+    return AnalysisReport(doc)
 
 
 def _analysis_text(doc: dict) -> list[str]:
@@ -281,17 +271,18 @@ def cmd_scan(args) -> AnalysisReport:
         "balanced_fibers": balanced_fibers,
         "unbalanced_points_with_nonzero_rank": nonzero_unbalanced,
     }
-    lines = [
-        f"polytope {X.name} (dim {X.n}), grid step 1/{args.grid}",
-        f"points scanned: {scanned}",
-        f"balanced fibers: {len(balanced_fibers)}",
+    return AnalysisReport(doc)
+
+
+def _scan_text(doc: dict) -> list[str]:
+    poly = doc["polytope"]
+    return [
+        f"polytope {poly['name']} (dim {poly['dim']}), grid step 1/{doc['grid']}",
+        f"points scanned: {doc['points_scanned']}",
+        f"balanced fibers: {len(doc['balanced_fibers'])}",
+        *(f"  ({', '.join(b['u'])})  hf_rank {b['hf_rank']}" for b in doc["balanced_fibers"]),
+        f"unbalanced points with nonzero rank: {doc['unbalanced_points_with_nonzero_rank']}",
     ]
-    for b in balanced_fibers:
-        lines.append(f"  ({', '.join(b['u'])})  hf_rank {b['hf_rank']}")
-    lines.append(
-        f"unbalanced points with nonzero rank: {nonzero_unbalanced}"
-    )
-    return AnalysisReport(doc, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +363,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    print(report.to_json() if args.format == "json" else report.to_text())
+    if args.format == "json":
+        print(report.to_json())
+    else:
+        render = _analysis_text if args.command == "analyze" else _scan_text
+        print("\n".join(render(report.doc)))
     return EXIT_OK
 
 

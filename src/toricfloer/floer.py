@@ -37,6 +37,8 @@ ExteriorClass = CliffordElement
 
 Rational = Union[int, Fraction]
 
+_MAX_REFINEMENTS = 8  # cutoff doublings before novikov_rank gives up
+
 
 def subsets_graded(n: int) -> list[tuple[int, ...]]:
     """All index subsets of {0..n-1}, sorted by size then lexicographically."""
@@ -156,12 +158,11 @@ def elimination_rank(matrix: Sequence[Sequence[NovikovElement]], cutoff) -> int:
 def novikov_rank(
     matrix: Sequence[Sequence[NovikovElement]],
     initial_cutoff=DEFAULT_CUTOFF,
-    max_refinements: int = 8,
 ) -> int:
     """Elimination rank, with the cutoff doubled until the answer repeats."""
     cutoff = Fraction(initial_cutoff)
     prev = elimination_rank(matrix, cutoff)
-    for _ in range(max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
         cutoff *= 2
         cur = elimination_rank(matrix, cutoff)
         if cur == prev:

@@ -9,16 +9,16 @@ The module has two halves that the test suite plays against each other:
 a numeric one (derivatives of W, a damped Newton search for the critical
 fiber) and an exact one (the formal Hessian, a Novikov-coefficient
 quadratic form whose (i, j) entry is sum_k v_ki * v_kj * T^{e_k} q).
+The numeric half needs only the standard library: floats in lists.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import pi
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotInterior
 from .novikov import ZERO, NovikovElement, _from_normal
@@ -34,6 +34,14 @@ _ROUND_DENOMINATOR = 10**6
 # numeric side
 
 
+def _distances(X: ToricFano, theta: Sequence[complex]) -> list[complex]:
+    """ell_k(theta) = <theta, v_k> - lambda_k for every facet k, in order."""
+    return [
+        sum(t * c for t, c in zip(theta, v)) - float(lam)
+        for v, lam in zip(X.normals, X.offsets)
+    ]
+
+
 def superpotential_derivative(
     X: ToricFano,
     theta: Sequence[complex],
@@ -43,7 +51,9 @@ def superpotential_derivative(
 
     idx = () gives W itself; idx = (i,) the i-th first partial, and so
     on.  Axis indices are 0-based.  theta may be complex; its imaginary
-    part is the holonomy angle vector (radians).
+    part is the holonomy angle vector (radians).  Far enough outside the
+    polytope a facet weight exp(-ell_k) exceeds the float range and
+    OverflowError is raised.
     """
     if len(theta) != X.n:
         raise DimensionMismatch(f"theta has length {len(theta)}, expected {X.n}")
@@ -51,23 +61,22 @@ def superpotential_derivative(
         if not 0 <= i < X.n:
             raise IndexError(f"axis {i} out of range for dimension {X.n}")
     total = 0j
-    for v, lam in zip(X.normals, X.offsets):
-        ell = sum(t * c for t, c in zip(theta, v)) - complex(lam)
-        w = np.exp(-ell)
+    for v, ell in zip(X.normals, _distances(X, theta)):
+        w = cmath.exp(-ell)
         for i in idx:
             w *= v[i]
         total += w
-    return (-1) ** len(idx) * complex(total)
+    return (-1) ** len(idx) * total
 
 
 def theta_of_fiber(X: ToricFano, f: Fiber) -> tuple[complex, ...]:
     """Embed a fiber as a complex point, holonomy turns -> imaginary part."""
     hol = f.holonomy or tuple(Fraction(0) for _ in range(X.n))
-    return tuple(float(u) + 2j * pi * float(h) for u, h in zip(f.u, hol))
+    return tuple(float(u) + 2j * math.pi * float(h) for u, h in zip(f.u, hol))
 
 
-def twisted_class_sums(X: ToricFano, f: Fiber) -> list[np.ndarray]:
-    """Holonomy-weighted normal sums, one complex vector per area class.
+def twisted_class_sums(X: ToricFano, f: Fiber) -> list[tuple[complex, ...]]:
+    """Holonomy-weighted normal sums, one complex n-tuple per area class.
 
     The fiber is critical for the holonomy-twisted potential exactly when
     every one of these vanishes; with trivial holonomy they reduce to the
@@ -77,34 +86,41 @@ def twisted_class_sums(X: ToricFano, f: Fiber) -> list[np.ndarray]:
     hol = f.holonomy or tuple(Fraction(0) for _ in range(X.n))
     sums = []
     for _area, idxs in area_partition(classes):
-        acc = np.zeros(X.n, dtype=complex)
+        acc = [0j] * X.n
         for k in idxs:
             v = X.normals[k]
-            phase = np.exp(-2j * pi * float(sum(h * c for h, c in zip(hol, v))))
-            acc += phase * np.array(v, dtype=float)
-        sums.append(acc)
+            phase = cmath.exp(-2j * math.pi * float(sum(h * c for h, c in zip(hol, v))))
+            acc = [a + phase * c for a, c in zip(acc, v)]
+        sums.append(tuple(acc))
     return sums
 
 
-def _norms_offsets(X: ToricFano):
-    return (
-        np.array(X.normals, dtype=float),
-        np.array([float(l) for l in X.offsets]),
-    )
-
-
-def _w_grad_hess(X: ToricFano, u: np.ndarray):
-    V, lam = _norms_offsets(X)
-    weights = np.exp(-(V @ u - lam))
-    w = float(weights.sum())
-    grad = -V.T @ weights
-    hess = (V.T * weights) @ V
+def _w_grad_hess(X: ToricFano, u: Sequence[float]):
+    """W, its gradient and its Hessian at a real interior point u."""
+    n = X.n
+    w, grad, hess = 0.0, [0.0] * n, [[0.0] * n for _ in range(n)]
+    for v, ell in zip(X.normals, _distances(X, u)):
+        e = math.exp(-ell)
+        w += e
+        for i in range(n):
+            grad[i] -= e * v[i]
+            for j in range(n):
+                hess[i][j] += e * v[i] * v[j]
     return w, grad, hess
 
 
-def _strictly_inside(X: ToricFano, u: np.ndarray) -> bool:
-    V, lam = _norms_offsets(X)
-    return bool(np.all(V @ u - lam > 0))
+def _solve(A: Sequence[Sequence[float]], b: Sequence[float]) -> list[float]:
+    """x with A x = b for symmetric positive definite A, so no pivoting."""
+    n = len(b)
+    rows = [list(row) + [rhs] for row, rhs in zip(A, b)]
+    for p in range(n):
+        for r in range(p + 1, n):
+            f = rows[r][p] / rows[p][p]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[p])]
+    x = [0.0] * n
+    for p in reversed(range(n)):
+        x[p] = (rows[p][n] - sum(rows[p][c] * x[c] for c in range(p + 1, n))) / rows[p][p]
+    return x
 
 
 def find_critical_fiber(
@@ -128,19 +144,19 @@ def find_critical_fiber(
     start = X.interior_point if init is None else tuple(init)
     if len(start) != X.n:
         raise NotInterior(f"initial point has dimension {len(start)}, expected {X.n}")
-    u = np.array([float(x) for x in start], dtype=float)
-    if not _strictly_inside(X, u):
+    u = [float(x) for x in start]
+    if not min(_distances(X, u)) > 0:
         raise NotInterior(f"initial point {start} is not strictly interior")
 
     for _ in range(max_iters):
         w, grad, hess = _w_grad_hess(X, u)
-        if np.max(np.abs(grad)) < tol:
+        if max(map(abs, grad)) < tol:
             return _round_fiber(X, u)
-        step = np.linalg.solve(hess, -grad)
+        step = _solve(hess, [-g for g in grad])
         t = 1.0
         for _ in range(_MAX_HALVINGS):
-            cand = u + t * step
-            if _strictly_inside(X, cand):
+            cand = [x + t * s for x, s in zip(u, step)]
+            if min(_distances(X, cand)) > 0:
                 w_cand, _, _ = _w_grad_hess(X, cand)
                 if w_cand <= w * (1 + 1e-12):
                     u = cand
@@ -150,18 +166,18 @@ def find_critical_fiber(
             raise NoConvergence(
                 "step damping failed to find an interior descent point"
             )
-    _, grad, _ = _w_grad_hess(X, u)
-    if np.max(np.abs(grad)) < tol:
+    grad_norm = max(map(abs, _w_grad_hess(X, u)[1]))
+    if grad_norm < tol:
         return _round_fiber(X, u)
     raise NoConvergence(
-        f"gradient norm {np.max(np.abs(grad)):.3e} above tol={tol} "
+        f"gradient norm {grad_norm:.3e} above tol={tol} "
         f"after {max_iters} iterations"
     )
 
 
-def _round_fiber(X: ToricFano, u: np.ndarray) -> Fiber:
+def _round_fiber(X: ToricFano, u: Sequence[float]) -> Fiber:
     rounded = tuple(
-        Fraction(float(x)).limit_denominator(_ROUND_DENOMINATOR) for x in u
+        Fraction(x).limit_denominator(_ROUND_DENOMINATOR) for x in u
     )
     candidate = Fiber(rounded)
     try:
@@ -169,7 +185,7 @@ def _round_fiber(X: ToricFano, u: np.ndarray) -> Fiber:
             return candidate
     except NotInterior:
         pass
-    return Fiber(tuple(Fraction(float(x)) for x in u), exact=False)
+    return Fiber(tuple(Fraction(x) for x in u), exact=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -327,6 +329,44 @@ def test_module_entry_point(tmp_path):
     doc = json.loads(proc.stdout)
     assert doc["hf_rank"] == 2
     assert doc["balanced"] is True
+
+
+class TestWithoutNumpy:
+    """The package and its CLI run on the standard library alone."""
+
+    @staticmethod
+    def python(code: str) -> subprocess.CompletedProcess:
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            check=True,
+        )
+
+    def test_import_leaves_numpy_unloaded(self):
+        proc = self.python("import sys, toricfloer.cli; print('numpy' in sys.modules)")
+        assert proc.stdout == "False\n"
+
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("analyze_CP2_solver.json", ["analyze", "--input", "CP2", "--format", "json"]),
+            ("scan_CP2_grid6.json", ["scan", "--input", "CP2", "--grid", "6", "--format", "json"]),
+        ],
+    )
+    def test_main_reproduces_golden_with_numpy_blocked(self, golden, argv):
+        # a None entry in sys.modules makes every `import numpy` fail
+        proc = self.python(
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from toricfloer.cli import main\n"
+            f"sys.exit(main({argv!r}))\n"
+        )
+        expected = Path(__file__).parent / "golden" / golden
+        assert proc.stdout == expected.read_text(encoding="utf-8")
 
 
 def test_render_novikov_spells_terms_like_str():

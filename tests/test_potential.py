@@ -21,8 +21,9 @@ from toricfloer import (
     twisted_class_sums,
 )
 from toricfloer.novikov import ZERO, monomial
+from toricfloer.potential import _solve, _w_grad_hess
 
-from conftest import balanced_fiber, random_interior_fiber
+from conftest import BUILTIN_NAMES, balanced_fiber, random_interior_fiber
 
 # critical point ((1 + ln 2)/2, (1 - ln 2)/2) is irrational, and no
 # rational point of this triangle is balanced, so the solver must return
@@ -30,6 +31,14 @@ from conftest import balanced_fiber, random_interior_fiber
 SKEW_TRIANGLE = make_toric(
     "skew", 2, [(1, 0), (0, 1), (-1, -2)], [0, 0, -2]
 )
+RECT = make_toric("rect", 2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [0, -2, 0, -1])
+CP1_CUBED = make_toric(
+    "CP1^3",
+    3,
+    [tuple(s if j == i else 0 for j in range(3)) for i in range(3) for s in (1, -1)],
+    [0, -1] * 3,
+)
+NUMERIC_POLYTOPES = [load_toric(name) for name in BUILTIN_NAMES] + [RECT, CP1_CUBED]
 
 
 class TestDerivatives:
@@ -83,6 +92,46 @@ class TestDerivatives:
         with pytest.raises(DimensionMismatch):
             superpotential_derivative(X, [0.5])
 
+    def test_far_outside_overflows(self):
+        # the facet at offset -1 has weight exp(999) at theta = 1000
+        with pytest.raises(OverflowError):
+            superpotential_derivative(load_toric("CP1"), [1000.0])
+
+
+class TestStdlibNumerics:
+    """The plain-float W, gradient, Hessian and Newton solve, against numpy."""
+
+    @pytest.mark.parametrize("X", NUMERIC_POLYTOPES, ids=lambda X: X.name)
+    def test_matches_vectorised_formulas(self, X):
+        rng = random.Random(24)
+        V = np.array(X.normals, dtype=float)
+        lam = np.array([float(c) for c in X.offsets])
+        for _ in range(10):
+            u = [float(x) for x in random_interior_fiber(X, rng).u]
+            weights = np.exp(-(V @ np.array(u) - lam))
+            w, grad, hess = _w_grad_hess(X, u)
+            assert w == pytest.approx(weights.sum(), rel=1e-12)
+            np.testing.assert_allclose(grad, -V.T @ weights, rtol=1e-12)
+            np.testing.assert_allclose(hess, (V.T * weights) @ V, rtol=1e-12)
+            b = [rng.uniform(-1, 1) for _ in range(X.n)]
+            np.testing.assert_allclose(_solve(hess, b), np.linalg.solve(hess, b), rtol=1e-12)
+
+    @pytest.mark.parametrize("X", NUMERIC_POLYTOPES, ids=lambda X: X.name)
+    def test_gradient_is_the_first_derivative_bit_for_bit(self, X):
+        # analyze reports the gradient norm from _w_grad_hess; it must be
+        # the same number the public superpotential_derivative gives
+        rng = random.Random(25)
+        for _ in range(10):
+            u = [float(x) for x in random_interior_fiber(X, rng).u]
+            _, grad, _ = _w_grad_hess(X, u)
+            assert grad == [superpotential_derivative(X, u, (i,)).real for i in range(X.n)]
+
+    def test_class_sums_are_complex_tuples(self, builtin):
+        f = Fiber(balanced_fiber(builtin).u, holonomy=(F(1, 4),) * builtin.n)
+        for s in twisted_class_sums(builtin, f):
+            assert type(s) is tuple and len(s) == builtin.n
+            assert all(type(c) is complex for c in s)
+
 
 class TestHolonomy:
     def test_theta_embedding(self):
@@ -118,7 +167,7 @@ class TestHolonomy:
         areas = sorted({d.area for d in disc_areas(builtin, f)})
         sums = twisted_class_sums(builtin, f)
         grad_from_sums = -sum(
-            math.exp(-float(a)) * s for a, s in zip(areas, sums)
+            math.exp(-float(a)) * np.asarray(s) for a, s in zip(areas, sums)
         )
         theta = theta_of_fiber(builtin, f)
         grad = np.array(
