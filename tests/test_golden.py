@@ -7,12 +7,15 @@ JSON-input cases (the rectangle, whose balanced fiber has two area
 classes, and (CP1)^3) were recorded before the chain-level operations
 were rewritten as products in the chain algebra.  CPn(5) and (CP1)^4,
 the largest certificate counts in the corpus, were recorded before the
-certificate's coefficient arithmetic was streamlined.  A refactor that keeps
-the mathematics must keep every byte; a deliberate change of output
-re-records the affected files and says why.
+certificate's coefficient arithmetic was streamlined.  The translated
+rectangle with rational offsets was recorded before the disc areas, the
+grid test and the Fourier-Motzkin rows moved to integer numerators.  A
+refactor that keeps the mathematics must keep every byte; a deliberate
+change of output re-records the affected files and says why.
 """
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -68,6 +71,19 @@ def _cases() -> dict[str, list[str]]:
     cases["analyze_CP1fourth_solver.json"] = [
         "analyze", "--input", CP1_FOURTH_JSON, "--format", "json",
     ]
+    # rational offsets: the rectangle dilated by 2 and translated by
+    # (1/3, -2/5) has its centre (7/3, 3/5) on the grid of step 1/15 and
+    # off the grid of step 1/10; at (4/3, 3/5) three facets share area 1
+    # and their normals sum to (1, 0)
+    for fmt in ("text", "json"):
+        for grid in ("15", "10"):
+            cases[f"scan_rect_shifted_grid{grid}.{fmt}"] = [
+                "scan", "--input", RECT_SHIFTED_JSON, "--grid", grid, "--format", fmt,
+            ]
+        cases[f"analyze_rect_shifted_unbalanced.{fmt}"] = [
+            "analyze", "--input", RECT_SHIFTED_JSON, "--fiber", "4/3,3/5",
+            "--format", fmt,
+        ]
     return cases
 
 
@@ -78,6 +94,11 @@ def _polytope_json(name: str, normals, offsets) -> str:
 
 RECT_JSON = _polytope_json(
     "rect", [(1, 0), (-1, 0), (0, 1), (0, -1)], [0, -2, 0, -1]
+)
+RECT_SHIFTED_JSON = _polytope_json(
+    "rect_shifted",
+    [(1, 0), (-1, 0), (0, 1), (0, -1)],
+    [Fraction(1, 3), Fraction(-13, 3), Fraction(-2, 5), Fraction(-8, 5)],
 )
 
 
