@@ -7,8 +7,11 @@ to the facets (the disc areas, in affine units), the partition of facets
 into classes of equal distance, and the balancedness test: every class
 of equidistant facets has normals summing to zero.
 
-Validation and interior-point witnesses use exact Fourier-Motzkin
-elimination over Fraction, so no tolerance enters any decision.
+The geometry runs on integer numerators and builds one Fraction per
+result (an area, a grid point, a bound), not one per term.  Validation
+and interior-point witnesses use exact Fourier-Motzkin elimination on the
+integer normals with rational right-hand sides, so no tolerance and no
+float enters any decision.
 Boundedness is read off the n per-axis projections that also give the
 coordinate bounds: eliminating every other variable combines rows by
 their coefficients alone, so axis i lacks a lower or an upper bound
@@ -22,7 +25,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
@@ -32,7 +35,7 @@ from .errors import InvalidPolytope, NotInterior, ParseError
 Rational = Union[int, Fraction]
 
 # A linear row  sum_i a_i x_i >= b  (strict when the flag is set).
-_Row = tuple[tuple[Fraction, ...], Fraction, bool]
+_Row = tuple[tuple[int, ...], Fraction, bool]
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +238,9 @@ def make_toric(
         if not _primitive(v):
             raise InvalidPolytope(f"facet normal {v} is not primitive")
 
-    rows = [(tuple(Fraction(c) for c in v), lam) for v, lam in zip(vs, lams)]
     # raises when the normals do not positively span
-    bounds = _coordinate_bounds([(a, lam, False) for a, lam in rows], n)
-    witness = _solve_strict([(a, lam, True) for a, lam in rows], n)
+    bounds = _coordinate_bounds([(v, lam, False) for v, lam in zip(vs, lams)], n)
+    witness = _solve_strict([(v, lam, True) for v, lam in zip(vs, lams)], n)
     if witness is None:
         raise InvalidPolytope("polytope has empty interior")
     return ToricFano(name, n, vs, lams, witness, tuple(bounds))
@@ -347,9 +349,12 @@ def load_toric(source: Union[str, dict]) -> ToricFano:
 
 
 def _as_fiber(f: Union[Fiber, Sequence[Rational]]) -> Fiber:
-    if isinstance(f, Fiber):
+    """f with every coordinate read as Fraction(x), a Fiber's as a sequence's."""
+    if not isinstance(f, Fiber):
+        return Fiber(tuple(Fraction(x) for x in f))
+    if all(type(x) is Fraction for x in f.u):
         return f
-    return Fiber(tuple(Fraction(x) for x in f))
+    return replace(f, u=tuple(Fraction(x) for x in f.u))
 
 
 def disc_areas(X: ToricFano, f: Union[Fiber, Sequence[Rational]]) -> tuple[DiscClass, ...]:
@@ -360,15 +365,19 @@ def disc_areas(X: ToricFano, f: Union[Fiber, Sequence[Rational]]) -> tuple[DiscC
     fiber = _as_fiber(f)
     if len(fiber.u) != X.n:
         raise NotInterior(f"fiber point has dimension {len(fiber.u)}, expected {X.n}")
+    # u = U/D over one common denominator, lambda_k = p/q: e_k = num/(D*q)
+    D = math.lcm(*(x.denominator for x in fiber.u))
+    U = [x.numerator * (D // x.denominator) for x in fiber.u]
     out = []
     for k, (v, lam) in enumerate(zip(X.normals, X.offsets)):
-        e = sum(ui * vi for ui, vi in zip(fiber.u, v)) - lam
-        if e <= 0:
+        q = lam.denominator
+        num = q * sum(a * b for a, b in zip(U, v)) - D * lam.numerator
+        if num <= 0:
             raise NotInterior(
                 f"point {tuple(map(str, fiber.u))} is not strictly inside: "
-                f"facet {k + 1} has distance {e}"
+                f"facet {k + 1} has distance {Fraction(num, D * q)}"
             )
-        out.append(DiscClass(k, v, e))
+        out.append(DiscClass(k, v, Fraction(num, D * q)))
     return tuple(out)
 
 
@@ -419,17 +428,14 @@ def _balance(X: ToricFano, partition: Sequence[AreaClass]) -> BalanceResult:
 
 
 def interior_grid(X: ToricFano, step: Fraction) -> Iterable[tuple[Fraction, ...]]:
-    """Rational grid points with spacing `step` strictly inside the polytope."""
-    ranges = []
-    for lo, hi in X.bounds:
-        start = math.floor(lo / step)
-        stop = math.ceil(hi / step)
-        ranges.append([step * k for k in range(start, stop + 1)])
-    for point in iter_product(*ranges):
-        inside = True
-        for v, lam in zip(X.normals, X.offsets):
-            if sum(ui * vi for ui, vi in zip(point, v)) - lam <= 0:
-                inside = False
-                break
-        if inside:
-            yield point
+    """Rational grid points with spacing `step` > 0 strictly inside the polytope."""
+    step = Fraction(step)
+    if step <= 0:
+        raise ValueError("step must be positive")
+    # with step = a/b and lambda_k = p/q, step*j is inside iff a*q*<j, v_k> > b*p
+    a, b = step.numerator, step.denominator
+    rows = [(v, a * lam.denominator, b * lam.numerator) for v, lam in zip(X.normals, X.offsets)]
+    ranges = [range(math.floor(lo / step), math.ceil(hi / step) + 1) for lo, hi in X.bounds]
+    for j in iter_product(*ranges):
+        if all(c * sum(ji * vi for ji, vi in zip(j, v)) > r for v, c, r in rows):
+            yield tuple(Fraction(a * ji, b) for ji in j)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -335,3 +336,82 @@ def oracle_validate(normals, offsets, n):
     if witness is None:
         return "empty", None, None
     return "ok", witness, _oracle_coordinate_bounds(normals, offsets, n)
+
+
+# Test oracle: the geometry of toric.py as written before it moved to
+# integer numerators.  Every product <u_i * v_ki>, every partial sum and
+# every Fourier-Motzkin coefficient is a Fraction.
+
+
+def oracle_disc_areas(X, f):
+    u = tuple(Fraction(x) for x in (f.u if isinstance(f, Fiber) else f))
+    if len(u) != X.n:
+        raise toric.NotInterior(f"fiber point has dimension {len(u)}, expected {X.n}")
+    out = []
+    for k, (v, lam) in enumerate(zip(X.normals, X.offsets)):
+        e = sum(ui * vi for ui, vi in zip(u, v)) - lam
+        if e <= 0:
+            raise toric.NotInterior(
+                f"point {tuple(map(str, u))} is not strictly inside: "
+                f"facet {k + 1} has distance {e}"
+            )
+        out.append(toric.DiscClass(k, v, e))
+    return tuple(out)
+
+
+def oracle_interior_grid(X, step):
+    ranges = []
+    for lo, hi in X.bounds:
+        start = math.floor(lo / step)
+        stop = math.ceil(hi / step)
+        ranges.append([step * k for k in range(start, stop + 1)])
+    for point in itertools.product(*ranges):
+        if all(
+            sum(ui * vi for ui, vi in zip(point, v)) - lam > 0
+            for v, lam in zip(X.normals, X.offsets)
+        ):
+            yield point
+
+
+def oracle_fraction_rows(X, strict):
+    """X's facet inequalities as Fourier-Motzkin rows of Fractions."""
+    return [
+        (tuple(Fraction(c) for c in v), Fraction(lam), strict)
+        for v, lam in zip(X.normals, X.offsets)
+    ]
+
+
+def oracle_solve_strict(rows, nvars):
+    systems = toric._stages(rows, nvars)
+    if not toric._consistent(systems[0]):
+        return None
+    values = []
+    for k in range(1, nvars + 1):
+        lowers, uppers = [], []
+        for a, b, strict in systems[k]:
+            c = a[k - 1]
+            if c == 0:
+                continue
+            r = b - sum(a[i] * values[i] for i in range(k - 1))
+            if c > 0:
+                lowers.append((r / c, strict))
+            else:
+                uppers.append((r / c, strict))
+        v = toric._pick_inside(lowers, uppers)
+        if v is None:
+            return None
+        values.append(v)
+    return tuple(values)
+
+
+def oracle_coordinate_bounds(rows, nvars):
+    bounds = []
+    for i in range(nvars):
+        perm = [i] + [j for j in range(nvars) if j != i]
+        single = toric._stages([(tuple(a[p] for p in perm), b, s) for a, b, s in rows], nvars)[1]
+        lowers = [b / a[0] for a, b, _s in single if a[0] > 0]
+        uppers = [b / a[0] for a, b, _s in single if a[0] < 0]
+        if not lowers or not uppers:
+            raise toric.InvalidPolytope("normals do not positively span, polytope is unbounded")
+        bounds.append((max(lowers), min(uppers)))
+    return bounds

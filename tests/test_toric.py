@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricfloer import (
     Fiber,
@@ -19,7 +21,16 @@ from toricfloer import (
     make_toric,
 )
 
-from conftest import balanced_fiber, oracle_validate, random_interior_fiber
+from conftest import (
+    balanced_fiber,
+    oracle_coordinate_bounds,
+    oracle_disc_areas,
+    oracle_fraction_rows,
+    oracle_interior_grid,
+    oracle_solve_strict,
+    oracle_validate,
+    random_interior_fiber,
+)
 
 RECT_DOC = {
     "name": "rect",
@@ -319,3 +330,91 @@ def test_str_and_fiber_defaults():
     assert str(X) == "CP2: 3 facets in dim 2"
     f = Fiber((F(1, 3), F(1, 3)))
     assert f.exact and f.holonomy is None and f.has_trivial_holonomy()
+
+
+class TestFiberCoordinatesBecomeFractions:
+    """A Fiber's coordinates are read as Fraction(x), like a plain sequence's."""
+
+    def test_float_fiber_gives_the_exact_areas(self):
+        X = load_toric("CP2")
+        got = disc_areas(X, Fiber((0.25, 0.25)))
+        assert got == disc_areas(X, (F(1, 4), F(1, 4)))
+        assert all(type(d.area) is F for d in got)
+        assert is_balanced(X, Fiber((0.25, 0.25))) == is_balanced(X, (F(1, 4), F(1, 4)))
+
+    def test_integer_coordinates(self):
+        X = make_toric("interval", 1, [(1,), (-1,)], [0, -4])
+        for f in (Fiber((1,)), (1,)):
+            got = disc_areas(X, f)
+            assert [d.area for d in got] == [1, 3]
+            assert all(type(d.area) is F for d in got)
+
+
+class TestGridStepMustBePositive:
+    @pytest.mark.parametrize("step", [F(0), 0, F(-1, 3), -1])
+    def test_nonpositive_step_rejected(self, step):
+        X = load_toric("CP2")
+        with pytest.raises(ValueError, match="step must be positive"):
+            list(interior_grid(X, step))
+
+
+# the built-ins, the rectangle [0,2]x[0,1] and the cubes [0,1]^k, k <= 4,
+# as (normals, offsets)
+def _cube(k):
+    normals = [tuple(s if j == i else 0 for j in range(k)) for i in range(k) for s in (1, -1)]
+    return normals, [0, -1] * k
+
+
+_SHAPES = {
+    name: (load_toric(name).normals, load_toric(name).offsets)
+    for name in ("CP1", "CP2", "CP1xCP1", "CPn(3)")
+}
+_SHAPES["rect"] = ([(1, 0), (-1, 0), (0, 1), (0, -1)], [0, -2, 0, -1])
+_SHAPES.update({f"cube{k}": _cube(k) for k in range(1, 5)})
+_SHIFT = st.builds(F, st.integers(-30, 30), st.integers(2, 12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_SHAPES)),
+    k=st.sampled_from([1, 60, 3000]),
+    shift=st.lists(_SHIFT, min_size=4, max_size=4),
+    points=st.lists(st.lists(st.builds(F, st.integers(-40, 40), st.integers(1, 12)), min_size=4, max_size=4), max_size=6),
+    step=st.tuples(st.integers(1, 5), st.integers(1, 12)),
+)
+def test_geometry_matches_fraction_oracle(name, k, shift, points, step):
+    """Areas, NotInterior messages, grid points, bounds and the interior
+    witness of a dilated, rationally translated polytope against the
+    Fraction-per-term versions they replaced."""
+    normals, offsets = _SHAPES[name]
+    n = len(normals[0])
+    t = shift[:n]
+    lams = [k * lam + sum(ti * vi for ti, vi in zip(t, v)) for v, lam in zip(normals, offsets)]
+    X = make_toric(name, n, normals, lams)
+    assert X.bounds == tuple(oracle_coordinate_bounds(oracle_fraction_rows(X, False), n))
+    assert X.interior_point == oracle_solve_strict(oracle_fraction_rows(X, True), n)
+
+    # points near the box, scaled with it, inside and outside
+    centre = [(lo + hi) / 2 for lo, hi in X.bounds]
+    for p in points:
+        u = tuple(c + k * x / 10 for c, x in zip(centre, p[:n]))
+        for f in (u, Fiber(u)):
+            try:
+                expected = oracle_disc_areas(X, f)
+            except NotInterior as exc:
+                with pytest.raises(NotInterior) as got:
+                    disc_areas(X, f)
+                assert str(got.value) == str(exc)
+            else:
+                assert disc_areas(X, f) == expected
+    with pytest.raises(NotInterior) as got:
+        disc_areas(X, centre + [F(0)])
+    with pytest.raises(NotInterior) as exc:
+        oracle_disc_areas(X, centre + [F(0)])
+    assert str(got.value) == str(exc.value)
+
+    # steps k*p/q and k/q, at most 12 per unit of k up to n = 2 and 4 beyond
+    p, q = step
+    q = min(q, (12 if n <= 2 else 4) * p)
+    for s in (F(k * p, q), F(k, min(q, 12 if n <= 2 else 4))):
+        assert list(interior_grid(X, s)) == list(oracle_interior_grid(X, s))
