@@ -372,6 +372,7 @@ _SHAPES = {
 _SHAPES["rect"] = ([(1, 0), (-1, 0), (0, 1), (0, -1)], [0, -2, 0, -1])
 _SHAPES.update({f"cube{k}": _cube(k) for k in range(1, 5)})
 _SHIFT = st.builds(F, st.integers(-30, 30), st.integers(2, 12))
+_OFFSET = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
 
 
 @settings(max_examples=80, deadline=None)
@@ -379,7 +380,7 @@ _SHIFT = st.builds(F, st.integers(-30, 30), st.integers(2, 12))
     name=st.sampled_from(sorted(_SHAPES)),
     k=st.sampled_from([1, 60, 3000]),
     shift=st.lists(_SHIFT, min_size=4, max_size=4),
-    points=st.lists(st.lists(st.builds(F, st.integers(-40, 40), st.integers(1, 12)), min_size=4, max_size=4), max_size=6),
+    points=st.lists(st.lists(_OFFSET, min_size=4, max_size=4), max_size=6),
     step=st.tuples(st.integers(1, 5), st.integers(1, 12)),
 )
 def test_geometry_matches_fraction_oracle(name, k, shift, points, step):
@@ -413,8 +414,8 @@ def test_geometry_matches_fraction_oracle(name, k, shift, points, step):
         oracle_disc_areas(X, centre + [F(0)])
     assert str(got.value) == str(exc.value)
 
-    # steps k*p/q and k/q, at most 12 per unit of k up to n = 2 and 4 beyond
+    # steps k*p/q and k/q, at most `cap` of them per unit of k along an axis
+    cap = 12 if n <= 2 else 4
     p, q = step
-    q = min(q, (12 if n <= 2 else 4) * p)
-    for s in (F(k * p, q), F(k, min(q, 12 if n <= 2 else 4))):
+    for s in (F(k * p, min(q, cap * p)), F(k, min(q, cap))):
         assert list(interior_grid(X, s)) == list(oracle_interior_grid(X, s))
