@@ -9,7 +9,10 @@ were rewritten as products in the chain algebra.  CPn(5) and (CP1)^4,
 the largest certificate counts in the corpus, were recorded before the
 certificate's coefficient arithmetic was streamlined.  The translated
 rectangle with rational offsets was recorded before the disc areas, the
-grid test and the Fourier-Motzkin rows moved to integer numerators.  A
+grid test and the Fourier-Motzkin rows moved to integer numerators.  The
+box [0,1]x[0,2]x[0,3], whose solver fiber has three area classes, was
+recorded before analyze read its chain-map block off one degree
+histogram per fiber instead of one certificate per basis monomial.  A
 refactor that keeps the mathematics must keep every byte; a deliberate
 change of output re-records the affected files and says why.
 """
@@ -71,6 +74,11 @@ def _cases() -> dict[str, list[str]]:
     cases["analyze_CP1fourth_solver.json"] = [
         "analyze", "--input", CP1_FOURTH_JSON, "--format", "json",
     ]
+    # three area classes (1/2, 1, 3/2) at the centre (1/2, 1, 3/2): the
+    # correction tower has eight terms
+    cases["analyze_box123_solver.json"] = [
+        "analyze", "--input", BOX_123_JSON, "--format", "json",
+    ]
     # rational offsets: the rectangle dilated by 2 and translated by
     # (1/3, -2/5) has its centre (7/3, 3/5) on the grid of step 1/15 and
     # off the grid of step 1/10; at (4/3, 3/5) three facets share area 1
@@ -111,6 +119,11 @@ def _cube_json(k: int) -> str:
 
 
 CP1_CUBED_JSON = _cube_json(3)
+BOX_123_JSON = _polytope_json(
+    "box123",
+    [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+    [0, -1, 0, -2, 0, -3],
+)
 CP1_FOURTH_JSON = _cube_json(4)
 CASES = _cases()
 
