@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -348,6 +349,71 @@ class TestFiberCoordinatesBecomeFractions:
             got = disc_areas(X, f)
             assert [d.area for d in got] == [1, 3]
             assert all(type(d.area) is F for d in got)
+
+
+def _box(lows, highs):
+    n = len(lows)
+    normals = [tuple(s if j == i else 0 for j in range(n)) for i in range(n) for s in (1, -1)]
+    offsets = [c for lo, hi in zip(lows, highs) for c in (lo, -hi)]
+    return make_toric("box", n, normals, offsets)
+
+
+def brute_force_grid(X, step):
+    """Every multiple of step in the bounding box padded by three steps at
+    each end of every axis, kept when it is strictly inside."""
+    axes = [
+        [step * j for j in range(math.floor(lo / step) - 3, math.ceil(hi / step) + 4)]
+        for lo, hi in X.bounds
+    ]
+    return [
+        p
+        for p in itertools.product(*axes)
+        if all(sum(ui * vi for ui, vi in zip(p, v)) > lam for v, lam in zip(X.normals, X.offsets))
+    ]
+
+
+class TestGridRange:
+    """interior_grid walks exactly the indices that can be inside: a grid
+    point on a bound is never strictly inside, and the first and last
+    index strictly within the bounds are, for a box."""
+
+    @pytest.mark.parametrize(
+        "lows,highs,step",
+        [
+            # bounds on the grid
+            ((0, 0), (1, 2), F(1, 4)),
+            ((F(-1, 2), F(1, 3)), (F(3, 2), 2), F(1, 6)),
+            ((0,), (10,), 2),
+            ((-3, 0, 6), (3, 9, 12), 3),
+            # bounds off the grid
+            ((F(1, 3), F(-2, 7)), (F(7, 5), 1), F(1, 4)),
+            ((F(1, 3),), (F(5, 3),), F(1, 2)),
+            ((F(1, 2), -1, F(-7, 3)), (10, F(5, 2), F(1, 9)), 3),
+            ((F(-5, 2), F(1, 10)), (F(13, 4), F(29, 10)), F(2, 3)),
+        ],
+    )
+    def test_box_matches_brute_force(self, lows, highs, step):
+        X = _box(lows, highs)
+        got = list(interior_grid(X, step))
+        assert got == brute_force_grid(X, step)
+        # the first and last index within the bounds are taken on every axis
+        for i, (lo, hi) in enumerate(X.bounds):
+            coords = [p[i] for p in got]
+            assert min(coords) == step * (math.floor(lo / step) + 1)
+            assert max(coords) == step * (math.ceil(hi / step) - 1)
+
+    @pytest.mark.parametrize("name", ["CP1", "CP2", "CP1xCP1", "CPn(3)"])
+    @pytest.mark.parametrize("shift", [F(0), F(1, 3), F(-5, 7)])
+    def test_translated_builtins_match_brute_force(self, name, shift):
+        Y = load_toric(name)
+        X = make_toric(
+            name,
+            Y.n,
+            Y.normals,
+            [lam + shift * sum(v) for v, lam in zip(Y.normals, Y.offsets)],
+        )
+        for step in (F(1, 6), F(1, 7), F(2, 5)):
+            assert list(interior_grid(X, step)) == brute_force_grid(X, step)
 
 
 class TestGridStepMustBePositive:
