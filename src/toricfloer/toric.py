@@ -435,7 +435,8 @@ def interior_grid(X: ToricFano, step: Fraction) -> Iterable[tuple[Fraction, ...]
     # with step = a/b and lambda_k = p/q, step*j is inside iff a*q*<j, v_k> > b*p
     a, b = step.numerator, step.denominator
     rows = [(v, a * lam.denominator, b * lam.numerator) for v, lam in zip(X.normals, X.offsets)]
-    ranges = [range(math.floor(lo / step), math.ceil(hi / step) + 1) for lo, hi in X.bounds]
+    # a point on a bound is never strictly inside
+    ranges = [range(math.floor(lo / step) + 1, math.ceil(hi / step)) for lo, hi in X.bounds]
     for j in iter_product(*ranges):
         if all(c * sum(ji * vi for ji, vi in zip(j, v)) > r for v, c, r in rows):
             yield tuple(Fraction(a * ji, b) for ji in j)
