@@ -421,11 +421,20 @@ class ChainAlgebra:
         coefficient c of P: for P != 0, when no T_S does.
         """
         self._check_correctable(P)
-        P_degrees = _degree_histogram(P)
-        residual = len(self._tower_differential._coeffs) * len(P._coeffs)
+        return self._certificate(_degree_histogram(P), len(P._coeffs))
+
+    def _certificate(self, P_degrees: Counter, terms: int) -> ChainMapCertificate:
+        """chain_map_certificate of a classical P with `terms` monomials,
+        P_degrees[k] of them in degree k, over a balanced fiber.
+
+        Every field is linear in (P_degrees, terms) except the verdicts,
+        which depend only on whether P is zero, so the certificate of a
+        sum of nonzero classical monomials is the sum of theirs.
+        """
+        residual = len(self._tower_differential._coeffs) * terms
         overdim = _pairs_above(self._tower_differential_degrees, P_degrees, self.n)
-        reduced_to_zero = not P or not self._reduced_tower_differential
-        filtration_ok = not P or self._tower_filtration_ok
+        reduced_to_zero = not terms or not self._reduced_tower_differential
+        filtration_ok = not terms or self._tower_filtration_ok
         return ChainMapCertificate(
             holds=reduced_to_zero and filtration_ok,
             residual_terms=residual,

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricfloer import Fiber, chains, cli, disc_areas, load_toric, potential, toric
+from toricfloer import Fiber, chains, cli, disc_areas, load_toric, potential, subsets_graded, toric
 from toricfloer.novikov import ZERO, monomial
 
 BUILTIN_NAMES = ["CP1", "CP2", "CP1xCP1", "CPn(3)"]
@@ -294,6 +294,56 @@ def oracle_chain_map_certificate(A, P):
         filtration_ok=filtration_ok,
         correction_terms_above_n=len(corrected.part_above_degree(A.n).items()),
     )
+
+
+# Test oracles: analyze's chain_map block as first written, one
+# certificate per basis monomial l_S, and the same block as binomial sums
+# in (n, N, l) at a balanced fiber with N facets and l area classes.
+
+
+def oracle_summed_certificate(A):
+    """The certificates of the 2^n basis monomials l_S, summed field by
+    field; the verdicts hold when they hold for every l_S."""
+    certs = [A.chain_map_certificate(A.l_monomial(S)) for S in subsets_graded(A.n)]
+    return chains.ChainMapCertificate(
+        holds=all(c.holds for c in certs),
+        residual_terms=sum(c.residual_terms for c in certs),
+        overdimension_terms=sum(c.overdimension_terms for c in certs),
+        square_rule_terms=sum(c.square_rule_terms for c in certs),
+        reduced_to_zero=all(c.reduced_to_zero for c in certs),
+        filtration_ok=all(c.filtration_ok for c in certs),
+        correction_terms_above_n=sum(c.correction_terms_above_n for c in certs),
+    )
+
+
+def chain_map_block(cert, n):
+    """analyze's chain_map block for the summed certificate of dimension n."""
+    return {
+        "monomials_checked": 2**n,
+        "all_hold": cert.holds,
+        "correction_terms_above_dim": cert.correction_terms_above_n,
+        "residual_terms_above_dim": cert.overdimension_terms,
+        "residual_terms_square_rule": cert.square_rule_terms,
+    }
+
+
+def closed_form_chain_map(n, N, l):
+    """The chain_map block at a balanced fiber.  E = d(T) has one term
+    d_j * Q_R for each facet j and each set R of r >= 1 classes holding
+    j's class, N * C(l - 1, r - 1) of degree 1 + 2r; T has C(l, r) terms
+    Q_R of degree 2r; and C(n, k) basis monomials l_S have degree k."""
+    def above(count, degree):
+        return sum(math.comb(n, k) * count for k in range(n + 1) if degree + k > n)
+
+    residual = 2**n * N * 2 ** (l - 1)
+    overdim = sum(above(N * math.comb(l - 1, r - 1), 1 + 2 * r) for r in range(1, l + 1))
+    return {
+        "monomials_checked": 2**n,
+        "all_hold": True,
+        "correction_terms_above_dim": sum(above(math.comb(l, r), 2 * r) for r in range(l + 1)),
+        "residual_terms_above_dim": overdim,
+        "residual_terms_square_rule": residual - overdim,
+    }
 
 
 # Test oracle: polytope validation as first written.  Boundedness is one

@@ -1,5 +1,7 @@
 import json
+import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from functools import reduce
@@ -29,11 +31,14 @@ from conftest import (
     BUILTIN_NAMES,
     assert_chain_normal,
     balanced_fiber,
+    chain_map_block,
+    closed_form_chain_map,
     oracle_boundary,
     oracle_chain_map_certificate,
     oracle_corrected_cycle,
     oracle_floer_differential,
     oracle_reduce_degenerate_pairs,
+    oracle_summed_certificate,
 )
 
 RECT = make_toric("rect", 2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [0, -2, 0, -1])
@@ -514,6 +519,65 @@ class TestCertificateMatchesOracle:
         assert B.chain_map_certificate(B.zero()).filtration_ok
 
 
+def basis_degrees(n):
+    """The degree histogram of the 2^n basis monomials l_S."""
+    return Counter({k: math.comb(n, k) for k in range(n + 1)})
+
+
+def polytope_json(name, normals, offsets):
+    facets = [{"normal": list(v), "offset": str(c)} for v, c in zip(normals, offsets)]
+    return json.dumps({"name": name, "dim": len(normals[0]), "facets": facets})
+
+
+def box_json(sides):
+    """The box [0, s_1] x ... x [0, s_n]: one area class per distinct side."""
+    n = len(sides)
+    normals = [tuple(s if j == i else 0 for j in range(n)) for i in range(n) for s in (1, -1)]
+    offsets = [c for side in sides for c in (0, -side)]
+    return polytope_json("box" + "".join(map(str, sides)), normals, offsets)
+
+
+# the built-ins, CPn(1..7), the hexagon (CP2 blown up at three points),
+# the rectangle, and n-boxes with l = 1..n distinct side lengths
+ANALYZE_CHAIN_MAP_INPUTS = {
+    **{name: name for name in BUILTIN_NAMES},
+    **{f"CPn({k})": f"CPn({k})" for k in range(1, 8)},
+    "hexagon": polytope_json(
+        "hexagon", [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)], [-1] * 6
+    ),
+    "rect": polytope_json("rect", RECT.normals, RECT.offsets),
+    **{
+        f"box(n={n},l={l})": box_json([1] * (n - l + 1) + list(range(2, l + 1)))
+        for n in range(1, 6)
+        for l in range(1, n + 1)
+    },
+}
+
+
+class TestAnalyzeChainMapBlock:
+    """analyze reads its chain_map block off one certificate per fiber,
+    that of the sum of the basis monomials: it must equal the sum of the
+    2^n per-monomial certificates, and the binomial sums in (n, N, l)."""
+
+    @pytest.mark.parametrize("name", sorted(ANALYZE_CHAIN_MAP_INPUTS))
+    def test_block_matches_both_oracles(self, name, capsys):
+        source = ANALYZE_CHAIN_MAP_INPUTS[name]
+        assert cli.main(["analyze", "--input", source, "--format", "json", "--lmax", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["balanced"] and doc["fiber"]["exact"]
+        X = load_toric(source)
+        A = ChainAlgebra.for_fiber(X, Fiber(tuple(F(u) for u in doc["fiber"]["u"])))
+        if name.startswith("box"):
+            assert len(A.class_areas) == int(name.split("l=")[1][:-1])
+        assert doc["chain_map"] == chain_map_block(oracle_summed_certificate(A), X.n)
+        assert doc["chain_map"] == closed_form_chain_map(X.n, X.num_facets, len(A.class_areas))
+
+    @pytest.mark.parametrize("name", CERTIFICATE_CASES)
+    def test_histogram_certificate_is_the_basis_sum(self, name):
+        A = oracle_case(name)
+        assert A._certificate(basis_degrees(A.n), 2**A.n) == oracle_summed_certificate(A)
+
+
 class TestAlgebraFormsMatchOracle:
     @pytest.mark.parametrize("name", ORACLE_CASES)
     def test_floer_differential_and_boundary(self, name):
@@ -591,6 +655,13 @@ class TestCertificateCanFail:
         assert cert.overdimension_terms == 3
         assert cert.square_rule_terms == 1
         assert not B.verify_chain_map(B.one())
+
+    @pytest.mark.parametrize("case", ["class_area_off", "facet_area_off"])
+    def test_histogram_certificate_fails_like_the_basis_sum(self, case):
+        B = replace(oracle_case("CP2"), **REPLACED_CP2[case])
+        cert = B._certificate(basis_degrees(B.n), 2**B.n)
+        assert cert == oracle_summed_certificate(B)
+        assert not cert.holds and not cert.reduced_to_zero
 
 
 def test_module_level_helpers_read_the_fiber_each_call(disc_area_calls):

@@ -168,9 +168,15 @@ class TestAnalyzeJson:
         assert len(disc_area_calls) == 1
 
     def test_one_tower_per_fiber(self, capsys, monkeypatch):
-        # the 16 certificates of CPn(4) share one differential and one
-        # reduction of the correction tower
-        calls = {"floer_differential": 0, "reduce_degenerate_pairs": 0}
+        # the chain_map block of CPn(4) is one certificate, for the sum of
+        # its 16 basis monomials: one differential and one reduction of the
+        # correction tower, and no monomial or per-monomial certificate
+        calls = {
+            "floer_differential": 0,
+            "reduce_degenerate_pairs": 0,
+            "l_monomial": 0,
+            "chain_map_certificate": 0,
+        }
         for name in calls:
             original = getattr(ChainAlgebra, name)
 
@@ -185,7 +191,12 @@ class TestAnalyzeJson:
         assert doc["fiber"]["source"] == "solver"
         assert doc["chain_map"]["monomials_checked"] == 16
         assert doc["chain_map"]["all_hold"] is True
-        assert calls == {"floer_differential": 1, "reduce_degenerate_pairs": 1}
+        assert calls == {
+            "floer_differential": 1,
+            "reduce_degenerate_pairs": 1,
+            "l_monomial": 0,
+            "chain_map_certificate": 0,
+        }
 
     def test_rationals_are_strings(self, capsys):
         code, out, _ = run(
