@@ -47,6 +47,18 @@ exactly when P or reduce(E) does.  The coefficient of Q_S * odds in
 T * P is T_S times that of odds in P, so the filtration is one check on
 the coefficients of T.
 
+A certificate therefore depends on P only through its degree histogram
+and its term count, which is 0 exactly when P is, and
+ChainAlgebra._certificate takes just those.  Every count is linear in
+them, so the certificate of a sum of distinct nonzero classical
+monomials is the sum of theirs, holding when each of theirs holds.
+analyze checks all 2^n basis monomials l_S at once this way, from the
+histogram with C(n, k) monomials in degree k: one certificate per
+fiber.  At a balanced fiber with N facets and l area classes the counts
+are binomial sums in (n, N, l); the tests use that closed form as an
+oracle, while analyze still derives T, E and reduce(E) from the fiber's
+own areas, so all_hold stays a check.
+
 Signs, (-1)^n and the shuffle signs of products, boundaries and the
 degenerate-pair reduction, are applied by negating a coefficient, never
 by multiplying it by an integer.
@@ -425,12 +437,7 @@ class ChainAlgebra:
 
     def _certificate(self, P_degrees: Counter, terms: int) -> ChainMapCertificate:
         """chain_map_certificate of a classical P with `terms` monomials,
-        P_degrees[k] of them in degree k, over a balanced fiber.
-
-        Every field is linear in (P_degrees, terms) except the verdicts,
-        which depend only on whether P is zero, so the certificate of a
-        sum of nonzero classical monomials is the sum of theirs.
-        """
+        P_degrees[k] of them in degree k, over a balanced fiber."""
         residual = len(self._tower_differential._coeffs) * terms
         overdim = _pairs_above(self._tower_differential_degrees, P_degrees, self.n)
         reduced_to_zero = not terms or not self._reduced_tower_differential

@@ -173,16 +173,14 @@ def cmd_analyze(args) -> AnalysisReport:
         cert = algebra._certificate(
             Counter({k: math.comb(X.n, k) for k in range(X.n + 1)}), 2**X.n
         )
-        over_corr = cert.correction_terms_above_n
-        square_rule = cert.square_rule_terms
         doc["chain_map"] = {
             "monomials_checked": 2**X.n,
             "all_hold": cert.holds,
-            "correction_terms_above_dim": over_corr,
+            "correction_terms_above_dim": cert.correction_terms_above_n,
             "residual_terms_above_dim": cert.overdimension_terms,
-            "residual_terms_square_rule": square_rule,
+            "residual_terms_square_rule": cert.square_rule_terms,
         }
-        if over_corr or square_rule:
+        if cert.correction_terms_above_n or cert.square_rule_terms:
             notes.append(
                 "some correction or residual terms have symbolic dimension "
                 "above the torus dimension, or cancel only as boundaries of "
