@@ -353,6 +353,21 @@ class TestExitCodes:
         )
         assert code == 2 and "error:" in err
 
+    # --tol=VALUE, since argparse would read a separate "-inf" as an option
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "-0.5"])
+    def test_bad_tol_rejected(self, capsys, tol):
+        for fiber in ((), ("--fiber", "1/3,1/3")):
+            code, out, err = run(capsys, "analyze", "--input", "CP2", *fiber, f"--tol={tol}")
+            assert code == 2 and "error:" in err and "--tol" in err
+            assert out == ""
+
+    def test_zero_tol_accepted(self, capsys):
+        # tol 0 is a legal request that the solver cannot meet
+        code, _, err = run(capsys, "analyze", "--input", "CP2", "--tol", "0")
+        assert code == 4 and "error:" in err
+        code, _, _ = run(capsys, "analyze", "--input", "CP2", "--fiber", "1/3,1/3", "--tol", "0")
+        assert code == 0
+
     def test_zero_counts_accepted(self, capsys):
         code, out, _ = run(
             capsys, "analyze", "--input", "CP2", "--lmax", "0", "--format", "json"
