@@ -47,18 +47,6 @@ exactly when P or reduce(E) does.  The coefficient of Q_S * odds in
 T * P is T_S times that of odds in P, so the filtration is one check on
 the coefficients of T.
 
-A certificate therefore depends on P only through its degree histogram
-and its term count, which is 0 exactly when P is, and
-ChainAlgebra._certificate takes just those.  Every count is linear in
-them, so the certificate of a sum of distinct nonzero classical
-monomials is the sum of theirs, holding when each of theirs holds.
-analyze checks all 2^n basis monomials l_S at once this way, from the
-histogram with C(n, k) monomials in degree k: one certificate per
-fiber.  At a balanced fiber with N facets and l area classes the counts
-are binomial sums in (n, N, l); the tests use that closed form as an
-oracle, while analyze still derives T, E and reduce(E) from the fiber's
-own areas, so all_hold stays a check.
-
 Signs, (-1)^n and the shuffle signs of products, boundaries and the
 degenerate-pair reduction, are applied by negating a coefficient, never
 by multiplying it by an integer.
@@ -71,12 +59,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import DimensionMismatch, NotBalanced
 from .novikov import ONE, ZERO, NovikovElement, _Combination, monomial
 from .toric import (
-    AreaClass,
     Fiber,
     ToricFano,
     _balance,
@@ -237,11 +224,7 @@ class ChainAlgebra:
 
     @classmethod
     def for_fiber(cls, X: ToricFano, f: Fiber) -> "ChainAlgebra":
-        return cls._from_areas(X, _fiber_partition(X, f))
-
-    @classmethod
-    def _from_areas(cls, X: ToricFano, partition: Sequence[AreaClass]) -> "ChainAlgebra":
-        """for_fiber on an area partition already computed for the fiber."""
+        partition = _fiber_partition(X, f)
         return cls(
             n=X.n,
             N=X.num_facets,
@@ -433,11 +416,8 @@ class ChainAlgebra:
         coefficient c of P: for P != 0, when no T_S does.
         """
         self._check_correctable(P)
-        return self._certificate(_degree_histogram(P), len(P._coeffs))
-
-    def _certificate(self, P_degrees: Counter, terms: int) -> ChainMapCertificate:
-        """chain_map_certificate of a classical P with `terms` monomials,
-        P_degrees[k] of them in degree k, over a balanced fiber."""
+        P_degrees = _degree_histogram(P)
+        terms = len(P._coeffs)
         residual = len(self._tower_differential._coeffs) * terms
         overdim = _pairs_above(self._tower_differential_degrees, P_degrees, self.n)
         reduced_to_zero = not terms or not self._reduced_tower_differential

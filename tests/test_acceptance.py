@@ -130,15 +130,15 @@ def test_criterion_04_simplex_family():
                     assert Q.entry(i, j) == (2 * t if i == j else t)
         # the report prints full off-diagonal entries and flags the
         # halved-entry display convention
-        report = cmd_analyze(
+        doc = cmd_analyze(
             Namespace(
                 input="CPn(3)", fiber=None, lmax=0, numeric=False,
                 tol=1e-12, max_iters=50, two_pi=False,
             )
         )
         assert "halved off-diagonal" in CONVENTION_NOTE
-        assert CONVENTION_NOTE in report.doc["notes"]
-        assert report.doc["hessian"][0][1] == "T^{1/4}*q"
+        assert CONVENTION_NOTE in doc["notes"]
+        assert doc["hessian"][0][1] == "T^{1/4}*q"
 
     check(4, "CPn family up to n=6 with convention flag", body)
 

@@ -1,13 +1,16 @@
+import io
 import json
-import math
 import random
-from collections import Counter
+from contextlib import redirect_stdout
 from dataclasses import replace
 from fractions import Fraction as F
 from functools import reduce
 from itertools import combinations, product
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricfloer import (
     ChainAlgebra,
@@ -22,6 +25,7 @@ from toricfloer import (
     floer_differential,
     load_toric,
     make_toric,
+    subsets_graded,
     verify_chain_map,
 )
 from toricfloer.chains import _degree
@@ -519,9 +523,9 @@ class TestCertificateMatchesOracle:
         assert B.chain_map_certificate(B.zero()).filtration_ok
 
 
-def basis_degrees(n):
-    """The degree histogram of the 2^n basis monomials l_S."""
-    return Counter({k: math.comb(n, k) for k in range(n + 1)})
+def basis_sum(A):
+    """The sum of the 2^n basis monomials l_S."""
+    return sum((A.l_monomial(S) for S in subsets_graded(A.n)), A.zero())
 
 
 def polytope_json(name, normals, offsets):
@@ -554,10 +558,52 @@ ANALYZE_CHAIN_MAP_INPUTS = {
 }
 
 
+HEXAGON_NORMALS = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+positive_fractions = st.fractions(min_value=F(1, 12), max_value=12, max_denominator=12)
+
+
+@st.composite
+def moved_polytopes(draw):
+    """(polytope JSON, balanced fiber, number of area classes) for a box
+    with rational sides, CPn(1..5) or the hexagon, dilated by a positive
+    rational and translated by a rational vector."""
+    kind = draw(st.sampled_from(["box", "CPn", "hexagon"]))
+    if kind == "box":
+        # l distinct sides, each used at least once: l runs from 1 to n
+        n = draw(st.integers(1, 5))
+        classes = draw(st.integers(1, n))
+        pool = draw(st.lists(positive_fractions, min_size=classes, max_size=classes, unique=True))
+        repeats = draw(st.lists(st.sampled_from(pool), min_size=n - classes, max_size=n - classes))
+        sides = draw(st.permutations(pool + repeats))
+        normals = [tuple(s if j == i else 0 for j in range(n)) for i in range(n) for s in (1, -1)]
+        offsets = [c for side in sides for c in (0, -side)]
+        center = [side / 2 for side in sides]
+    elif kind == "CPn":
+        n = draw(st.integers(1, 5))
+        X = load_toric(f"CPn({n})")
+        normals, offsets = X.normals, X.offsets
+        center, classes = [F(1, n + 1)] * n, 1
+    else:
+        n, normals, offsets, center, classes = 2, HEXAGON_NORMALS, [-1] * 6, [0, 0], 1
+    scale = draw(st.one_of(st.sampled_from([1, 2, 7, 60, 3000]), positive_fractions))
+    shift = draw(
+        st.lists(
+            st.fractions(min_value=-20, max_value=20, max_denominator=12),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    # x -> scale * x + shift moves the facet <v, x> >= c to offset
+    # scale * c + <v, shift>, and the balanced fiber with it
+    moved = [scale * c + sum(map(mul, v, shift)) for v, c in zip(normals, offsets)]
+    fiber = [scale * u + t for u, t in zip(center, shift)]
+    return polytope_json(kind, normals, moved), fiber, classes
+
+
 class TestAnalyzeChainMapBlock:
-    """analyze reads its chain_map block off one certificate per fiber,
-    that of the sum of the basis monomials: it must equal the sum of the
-    2^n per-monomial certificates, and the binomial sums in (n, N, l)."""
+    """analyze writes its chain_map block in closed form in (n, N, l): it
+    must equal the sum of the 2^n per-monomial certificates of the general
+    path, and the binomial sums of the tests' own oracle."""
 
     @pytest.mark.parametrize("name", sorted(ANALYZE_CHAIN_MAP_INPUTS))
     def test_block_matches_both_oracles(self, name, capsys):
@@ -572,10 +618,27 @@ class TestAnalyzeChainMapBlock:
         assert doc["chain_map"] == chain_map_block(oracle_summed_certificate(A), X.n)
         assert doc["chain_map"] == closed_form_chain_map(X.n, X.num_facets, len(A.class_areas))
 
+    # at the balanced fiber given with --fiber: the solver is tested on its own
+    @settings(max_examples=100, deadline=None)
+    @given(moved_polytopes())
+    def test_block_matches_both_oracles_on_moved_polytopes(self, case):
+        source, fiber, classes = case
+        argv = ["analyze", "--input", source, f"--fiber={','.join(map(str, fiber))}"]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main([*argv, "--format", "json", "--lmax", "0"]) == 0
+        doc = json.loads(out.getvalue())
+        assert doc["balanced"]
+        X = load_toric(source)
+        A = ChainAlgebra.for_fiber(X, Fiber(tuple(fiber)))
+        assert len(A.class_areas) == classes
+        assert doc["chain_map"] == closed_form_chain_map(X.n, X.num_facets, classes)
+        assert doc["chain_map"] == chain_map_block(oracle_summed_certificate(A), X.n)
+
     @pytest.mark.parametrize("name", CERTIFICATE_CASES)
     def test_histogram_certificate_is_the_basis_sum(self, name):
         A = oracle_case(name)
-        assert A._certificate(basis_degrees(A.n), 2**A.n) == oracle_summed_certificate(A)
+        assert A.chain_map_certificate(basis_sum(A)) == oracle_summed_certificate(A)
 
 
 class TestAlgebraFormsMatchOracle:
@@ -659,7 +722,7 @@ class TestCertificateCanFail:
     @pytest.mark.parametrize("case", ["class_area_off", "facet_area_off"])
     def test_histogram_certificate_fails_like_the_basis_sum(self, case):
         B = replace(oracle_case("CP2"), **REPLACED_CP2[case])
-        cert = B._certificate(basis_degrees(B.n), 2**B.n)
+        cert = B.chain_map_certificate(basis_sum(B))
         assert cert == oracle_summed_certificate(B)
         assert not cert.holds and not cert.reduced_to_zero
 

@@ -133,3 +133,14 @@ def test_output_matches_golden(stem, capsys):
     assert main(CASES[stem]) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / stem).read_text(encoding="utf-8")
+
+
+# main builds its parser once per process, so no parsed value may reach
+# the next call: an analyze with --fiber and every display flag, a scan
+# and an analyze at the solver fiber, one after another
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_consecutive_calls_match_their_goldens(fmt, capsys):
+    for stem in ("analyze_CP2_numeric_two_pi", "scan_CP2_grid6", "analyze_CP2_solver"):
+        assert main(CASES[f"{stem}.{fmt}"]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / f"{stem}.{fmt}").read_text(encoding="utf-8")
