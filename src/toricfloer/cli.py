@@ -306,9 +306,6 @@ def load_from_arg(source: str) -> ToricFano:
     return load_toric(source)
 
 
-# built once per process: main may run many times in one, and building
-# the parser costs more than a small scan
-@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toricfloer",
@@ -355,8 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's own parser, built once per process: main may run many times in
+# one, and building a parser costs more than a small scan.  build_parser()
+# still hands every other caller a parser of its own.
+_parser = cache(build_parser)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "analyze":
             for flag, value in (("--lmax", args.lmax), ("--max-iters", args.max_iters)):

@@ -623,10 +623,11 @@ class TestAnalyzeChainMapBlock:
     @given(moved_polytopes())
     def test_block_matches_both_oracles_on_moved_polytopes(self, case):
         source, fiber, classes = case
-        argv = ["analyze", "--input", source, f"--fiber={','.join(map(str, fiber))}"]
+        fiber_arg = f"--fiber={','.join(map(str, fiber))}"
         out = io.StringIO()
         with redirect_stdout(out):
-            assert cli.main([*argv, "--format", "json", "--lmax", "0"]) == 0
+            argv = ["analyze", "--input", source, fiber_arg, "--format", "json", "--lmax", "0"]
+            assert cli.main(argv) == 0
         doc = json.loads(out.getvalue())
         assert doc["balanced"]
         X = load_toric(source)
