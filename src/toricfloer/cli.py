@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -381,11 +382,22 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        render = _analysis_text if args.command == "analyze" else _scan_text
-        print("\n".join(render(doc)))
+    try:
+        if args.format == "json":
+            print(json.dumps(doc, indent=2, sort_keys=True))
+        else:
+            render = _analysis_text if args.command == "analyze" else _scan_text
+            print("\n".join(render(doc)))
+        # flush here, so a reader that closed the pipe early is seen here
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the recipe of the signal module's "Note on SIGPIPE": point stdout
+        # at devnull so the flush at interpreter exit does not raise again,
+        # and exit 1 as Python does on EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return EXIT_OK
 
 

@@ -92,15 +92,20 @@ class CliffordElement(_Combination):
 def _word_normal_form(
     Q: QuadraticForm, word: tuple[int, ...]
 ) -> tuple[tuple[Subset, NovikovElement], ...]:
-    """Rewrite a generator word into the sorted-subset basis."""
+    """Rewrite a generator word into the sorted-subset basis.
+
+    Each pending word carries the sign of the transpositions that produced
+    it, applied once when the sorted word is added to the result.
+    """
+    half = Q._half_diagonal
     out: dict[Subset, NovikovElement] = {}
-    stack: list[tuple[list[int], NovikovElement]] = [(list(word), ONE)]
+    stack: list[tuple[list[int], NovikovElement, int]] = [(list(word), ONE, 1)]
     while stack:
-        w, c = stack.pop()
+        w, c, sign = stack.pop()
         pos = next((p for p in range(len(w) - 1) if w[p] >= w[p + 1]), None)
         if pos is None:
             key = tuple(w)
-            acc = out.get(key, ZERO) + c
+            acc = out.get(key, ZERO) + (c if sign > 0 else -c)
             if acc:
                 out[key] = acc
             else:
@@ -109,10 +114,13 @@ def _word_normal_form(
         a, b = w[pos], w[pos + 1]
         rest = w[:pos] + w[pos + 2 :]
         if a == b:
-            stack.append((rest, c * Q.entry(a, a) * Fraction(1, 2)))
+            if half[a]:
+                stack.append((rest, c * half[a], sign))
         else:
-            stack.append((w[:pos] + [b, a] + w[pos + 2 :], -c))
-            stack.append((rest, c * Q.entry(a, b)))
+            stack.append((w[:pos] + [b, a] + w[pos + 2 :], c, -sign))
+            q = Q.entry(a, b)
+            if q:
+                stack.append((rest, c * q, sign))
     return tuple(sorted(out.items()))
 
 

@@ -21,6 +21,7 @@ them.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence, Union
@@ -29,7 +30,15 @@ from .clifford import CliffordElement, cl_mul
 from .errors import NotBalanced
 from .novikov import DEFAULT_CUTOFF, ZERO, NovikovElement, monomial
 from .potential import QuadraticForm, _class_sum, _hessian
-from .toric import AreaClass, Fiber, ToricFano, _balance, _fiber_partition
+from .toric import (
+    AreaClass,
+    BalanceResult,
+    Fiber,
+    ToricFano,
+    _as_fiber,
+    _balance,
+    _fiber_partition,
+)
 
 #: cohomology classes of the fiber torus, wedge products of the degree-1
 #: generators; the same container as CliffordElement, multiplied with Q = 0
@@ -239,13 +248,22 @@ def m2_product(
     Identifies exterior classes with Clifford elements basis-by-basis and
     multiplies in the Clifford algebra of the formal Hessian.  Raises
     NotBalanced when the fiber is not balanced (the cohomology is zero
-    there and carries no ring).
+    there and carries no ring).  The balance and Hessian of recently used
+    fibers are remembered, keyed by the value of (X, f).
     """
-    partition = _fiber_partition(X, f)
-    ok, sums = _balance(X, partition)
+    (ok, sums), Q = _fiber_ring(X, _as_fiber(f))
     if not ok:
         raise NotBalanced(
             f"fiber {tuple(map(str, f.u if isinstance(f, Fiber) else f))} is not "
             f"balanced: class normal sums {sums}"
         )
-    return cl_mul(_hessian(X, partition), x, y)
+    return cl_mul(Q, x, y)
+
+
+@functools.lru_cache
+def _fiber_ring(X: ToricFano, f: Fiber) -> tuple[BalanceResult, QuadraticForm]:
+    """The balance and formal Hessian of one fiber, the data every m2_product
+    there shares.  A raised exception (NotInterior, the holonomy ValueError)
+    is not remembered, so it is raised again on every call."""
+    partition = _fiber_partition(X, f)
+    return _balance(X, partition), _hessian(X, partition)

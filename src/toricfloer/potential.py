@@ -15,6 +15,7 @@ The numeric half needs only the standard library: floats in lists.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -220,6 +221,11 @@ class QuadraticForm:
 
     def entry(self, i: int, j: int) -> NovikovElement:
         return self.entries[i][j]
+
+    @functools.cached_property
+    def _half_diagonal(self) -> tuple[NovikovElement, ...]:
+        """Q_ii / 2 for each i, the square of the Clifford generator C_i."""
+        return tuple(self.entries[i][i] * Fraction(1, 2) for i in range(self.n))
 
 
 def _class_sum(partition: Sequence[AreaClass], weights: Sequence[int]) -> NovikovElement:

@@ -389,6 +389,24 @@ def test_module_entry_point(tmp_path):
     assert doc["balanced"] is True
 
 
+def test_reader_closing_the_pipe_gets_no_traceback():
+    """`analyze ... | head -n 1`: the 150 KB report overflows the pipe, the
+    reader leaves after one line, and main ends quietly with exit 1."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "toricfloer", "analyze", "--input", "CPn(4)",
+         "--lmax", "6"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first == b"polytope CPn(4) (dim 4)\n"
+    assert err == b""
+
+
 class TestWithoutNumpy:
     """The package and its CLI run on the standard library alone."""
 

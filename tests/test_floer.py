@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 from itertools import permutations
@@ -14,10 +15,13 @@ from toricfloer import (
     DimensionMismatch,
     Fiber,
     NotBalanced,
+    NotInterior,
     boundary_pairing,
+    cl_mul,
     disc_areas,
     disc_l_term,
     elimination_rank,
+    floer,
     formal_hessian,
     hf_rank,
     is_balanced,
@@ -477,16 +481,87 @@ class TestM2:
             m2_product(X, Fiber((F(1, 4), F(1, 4))), u, u)
 
     def test_disc_areas_computed_once_per_product(self, disc_area_calls):
+        """At most once per product, and once per fiber while it is
+        remembered: an unbalanced fiber's areas are remembered too."""
+        floer._fiber_ring.cache_clear()
         X = load_toric("CP2")
         x = CliffordElement.generator(2, 0)
-        m2_product(X, balanced_fiber(X), x, x)
-        assert len(disc_area_calls) == 1
+        f, g = balanced_fiber(X), Fiber((F(1, 4), F(1, 4)))
+        m2_product(X, f, x, x)
+        m2_product(X, f, x, x)
+        for _ in range(2):
+            with pytest.raises(NotBalanced):
+                m2_product(X, g, x, x)
+        assert disc_area_calls == [f, g]
 
     def test_rejects_holonomy(self):
         X = load_toric("CP1")
         u = CliffordElement.unit(1)
         with pytest.raises(ValueError, match="holonomy"):
             m2_product(X, Fiber((F(1, 2),), holonomy=(F(1, 4),)), u, u)
+
+
+class TestM2FiberMemo:
+    """m2_product remembers the balance and Hessian of recent fibers,
+    keyed by the value of (X, f); every check still runs per call."""
+
+    def setup_method(self):
+        floer._fiber_ring.cache_clear()
+
+    def test_interleaved_fibers_match_a_fresh_product(self):
+        cp2 = load_toric("CP2")
+        dilated = make_toric("CP2x3", 2, cp2.normals, [0, 0, -3])
+        fibers = [(cp2, balanced_fiber(cp2)), (dilated, Fiber((F(1), F(1))))]
+        basis = [CliffordElement.basis_element(2, s) for s in subsets_graded(2)]
+        for X, f in (fibers[0], fibers[1], fibers[0]):
+            Q = formal_hessian(X, f)
+            for x in basis:
+                for y in basis:
+                    assert m2_product(X, f, x, y) == cl_mul(Q, x, y)
+        assert floer._fiber_ring.cache_info().misses == 2
+
+    def test_equal_points_share_an_entry(self):
+        X = make_toric("CP2x3", 2, load_toric("CP2").normals, [0, 0, -3])
+        x = CliffordElement.generator(2, 1)
+        products = [
+            m2_product(X, f, x, x)
+            for f in ((1, 1), (F(1), F(1)), Fiber((F(1), F(1))))
+        ]
+        assert products[0] == products[1] == products[2]
+        info = floer._fiber_ring.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+    def test_dilated_offsets_get_their_own_hessian(self):
+        X = make_toric("CP2x3", 2, load_toric("CP2").normals, [0, 0, -3])
+        dilated = dataclasses.replace(X, offsets=tuple(2 * lam for lam in X.offsets))
+        assert dilated != X
+        x = CliffordElement.generator(2, 0)
+        f, g = Fiber((F(1), F(1))), Fiber((F(2), F(2)))
+        assert m2_product(X, f, x, x) == cl_mul(formal_hessian(X, f), x, x)
+        assert m2_product(dilated, g, x, x) == cl_mul(formal_hessian(dilated, g), x, x)
+        assert m2_product(X, f, x, x) != m2_product(dilated, g, x, x)
+        # f is balanced in X but not in dilated: X's entry is not reused
+        with pytest.raises(NotBalanced):
+            m2_product(dilated, f, x, x)
+        assert floer._fiber_ring.cache_info().misses == 3
+
+    def test_rejections_repeat_on_every_call(self):
+        X = load_toric("CP2")
+        u = CliffordElement.unit(2)
+        for _ in range(3):
+            with pytest.raises(NotBalanced, match=r"\('1/4', '1/4'\)"):
+                m2_product(X, Fiber((F(1, 4), F(1, 4))), u, u)
+            with pytest.raises(NotBalanced, match=r"\('1/4', '1/4'\)"):
+                m2_product(X, (F(1, 4), F(1, 4)), u, u)
+            with pytest.raises(ValueError, match="holonomy"):
+                m2_product(X, TWISTED_CP2, u, u)
+            with pytest.raises(NotInterior):
+                m2_product(X, (F(1), F(1)), u, u)
+            with pytest.raises(DimensionMismatch):
+                m2_product(X, balanced_fiber(X), u, CliffordElement.unit(3))
+
+    def test_memo_is_bounded(self):
+        assert floer._fiber_ring.cache_info().maxsize is not None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
