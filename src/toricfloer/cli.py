@@ -388,7 +388,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             render = _analysis_text if args.command == "analyze" else _scan_text
             print("\n".join(render(doc)))
-        # flush here, so a reader that closed the pipe early is seen here
+        # flush inside the try: a reader that closed the pipe early then
+        # raises here rather than at interpreter exit
         sys.stdout.flush()
     except BrokenPipeError:
         # the recipe of the signal module's "Note on SIGPIPE": point stdout
