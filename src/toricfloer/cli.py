@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from fractions import Fraction
 from functools import cache
 from itertools import product as iter_product
+from json.encoder import encode_basestring_ascii as _escape_json
 from typing import Optional
 
 from .errors import (
@@ -19,7 +19,7 @@ from .errors import (
     ParseError,
 )
 # hf_rank stays bound here: the benchmark's tracer test resolves cli.hf_rank
-from .floer import _hf_rank, _l_product, _obstruction_form, hf_rank  # noqa: F401
+from .floer import _hf_rank, _l_table, _obstruction_form, hf_rank  # noqa: F401
 from .novikov import NovikovElement, _render
 from .potential import _hessian, _w_grad_hess, find_critical_fiber
 from .toric import Fiber, ToricFano, _balance, area_partition, disc_areas, interior_grid
@@ -175,17 +175,15 @@ def cmd_analyze(args) -> dict:
     # l is symmetric in its indices: one value per sorted index tuple,
     # one row per ordered tuple
     l_columns: dict[tuple[int, ...], dict] = {}
-    l_rows = []
-    for m in range(args.lmax + 1):
-        for idx in iter_product(range(X.n), repeat=m):
-            key = tuple(sorted(idx))
-            if key not in l_columns:
-                value = _l_product(X, partition, key)
-                l_columns[key] = {"value": render_novikov(value, args.two_pi)}
-                if args.numeric:
-                    l_columns[key]["numeric"] = repr(value.numeric())
-            l_rows.append({"indices": [i + 1 for i in idx], **l_columns[key]})
-    doc["l_products"] = l_rows
+    for key, value in _l_table(X, partition, args.lmax).items():
+        l_columns[key] = {"value": render_novikov(value, args.two_pi)}
+        if args.numeric:
+            l_columns[key]["numeric"] = repr(value.numeric())
+    doc["l_products"] = [
+        {"indices": [i + 1 for i in idx], **l_columns[tuple(sorted(idx))]}
+        for m in range(args.lmax + 1)
+        for idx in iter_product(range(X.n), repeat=m)
+    ]
 
     if balanced:
         # balanced, and disc_areas found every area positive: the two
@@ -301,6 +299,58 @@ def _scan_text(doc: dict) -> list[str]:
 # wiring
 
 
+def _json_text(doc) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True), byte for byte.
+
+    With indent set, json.dumps falls back to its pure-Python encoder; this
+    writer does the same walk with less dispatch, escaping through the C
+    function json.dumps uses.  It takes only what the commands emit: dicts
+    with str keys, lists, str, int, bool and None.  Anything else, a float
+    or a tuple included, raises TypeError rather than print differently.
+    """
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    return "".join(out)
+
+
+def _write_json(x, newline: str, out: list[str]) -> None:
+    if isinstance(x, str):
+        out.append(_escape_json(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            # the escape function raises TypeError on a key that is not a str
+            out += (sep, _escape_json(key), ": ")
+            _write_json(x[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(x, list):
+        if not x:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in x:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"cannot write {type(x).__name__} as JSON")
+
+
 def load_from_arg(source: str) -> ToricFano:
     from .toric import load_toric
 
@@ -384,7 +434,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_NO_CONVERGENCE
     try:
         if args.format == "json":
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            print(_json_text(doc))
         else:
             render = _analysis_text if args.command == "analyze" else _scan_text
             print("\n".join(render(doc)))

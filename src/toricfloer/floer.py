@@ -240,6 +240,31 @@ def _l_product(
     return _class_sum(partition, [_l_weight(X.n, v, idx) for v in X.normals])
 
 
+def _l_table(
+    X: ToricFano, partition: Sequence[AreaClass], lmax: int
+) -> dict[tuple[int, ...], NovikovElement]:
+    """_l_product(X, partition, key) for every sorted index tuple key of
+    length at most lmax, keyed and ordered by length, then lexicographically.
+
+    The per-facet weights (-1)^{n*m} v_{k i_1} ... v_{k i_m} of a key are
+    those of its prefix times one column of boundary pairings (-1)^n v_{k i},
+    so each key costs one product per facet and one _class_sum.
+    """
+    pairings = [[boundary_pairing(X.n, v, i) for v in X.normals] for i in range(X.n)]
+    table = {}
+    level = {(): [1] * X.num_facets}
+    for m in range(lmax + 1):
+        for key, weights in level.items():
+            table[key] = _class_sum(partition, weights)
+        if m < lmax:
+            level = {
+                (*key, i): [w * p for w, p in zip(weights, pairings[i])]
+                for key, weights in level.items()
+                for i in range(key[-1] if key else 0, X.n)
+            }
+    return table
+
+
 def m2_product(
     X: ToricFano, f: Fiber, x: ExteriorClass, y: ExteriorClass
 ) -> CliffordElement:

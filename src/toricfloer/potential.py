@@ -140,7 +140,7 @@ def find_critical_fiber(
     float iterate is wrapped with exact=False.
 
     Raises NotInterior for a bad starting point and NoConvergence when
-    the gradient is still above tol after max_iters Newton steps.
+    the gradient is still not below tol after max_iters Newton steps.
     """
     start = X.interior_point if init is None else tuple(init)
     if len(start) != X.n:
@@ -171,7 +171,7 @@ def find_critical_fiber(
     if grad_norm < tol:
         return _round_fiber(X, u)
     raise NoConvergence(
-        f"gradient norm {grad_norm:.3e} above tol={tol} "
+        f"gradient norm {grad_norm:.3e} not below tol={tol} "
         f"after {max_iters} iterations"
     )
 

@@ -6,8 +6,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toricfloer import ChainAlgebra, cli, toric
+from toricfloer import ChainAlgebra, cli, floer, toric
 from toricfloer.cli import CONVENTION_NOTE, main
 from toricfloer.novikov import ZERO, monomial
 
@@ -93,21 +95,30 @@ class TestAnalyzeText:
 
     def test_one_l_product_per_index_multiset(self, capsys, monkeypatch):
         # l is symmetric: the 85 ordered index tuples of length <= 3 over
-        # four axes fall into 35 multisets
-        calls = []
-        original = cli._l_product
+        # four axes fall into 35 multisets, one class sum each
+        tables, sums_per_table, sums = [], [], []
+        original_table, original_sum = cli._l_table, floer._class_sum
 
-        def counting(X, partition, idx):
-            calls.append(idx)
-            return original(X, partition, idx)
+        def recording(X, partition, lmax):
+            start = len(sums)
+            tables.append(original_table(X, partition, lmax))
+            sums_per_table.append(len(sums) - start)
+            return tables[-1]
 
-        monkeypatch.setattr(cli, "_l_product", counting)
+        def counting(partition, weights):
+            sums.append(weights)
+            return original_sum(partition, weights)
+
+        monkeypatch.setattr(cli, "_l_table", recording)
+        monkeypatch.setattr(floer, "_class_sum", counting)
         code, out, _ = run(
             capsys, "analyze", "--input", "CPn(4)", "--lmax", "3", "--format", "json"
         )
         assert code == 0
-        assert len(json.loads(out)["l_products"]) == 85
-        assert len(calls) == len(set(calls)) == 35
+        rows = json.loads(out)["l_products"]
+        assert len(rows) == 85
+        assert len(tables) == 1 and len(tables[0]) == 35 and sums_per_table == [35]
+        assert {tuple(sorted(i - 1 for i in r["indices"])) for r in rows} == set(tables[0])
 
     def test_numeric_column(self, capsys):
         code, out, _ = run(
@@ -368,6 +379,13 @@ class TestExitCodes:
         code, _, _ = run(capsys, "analyze", "--input", "CP2", "--fiber", "1/3,1/3", "--tol", "0")
         assert code == 0
 
+    def test_zero_tol_message(self, capsys):
+        # the solver's test is strict, so a zero gradient does not meet tol 0;
+        # the message must not call 0 above 0
+        code, out, err = run(capsys, "analyze", "--input", "CP2", "--tol", "0")
+        assert code == 4 and out == ""
+        assert "not below tol=0.0" in err and "above" not in err
+
     def test_zero_counts_accepted(self, capsys):
         code, out, _ = run(
             capsys, "analyze", "--input", "CP2", "--lmax", "0", "--format", "json"
@@ -443,6 +461,59 @@ class TestWithoutNumpy:
         )
         expected = Path(__file__).parent / "golden" / golden
         assert proc.stdout == expected.read_text(encoding="utf-8")
+
+
+# strings over every code point, lone surrogates included, weighted toward
+# the characters JSON escapes
+json_strings = st.text(
+    alphabet=st.one_of(
+        st.integers(0, 0x10FFFF).map(chr),
+        st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\ud800", "\udfff"]),
+    ),
+    max_size=8,
+)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**300), max_value=2**300)
+    | json_strings,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(json_strings, children, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestJsonText:
+    """main writes its documents with cli._json_text, which must match
+    json.dumps(doc, indent=2, sort_keys=True) byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(json_values)
+    def test_matches_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_empty_containers_and_wide_ints(self):
+        for value in ({}, [], {"a": {}, "b": []}, [[], {}], 2**64, -(2**200), [0, True, None]):
+            assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": [0.0]}, [{"b": ()}]])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
+    def test_name_with_escapes_round_trips(self, capsys):
+        name = 'caf\u00e9 "quoted" back\\slash\nnext line'
+        source = json.dumps(
+            {
+                "name": name,
+                "dim": 1,
+                "facets": [{"normal": [1], "offset": 0}, {"normal": [-1], "offset": -1}],
+            }
+        )
+        code, out, _ = run(capsys, "analyze", "--input", source, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        assert json.loads(out)["polytope"]["name"] == name
 
 
 def test_render_novikov_spells_terms_like_str():

@@ -1,7 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from itertools import product as iter_product
 
 import numpy as np
@@ -21,6 +21,7 @@ from toricfloer import (
     disc_areas,
     disc_l_term,
     elimination_rank,
+    find_critical_fiber,
     floer,
     formal_hessian,
     hf_rank,
@@ -38,6 +39,7 @@ from toricfloer import (
     wedge,
 )
 from toricfloer.floer import apply_differential, differential_matrix
+from toricfloer.toric import _fiber_partition
 from toricfloer.novikov import ONE, ZERO, NovikovElement, monomial
 
 from conftest import (
@@ -378,6 +380,53 @@ def test_l_product_unchanged_under_every_permutation(name, seed, idx):
     value = l_product(X, f, idx)
     for perm in permutations(idx):
         assert l_product(X, f, perm) == value
+
+
+HEXAGON = make_toric(
+    "hexagon", 2, [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)], [-1] * 6
+)
+
+
+def assert_l_table_matches_l_product(X, f, lmax=4):
+    """_l_table holds l_product(X, f, key) for each sorted key of length at
+    most lmax, in order of length, then lexicographically."""
+    table = floer._l_table(X, _fiber_partition(X, f), lmax)
+    keys = [k for m in range(lmax + 1) for k in combinations_with_replacement(range(X.n), m)]
+    assert list(table) == keys
+    for key, value in table.items():
+        assert value == l_product(X, f, key)
+        assert_normal(value)
+
+
+class TestLTable:
+    @pytest.mark.parametrize("X", [load_toric(name) for name in BUILTIN_NAMES] + [RECT, HEXAGON])
+    def test_matches_l_product_at_solver_and_unbalanced_fibers(self, X):
+        rng = random.Random(53)
+        fibers = [find_critical_fiber(X)] + [random_interior_fiber(X, rng, denom=12) for _ in range(3)]
+        assert not all(is_balanced(X, f).balanced for f in fibers)
+        for f in fibers:
+            assert_l_table_matches_l_product(X, f)
+
+    def test_lmax_zero_is_the_obstruction_term(self):
+        X = load_toric("CP2")
+        f = Fiber((F(1, 4), F(1, 3)))
+        assert floer._l_table(X, _fiber_partition(X, f), 0) == {(): l_product(X, f)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sides=st.lists(
+        st.fractions(min_value=F(1, 12), max_value=12, max_denominator=12), min_size=1, max_size=4
+    ),
+    seed=st.integers(0, 2**16),
+    at_solver=st.booleans(),
+)
+def test_l_table_matches_l_product_on_rational_boxes(sides, seed, at_solver):
+    n = len(sides)
+    normals = [tuple(s if j == i else 0 for j in range(n)) for i in range(n) for s in (1, -1)]
+    X = make_toric("box", n, normals, [c for side in sides for c in (0, -side)])
+    f = find_critical_fiber(X) if at_solver else random_interior_fiber(X, random.Random(seed), denom=24)
+    assert_l_table_matches_l_product(X, f)
 
 
 class TestDivisorRelation:
