@@ -19,9 +19,9 @@ from .errors import (
     ParseError,
 )
 # hf_rank stays bound here: the benchmark's tracer test resolves cli.hf_rank
-from .floer import _hf_rank, _l_table, _obstruction_form, hf_rank  # noqa: F401
+from .floer import _hf_rank, _obstruction_form, hf_rank  # noqa: F401
 from .novikov import NovikovElement, _render
-from .potential import _hessian, _w_grad_hess, find_critical_fiber
+from .potential import _l_table, _w_grad_hess, find_critical_fiber
 from .toric import Fiber, ToricFano, _balance, area_partition, disc_areas, interior_grid
 
 EXIT_OK = 0
@@ -101,8 +101,11 @@ def cmd_analyze(args) -> dict:
     classes = disc_areas(X, fiber)
     partition = area_partition(classes)
     balanced, class_sums = _balance(X, partition)
-    rank = _hf_rank(X.n, _obstruction_form(X, partition))
-    Q = _hessian(X, partition)
+    # one table gives the rank (row 1 is (-1)^n alpha), the Hessian and the
+    # Clifford relations (row 2 is Q) and the printed rows (up to --lmax)
+    table = _l_table(X, partition, max(args.lmax, 2))
+    rank = _hf_rank(X.n, [table[(i,)] for i in range(X.n)])
+    Q = [[table[min(i, j), max(i, j)] for j in range(X.n)] for i in range(X.n)]
     # the solver's gradient, read at the reported fiber
     grad_norm = max(map(abs, _w_grad_hess(X, [float(u) for u in fiber.u])[1]))
 
@@ -154,28 +157,27 @@ def cmd_analyze(args) -> dict:
         "notes": notes,
     }
 
-    doc["hessian"] = [
-        [render_novikov(Q.entry(i, j), args.two_pi) for j in range(X.n)]
-        for i in range(X.n)
-    ]
+    doc["hessian"] = [[render_novikov(q, args.two_pi) for q in row] for row in Q]
     if balanced:
         relations = []
         for i in range(X.n):
             relations.append(
-                f"C_{i + 1}^2 = {render_novikov(Q.entry(i, i) * Fraction(1, 2), args.two_pi)}"
+                f"C_{i + 1}^2 = {render_novikov(Q[i][i] * Fraction(1, 2), args.two_pi)}"
             )
         for i in range(X.n):
             for j in range(i + 1, X.n):
                 relations.append(
                     f"C_{i + 1}*C_{j + 1} + C_{j + 1}*C_{i + 1} = "
-                    f"{render_novikov(Q.entry(i, j), args.two_pi)}"
+                    f"{render_novikov(Q[i][j], args.two_pi)}"
                 )
         doc["clifford_relations"] = relations
 
     # l is symmetric in its indices: one value per sorted index tuple,
     # one row per ordered tuple
     l_columns: dict[tuple[int, ...], dict] = {}
-    for key, value in _l_table(X, partition, args.lmax).items():
+    for key, value in table.items():
+        if len(key) > args.lmax:  # the table is ordered by key length
+            break
         l_columns[key] = {"value": render_novikov(value, args.two_pi)}
         if args.numeric:
             l_columns[key]["numeric"] = repr(value.numeric())
@@ -379,14 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
             default="text",
             help="output format (default text)",
         )
-        p.add_argument(
-            "--two-pi",
-            action="store_true",
-            help="display T-exponents scaled by 2*pi",
-        )
 
     analyze = sub.add_parser("analyze", help="analyze one fiber")
     common(analyze)
+    analyze.add_argument(
+        "--two-pi",
+        action="store_true",
+        help="display T-exponents scaled by 2*pi",
+    )
     analyze.add_argument(
         "--fiber",
         help="rational fiber point like 1/3,1/3 (default: critical point of W)",

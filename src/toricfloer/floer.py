@@ -16,7 +16,8 @@ and involves no truncation.
 
 elimination_rank and novikov_rank are general helpers for the rank of a
 Novikov matrix by truncated Gaussian elimination; hf_rank does not use
-them.
+them.  The l-table, whose degree-2 row is the Hessian behind m2_product,
+lives in potential, beside the class sums it is built from.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .clifford import CliffordElement, cl_mul
 from .errors import NotBalanced
 from .novikov import DEFAULT_CUTOFF, ZERO, NovikovElement, monomial
-from .potential import QuadraticForm, _class_sum, _hessian
+from .potential import QuadraticForm, _class_sum, _hessian, boundary_pairing
 from .toric import (
     AreaClass,
     BalanceResult,
@@ -43,8 +44,6 @@ from .toric import (
 #: cohomology classes of the fiber torus, wedge products of the degree-1
 #: generators; the same container as CliffordElement, multiplied with Q = 0
 ExteriorClass = CliffordElement
-
-Rational = Union[int, Fraction]
 
 _MAX_REFINEMENTS = 8  # cutoff doublings before novikov_rank gives up
 
@@ -204,17 +203,10 @@ def _hf_rank(n: int, alpha: Sequence[NovikovElement]) -> int:
 def disc_l_term(
     n: int, normal: Sequence[int], area, idx: Sequence[int]
 ) -> NovikovElement:
-    """Contribution (-1)^{n*m} v_{i_1} ... v_{i_m} T^{area} q of one disc."""
-    return monomial(_l_weight(n, normal, idx), Fraction(area), 1)
-
-
-def _l_weight(n: int, normal: Sequence[int], idx: Sequence[int]) -> int:
-    return (-1) ** (n * len(idx)) * math.prod(normal[i] for i in idx)
-
-
-def boundary_pairing(n: int, normal: Sequence[int], i: int) -> int:
-    """Intersection number of the generator C_i with the disc boundary."""
-    return (-1) ** n * normal[i]
+    """Contribution (-1)^{n*m} v_{i_1} ... v_{i_m} T^{area} q of one disc,
+    its weight the product of its boundary pairings (the divisor equation)."""
+    weight = math.prod(boundary_pairing(n, normal, i) for i in idx)
+    return monomial(weight, Fraction(area), 1)
 
 
 def l_product(X: ToricFano, f: Fiber, idx: Sequence[int] = ()) -> NovikovElement:
@@ -225,44 +217,14 @@ def l_product(X: ToricFano, f: Fiber, idx: Sequence[int] = ()) -> NovikovElement
     idx = () gives the obstruction term sum_k T^{e_k} q.  Axis indices
     are 0-based.  Numerically (T^e -> exp(-e), q -> 1) this equals
     (-1)^{(n-1)m} times the m-th derivative of the superpotential.
-    The discs are summed per class of equal area.
+    The discs are summed per class of equal area, each weighted by the
+    product of its boundary pairings.
     """
     for i in idx:
         if not 0 <= i < X.n:
             raise IndexError(f"axis {i} out of range for dimension {X.n}")
-    return _l_product(X, _fiber_partition(X, f), idx)
-
-
-def _l_product(
-    X: ToricFano, partition: Sequence[AreaClass], idx: Sequence[int]
-) -> NovikovElement:
-    """l_product on an area partition already computed for the fiber."""
-    return _class_sum(partition, [_l_weight(X.n, v, idx) for v in X.normals])
-
-
-def _l_table(
-    X: ToricFano, partition: Sequence[AreaClass], lmax: int
-) -> dict[tuple[int, ...], NovikovElement]:
-    """_l_product(X, partition, key) for every sorted index tuple key of
-    length at most lmax, keyed and ordered by length, then lexicographically.
-
-    The per-facet weights (-1)^{n*m} v_{k i_1} ... v_{k i_m} of a key are
-    those of its prefix times one column of boundary pairings (-1)^n v_{k i},
-    so each key costs one product per facet and one _class_sum.
-    """
-    pairings = [[boundary_pairing(X.n, v, i) for v in X.normals] for i in range(X.n)]
-    table = {}
-    level = {(): [1] * X.num_facets}
-    for m in range(lmax + 1):
-        for key, weights in level.items():
-            table[key] = _class_sum(partition, weights)
-        if m < lmax:
-            level = {
-                (*key, i): [w * p for w, p in zip(weights, pairings[i])]
-                for key, weights in level.items()
-                for i in range(key[-1] if key else 0, X.n)
-            }
-    return table
+    weights = [math.prod(boundary_pairing(X.n, v, i) for i in idx) for v in X.normals]
+    return _class_sum(_fiber_partition(X, f), weights)
 
 
 def m2_product(

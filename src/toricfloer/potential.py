@@ -7,8 +7,10 @@ bundle and is confined to this numeric module.
 
 The module has two halves that the test suite plays against each other:
 a numeric one (derivatives of W, a damped Newton search for the critical
-fiber) and an exact one (the formal Hessian, a Novikov-coefficient
-quadratic form whose (i, j) entry is sum_k v_ki * v_kj * T^{e_k} q).
+fiber) and an exact one: the l-table of a fiber, whose degree-m row is
+the exact counterpart of the m-th derivatives of W.  Its degree-1 row is
+(-1)^n times the obstruction form and its degree-2 row is the formal
+Hessian, the quadratic form Q_ij = sum_k v_ki * v_kj * T^{e_k} q.
 The numeric half needs only the standard library: floats in lists.
 """
 
@@ -242,6 +244,37 @@ def _class_sum(partition: Sequence[AreaClass], weights: Sequence[int]) -> Noviko
     return _from_normal(tuple(terms))
 
 
+def boundary_pairing(n: int, normal: Sequence[int], i: int) -> int:
+    """Intersection number of the generator C_i with the disc boundary."""
+    return (-1) ** n * normal[i]
+
+
+def _l_table(
+    X: ToricFano, partition: Sequence[AreaClass], lmax: int
+) -> dict[tuple[int, ...], NovikovElement]:
+    """l(i_1, ..., i_m) for every sorted index tuple of length m <= lmax,
+    keyed and ordered by length, then lexicographically.
+
+    A disc's weight is the product of its boundary pairings, the divisor
+    equation taken as the definition.  Each key extends its prefix's weights
+    by one column of pairings, so it costs one product per facet and one
+    _class_sum.
+    """
+    pairings = [[boundary_pairing(X.n, v, i) for v in X.normals] for i in range(X.n)]
+    table = {}
+    level = {(): [1] * X.num_facets}
+    for m in range(lmax + 1):
+        for key, weights in level.items():
+            table[key] = _class_sum(partition, weights)
+        if m < lmax:
+            level = {
+                (*key, i): [w * p for w, p in zip(weights, pairings[i])]
+                for key, weights in level.items()
+                for i in range(key[-1] if key else 0, X.n)
+            }
+    return table
+
+
 def formal_hessian(X: ToricFano, f: Fiber) -> QuadraticForm:
     """Q_ij = sum_k v_ki * v_kj * T^{e_k(u)} q, exact in the fiber point.
 
@@ -251,11 +284,8 @@ def formal_hessian(X: ToricFano, f: Fiber) -> QuadraticForm:
 
 
 def _hessian(X: ToricFano, partition: Sequence[AreaClass]) -> QuadraticForm:
-    """formal_hessian on an area partition already computed for the fiber."""
-    rows = [[ZERO] * X.n for _ in range(X.n)]
-    for i in range(X.n):
-        for j in range(i, X.n):
-            rows[i][j] = rows[j][i] = _class_sum(
-                partition, [v[i] * v[j] for v in X.normals]
-            )
+    """formal_hessian on an area partition already computed for the fiber:
+    the degree-2 row of its l-table, Q_ij = l(i, j)."""
+    table = _l_table(X, partition, 2)
+    rows = [[table[min(i, j), max(i, j)] for j in range(X.n)] for i in range(X.n)]
     return QuadraticForm(X.n, tuple(map(tuple, rows)))

@@ -130,7 +130,9 @@ def _coordinate_bounds(rows: list[_Row], nvars: int) -> list[tuple[Fraction, Fra
     bounds = []
     for i in range(nvars):
         perm = [i] + [j for j in range(nvars) if j != i]
-        single = _stages([(tuple(a[p] for p in perm), b, s) for a, b, s in rows], nvars)[1]
+        single = [(tuple(a[p] for p in perm), b, s) for a, b, s in rows]
+        for k in range(nvars, 1, -1):  # down to x_i alone, not on to constants
+            single = _eliminate_last(single, k)
         lowers = [b / a[0] for a, b, _s in single if a[0] > 0]
         uppers = [b / a[0] for a, b, _s in single if a[0] < 0]
         if not lowers or not uppers:
@@ -210,13 +212,6 @@ class BalanceResult(NamedTuple):
 # construction and validation
 
 
-def _primitive(v: Sequence[int]) -> bool:
-    g = 0
-    for c in v:
-        g = math.gcd(g, abs(c))
-    return g == 1
-
-
 def make_toric(
     name: str,
     n: int,
@@ -235,7 +230,7 @@ def make_toric(
     for v in vs:
         if len(v) != n:
             raise InvalidPolytope(f"normal {v} does not have dimension {n}")
-        if not _primitive(v):
+        if math.gcd(*v) != 1:
             raise InvalidPolytope(f"facet normal {v} is not primitive")
 
     # raises when the normals do not positively span
@@ -243,6 +238,10 @@ def make_toric(
     witness = _solve_strict([(v, lam, True) for v, lam in zip(vs, lams)], n)
     if witness is None:
         raise InvalidPolytope("polytope has empty interior")
+    # of two facets with one normal, one is redundant: its disc would count twice
+    for k, v in enumerate(vs):
+        if v in vs[:k]:
+            raise InvalidPolytope(f"facets {vs.index(v) + 1} and {k + 1} share the normal {v}")
     return ToricFano(name, n, vs, lams, witness, tuple(bounds))
 
 
@@ -349,12 +348,14 @@ def load_toric(source: Union[str, dict]) -> ToricFano:
 
 
 def _as_fiber(f: Union[Fiber, Sequence[Rational]]) -> Fiber:
-    """f with every coordinate read as Fraction(x), a Fiber's as a sequence's."""
+    """f with every coordinate read as Fraction(x), a Fiber's as a sequence's,
+    and u and the holonomy as tuples, so that the result hashes."""
     if not isinstance(f, Fiber):
         return Fiber(tuple(Fraction(x) for x in f))
-    if all(type(x) is Fraction for x in f.u):
+    hol = None if f.holonomy is None else tuple(f.holonomy)
+    if type(f.u) is tuple and all(type(x) is Fraction for x in f.u) and hol == f.holonomy:
         return f
-    return replace(f, u=tuple(Fraction(x) for x in f.u))
+    return replace(f, u=tuple(Fraction(x) for x in f.u), holonomy=hol)
 
 
 def disc_areas(X: ToricFano, f: Union[Fiber, Sequence[Rational]]) -> tuple[DiscClass, ...]:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricfloer import ChainAlgebra, cli, floer, toric
+from toricfloer import ChainAlgebra, cli, floer, potential, toric
 from toricfloer.cli import CONVENTION_NOTE, main
 from toricfloer.novikov import ZERO, monomial
 
@@ -44,6 +44,33 @@ UNBOUNDED_JSON = json.dumps(
             {"normal": [1, 0], "offset": 0},
             {"normal": [0, 1], "offset": 0},
             {"normal": [1, 1], "offset": 0},
+        ],
+    }
+)
+
+
+# the rectangle [0,2]x[0,1]: two area classes at its solver fiber
+RECT_JSON = json.dumps(
+    {
+        "name": "rect",
+        "dim": 2,
+        "facets": [
+            {"normal": [1, 0], "offset": "0"},
+            {"normal": [-1, 0], "offset": "-2"},
+            {"normal": [0, 1], "offset": "0"},
+            {"normal": [0, -1], "offset": "-1"},
+        ],
+    }
+)
+
+REPEATED_CP1_JSON = json.dumps(
+    {
+        "name": "CP1 with a repeated facet",
+        "dim": 1,
+        "facets": [
+            {"normal": [1], "offset": "0"},
+            {"normal": [1], "offset": "0"},
+            {"normal": [-1], "offset": "-1"},
         ],
     }
 )
@@ -97,7 +124,7 @@ class TestAnalyzeText:
         # l is symmetric: the 85 ordered index tuples of length <= 3 over
         # four axes fall into 35 multisets, one class sum each
         tables, sums_per_table, sums = [], [], []
-        original_table, original_sum = cli._l_table, floer._class_sum
+        original_table, original_sum = cli._l_table, potential._class_sum
 
         def recording(X, partition, lmax):
             start = len(sums)
@@ -110,7 +137,7 @@ class TestAnalyzeText:
             return original_sum(partition, weights)
 
         monkeypatch.setattr(cli, "_l_table", recording)
-        monkeypatch.setattr(floer, "_class_sum", counting)
+        monkeypatch.setattr(potential, "_class_sum", counting)
         code, out, _ = run(
             capsys, "analyze", "--input", "CPn(4)", "--lmax", "3", "--format", "json"
         )
@@ -208,6 +235,50 @@ class TestAnalyzeJson:
             "l_monomial": 0,
             "chain_map_certificate": 0,
         }
+
+    def test_one_l_table_per_run(self, capsys, monkeypatch):
+        # the rank, the Hessian, the Clifford relations and the printed rows
+        # all come from one table; neither per-row helper runs
+        calls = {"_l_table": 0, "_hessian": 0, "_obstruction_form": 0}
+        for module in (potential, floer, cli):
+            for name in calls:
+                if hasattr(module, name):
+                    original = getattr(module, name)
+
+                    def counting(*args, _name=name, _original=original):
+                        calls[_name] += 1
+                        return _original(*args)
+
+                    monkeypatch.setattr(module, name, counting)
+        code, out, _ = run(capsys, "analyze", "--input", "CP2", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["hf_rank"] == 4 and doc["hessian"][0] == ["2*T^{1/3}*q", "T^{1/3}*q"]
+        assert calls == {"_l_table": 1, "_hessian": 0, "_obstruction_form": 0}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--input", "CP2"),
+            ("--input", "CPn(3)", "--fiber", "1/5,1/4,1/3"),
+            ("--input", RECT_JSON),
+        ],
+        ids=["CP2-solver", "CPn3-unbalanced", "rect-solver"],
+    )
+    @pytest.mark.parametrize("lmax", [0, 1])
+    def test_small_lmax_changes_only_the_l_products(self, capsys, argv, lmax):
+        # below lmax 2 the Hessian and relations come from a table built
+        # deeper than the rows printed
+        code, out, _ = run(capsys, "analyze", *argv, "--format", "json")
+        assert code == 0
+        default = json.loads(out)
+        code, out, _ = run(capsys, "analyze", *argv, "--lmax", str(lmax), "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        rows = doc.pop("l_products")
+        assert rows == [r for r in default.pop("l_products") if len(r["indices"]) <= lmax]
+        assert len(rows) == sum(doc["polytope"]["dim"] ** m for m in range(lmax + 1))
+        assert doc == default
 
     def test_rationals_are_strings(self, capsys):
         code, out, _ = run(
@@ -385,6 +456,17 @@ class TestExitCodes:
         code, out, err = run(capsys, "analyze", "--input", "CP2", "--tol", "0")
         assert code == 4 and out == ""
         assert "not below tol=0.0" in err and "above" not in err
+
+    def test_repeated_normal_rejected(self, capsys):
+        code, out, err = run(capsys, "analyze", "--input", REPEATED_CP1_JSON, "--format", "json")
+        assert (code, out) == (2, "")
+        assert err == "error: facets 1 and 2 share the normal (1,)\n"
+
+    def test_scan_has_no_two_pi_flag(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["scan", "--input", "CP2", "--grid", "4", "--two-pi"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --two-pi" in capsys.readouterr().err
 
     def test_zero_counts_accepted(self, capsys):
         code, out, _ = run(

@@ -33,6 +33,7 @@ from toricfloer import (
     make_toric,
     novikov_rank,
     obstruction_form,
+    potential,
     subsets_graded,
     superpotential_derivative,
     twisted_class_sums,
@@ -390,7 +391,7 @@ HEXAGON = make_toric(
 def assert_l_table_matches_l_product(X, f, lmax=4):
     """_l_table holds l_product(X, f, key) for each sorted key of length at
     most lmax, in order of length, then lexicographically."""
-    table = floer._l_table(X, _fiber_partition(X, f), lmax)
+    table = potential._l_table(X, _fiber_partition(X, f), lmax)
     keys = [k for m in range(lmax + 1) for k in combinations_with_replacement(range(X.n), m)]
     assert list(table) == keys
     for key, value in table.items():
@@ -410,7 +411,7 @@ class TestLTable:
     def test_lmax_zero_is_the_obstruction_term(self):
         X = load_toric("CP2")
         f = Fiber((F(1, 4), F(1, 3)))
-        assert floer._l_table(X, _fiber_partition(X, f), 0) == {(): l_product(X, f)}
+        assert potential._l_table(X, _fiber_partition(X, f), 0) == {(): l_product(X, f)}
 
 
 @settings(max_examples=40, deadline=None)
@@ -611,6 +612,20 @@ class TestM2FiberMemo:
 
     def test_memo_is_bounded(self):
         assert floer._fiber_ring.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("holonomy", [None, (0, 0), [0, 0]], ids=["none", "tuple", "list"])
+    @pytest.mark.parametrize("u", [(F(1, 3), F(1, 3)), [F(1, 3), F(1, 3)]], ids=["tuple", "list"])
+    def test_list_valued_fibers_are_accepted(self, u, holonomy):
+        X = load_toric("CP2")
+        c1 = CliffordElement.generator(2, 0)
+        product = m2_product(X, Fiber(u, holonomy=holonomy), c1, c1)
+        assert product == CliffordElement.unit(2) * monomial(1, F(1, 3), 1)
+        assert str(product) == "T^{1/3}*q*[L]"
+
+    def test_nontrivial_list_holonomy_still_raises(self):
+        X = load_toric("CP2")
+        with pytest.raises(ValueError, match="holonomy"):
+            m2_product(X, Fiber([F(1, 3), F(1, 3)], holonomy=[F(1, 4), 0]), UNIT2, UNIT2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -95,6 +95,17 @@ class TestValidation:
         with pytest.raises(InvalidPolytope, match="empty interior"):
             make_toric("bad", 2, [(1, 0), (0, 1), (-1, -1)], [0, 0, 1])
 
+    def test_repeated_normal(self):
+        with pytest.raises(InvalidPolytope, match=r"^facets 1 and 2 share the normal \(1,\)$"):
+            make_toric("bad", 1, [(1,), (1,), (-1,)], [0, 0, -1])
+        with pytest.raises(InvalidPolytope, match=r"^facets 2 and 4 share the normal \(0, 1\)$"):
+            make_toric("bad", 2, [(1, 0), (0, 1), (-1, -1), (0, 1)], [0, 0, -1, -1])
+        # the unbounded and empty-interior verdicts come first
+        with pytest.raises(InvalidPolytope, match="unbounded"):
+            make_toric("bad", 1, [(1,), (1,)], [0, 1])
+        with pytest.raises(InvalidPolytope, match="empty interior"):
+            make_toric("bad", 1, [(1,), (1,), (-1,)], [0, 2, -1])
+
     def test_too_few_facets(self):
         with pytest.raises(InvalidPolytope, match="n\\+1"):
             make_toric("bad", 2, [(1, 0), (-1, 0)], [0, -1])
@@ -115,7 +126,9 @@ class TestValidation:
 class TestValidationMatchesOracle:
     """make_toric's verdict, witness and bounds against the recession-cone
     check it replaced, on random normal sets; many are unbounded, many
-    empty, and some both, which must still read as unbounded."""
+    empty, and some both, which must still read as unbounded.  A valid
+    polytope with a repeated normal, which the oracle accepts, is rejected
+    after both of those checks."""
 
     @staticmethod
     def _verdict(normals, offsets, n):
@@ -124,13 +137,23 @@ class TestValidationMatchesOracle:
         except InvalidPolytope as exc:
             if "unbounded" in str(exc):
                 return "unbounded", None, None
+            if "share the normal" in str(exc):
+                return "repeated", str(exc), None
             assert "empty interior" in str(exc)
             return "empty", None, None
         return "ok", X.interior_point, X.coordinate_bounds()
 
+    @staticmethod
+    def _repeated(normals):
+        """The message for the first facet whose normal an earlier one has."""
+        for k, v in enumerate(normals):
+            if v in normals[:k]:
+                return f"facets {normals.index(v) + 1} and {k + 1} share the normal {v}"
+        return None
+
     def test_random_normal_sets(self):
         rng = random.Random(7)
-        seen = {"unbounded": 0, "empty": 0, "ok": 0}
+        seen = {"unbounded": 0, "empty": 0, "ok": 0, "repeated": 0}
         for _ in range(400):
             n = rng.randint(1, 3)
             size = n + rng.randint(1, 3)
@@ -141,8 +164,13 @@ class TestValidationMatchesOracle:
                     normals.append(v)
             offsets = [F(rng.randint(-6, 3), rng.randint(1, 3)) for _ in normals]
             got = self._verdict(normals, offsets, n)
-            assert got == oracle_validate(normals, offsets, n), (normals, offsets)
+            expected = oracle_validate(normals, offsets, n)
+            repeated = self._repeated(normals)
+            if expected[0] == "ok" and repeated is not None:
+                expected = "repeated", repeated, None
+            assert got == expected, (normals, offsets)
             seen[got[0]] += 1
+        assert seen == {"unbounded": 230, "empty": 61, "ok": 67, "repeated": 42}
         assert min(seen.values()) >= 40, seen
 
     def test_empty_and_unbounded_reads_unbounded(self):
