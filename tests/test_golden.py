@@ -12,7 +12,9 @@ rectangle with rational offsets was recorded before the disc areas, the
 grid test and the Fourier-Motzkin rows moved to integer numerators.  The
 box [0,1]x[0,2]x[0,3], whose solver fiber has three area classes, was
 recorded before analyze read its chain-map block off one degree
-histogram per fiber instead of one certificate per basis monomial.  A
+histogram per fiber instead of one certificate per basis monomial.  The
+scans of a translated CPn(3) and of F1 with a corner cut at 1/3 were
+recorded before scan decided each grid point on integer area numerators.  A
 refactor that keeps the mathematics must keep every byte; a deliberate
 change of output re-records the affected files and says why.
 """
@@ -92,6 +94,17 @@ def _cases() -> dict[str, list[str]]:
             "analyze", "--input", RECT_SHIFTED_JSON, "--fiber", "4/3,3/5",
             "--format", fmt,
         ]
+    # CPn(3) translated by (1/2, 1/3, 1/5): its balanced fiber (3/4, 7/12,
+    # 9/20) lies on the grid of step 1/60, among 32,509 interior points
+    cases["scan_CPn3_shifted_grid60.json"] = [
+        "scan", "--input", CPN3_SHIFTED_JSON, "--grid", "60", "--format", "json",
+    ]
+    # CP2 with one corner cut at 1/3 (F1@1/3): the normals do not sum to
+    # zero, so no fiber is balanced
+    for fmt in ("text", "json"):
+        cases[f"scan_F1_third_grid12.{fmt}"] = [
+            "scan", "--input", F1_THIRD_JSON, "--grid", "12", "--format", fmt,
+        ]
     return cases
 
 
@@ -125,6 +138,14 @@ BOX_123_JSON = _polytope_json(
     [0, -1, 0, -2, 0, -3],
 )
 CP1_FOURTH_JSON = _cube_json(4)
+CPN3_SHIFTED_JSON = _polytope_json(
+    "CPn3_shifted",
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+    [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(-61, 30)],
+)
+F1_THIRD_JSON = _polytope_json(
+    "F1_third", [(1, 0), (1, 1), (0, 1), (-1, -1)], [0, Fraction(1, 3), 0, -1]
+)
 CASES = _cases()
 
 
