@@ -22,7 +22,14 @@ from .errors import (
 from .floer import _hf_rank, _obstruction_form, hf_rank  # noqa: F401
 from .novikov import NovikovElement, _render
 from .potential import _l_table, _w_grad_hess, find_critical_fiber
-from .toric import Fiber, ToricFano, _balance, area_partition, disc_areas, interior_grid
+from .toric import (
+    Fiber,
+    ToricFano,
+    _balance,
+    _grid_alpha_support,
+    area_partition,
+    disc_areas,
+)
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -263,17 +270,13 @@ def cmd_scan(args) -> dict:
     scanned = 0
     balanced_fibers = []
     nonzero_unbalanced = 0
-    for point in interior_grid(X, step):
+    # balance (no class normal sum is nonzero) and rank (alpha's support)
+    # are two tests on the same integer area numerators
+    for j, alpha in _grid_alpha_support(X, step):
         scanned += 1
-        # balance (class normal sums) and rank (alpha's coefficients) are
-        # two independent tests on the same disc areas
-        partition = area_partition(disc_areas(X, Fiber(point)))
-        ok = _balance(X, partition).balanced
-        rank = _hf_rank(X.n, _obstruction_form(X, partition))
-        if ok:
-            balanced_fibers.append(
-                {"u": [str(u) for u in point], "hf_rank": rank}
-            )
+        rank = _hf_rank(X.n, alpha)
+        if not any(alpha):
+            balanced_fibers.append(_certified_fiber(X, tuple(step * ji for ji in j)))
         elif rank != 0:
             nonzero_unbalanced += 1
     doc = {
@@ -284,6 +287,21 @@ def cmd_scan(args) -> dict:
         "unbalanced_points_with_nonzero_rank": nonzero_unbalanced,
     }
     return doc
+
+
+def _certified_fiber(X: ToricFano, point: tuple[Fraction, ...]) -> dict:
+    """scan's entry for a grid point the integer kernel found balanced, on
+    the exact disc areas analyze reads: a polytope has at most one
+    balanced fiber, so this runs at most once per scan."""
+    partition = area_partition(disc_areas(X, Fiber(point)))
+    balanced, sums = _balance(X, partition)
+    if not balanced:
+        raise RuntimeError(
+            f"the grid kernel found {tuple(map(str, point))} balanced, "
+            f"but its exact class normal sums are {sums}"
+        )
+    rank = _hf_rank(X.n, _obstruction_form(X, partition))
+    return {"u": [str(u) for u in point], "hf_rank": rank}
 
 
 def _scan_text(doc: dict) -> list[str]:

@@ -8,7 +8,8 @@ into classes of equal distance, and the balancedness test: every class
 of equidistant facets has normals summing to zero.
 
 The geometry runs on integer numerators and builds one Fraction per
-result (an area, a grid point, a bound), not one per term.  Validation
+result (an area, a grid point, a bound), not one per term; scan's grid
+kernel builds none, and decides each point on its area numerators.  Validation
 and interior-point witnesses use exact Fourier-Motzkin elimination on the
 integer normals with rational right-hand sides, so no tolerance and no
 float enters any decision.
@@ -27,8 +28,10 @@ import os
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iter_product
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from operator import add, mul
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidPolytope, NotInterior, ParseError
 
@@ -145,6 +148,13 @@ def _coordinate_bounds(rows: list[_Row], nvars: int) -> list[tuple[Fraction, Fra
 # polytope data
 
 
+def _state_without_hash(self) -> dict:
+    """The pickled state of an instance that caches its hash: the cache
+    stays behind, since a str or None hashes differently in another
+    process."""
+    return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+
 @dataclass(frozen=True)
 class ToricFano:
     """Facet presentation {u : <u, v_k> >= lambda_k} of a moment polytope."""
@@ -168,6 +178,17 @@ class ToricFano:
     def __str__(self) -> str:
         return f"{self.name}: {self.num_facets} facets in dim {self.n}"
 
+    # m2_product hashes (X, f) on every call to key its memo
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of the compared fields, once per instance."""
+        return hash((self.name, self.n, self.normals, self.offsets))
+
+    __getstate__ = _state_without_hash
+
 
 @dataclass(frozen=True)
 class Fiber:
@@ -186,6 +207,16 @@ class Fiber:
 
     def has_trivial_holonomy(self) -> bool:
         return self.holonomy is None or all(h == 0 for h in self.holonomy)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of the compared fields, once per instance."""
+        return hash((self.u, self.holonomy, self.exact))
+
+    __getstate__ = _state_without_hash
 
 
 @dataclass(frozen=True)
@@ -431,13 +462,68 @@ def _balance(X: ToricFano, partition: Sequence[AreaClass]) -> BalanceResult:
 def interior_grid(X: ToricFano, step: Fraction) -> Iterable[tuple[Fraction, ...]]:
     """Rational grid points with spacing `step` > 0 strictly inside the polytope."""
     step = Fraction(step)
+    for j, _areas in _grid_areas(X, step):
+        yield tuple(step * ji for ji in j)
+
+
+def _grid_areas(X: ToricFano, step: Fraction) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """(j, areas) for each grid index j with j*step strictly inside X, in
+    lexicographic order of j.
+
+    With step = a/b, lambda_k = p_k/q_k and L the lcm of the q_k, facet k
+    has area areas[k] / (b*L) at j*step, areas[k] = a*L*<j, v_k> -
+    b*p_k*(L/q_k).  So the point is inside exactly when every numerator is
+    positive, and two areas are equal exactly when their numerators are.
+    The first n-1 axes walk the coordinate bounds, on which no point is
+    strictly inside; the numerators are affine in the last index, whose
+    interval is read off them with floor division.
+    """
     if step <= 0:
         raise ValueError("step must be positive")
-    # with step = a/b and lambda_k = p/q, step*j is inside iff a*q*<j, v_k> > b*p
     a, b = step.numerator, step.denominator
-    rows = [(v, a * lam.denominator, b * lam.numerator) for v, lam in zip(X.normals, X.offsets)]
-    # a point on a bound is never strictly inside
-    ranges = [range(math.floor(lo / step) + 1, math.ceil(hi / step)) for lo, hi in X.bounds]
-    for j in iter_product(*ranges):
-        if all(c * sum(ji * vi for ji, vi in zip(j, v)) > r for v, c, r in rows):
-            yield tuple(Fraction(a * ji, b) for ji in j)
+    L = math.lcm(*(lam.denominator for lam in X.offsets))
+    scale = a * L
+    shifts = [b * lam.numerator * (L // lam.denominator) for lam in X.offsets]
+    slopes = [scale * v[-1] for v in X.normals]
+    heads = [range(math.floor(lo / step) + 1, math.ceil(hi / step)) for lo, hi in X.bounds[:-1]]
+    for head in iter_product(*heads):
+        # the numerators at last index 0; the normals that make the polytope
+        # bounded give every last axis a lower and an upper row
+        base = [scale * sum(map(mul, head, v)) - s for v, s in zip(X.normals, shifts)]
+        lo = max(-e // d + 1 for e, d in zip(base, slopes) if d > 0)
+        hi = min((e - 1) // -d for e, d in zip(base, slopes) if d < 0)
+        if lo > hi or any(e <= 0 for e, d in zip(base, slopes) if d == 0):
+            continue
+        areas = [e + lo * d for e, d in zip(base, slopes)]
+        for t in range(lo, hi + 1):
+            yield (*head, t), areas
+            areas = list(map(add, areas, slopes))
+
+
+def _grid_alpha_support(
+    X: ToricFano, step: Fraction
+) -> Iterator[tuple[tuple[int, ...], tuple[bool, ...]]]:
+    """(j, support) for each grid index j with j*step strictly inside X.
+
+    support[i] says whether some class of equal-area facets has normals
+    summing to a nonzero i-th coordinate: the axes on which the
+    obstruction form alpha is nonzero, since its terms of different area
+    cannot cancel.  The point is balanced exactly when no axis is set.
+    """
+    n, normals = X.n, X.normals
+    # every class a single facet: the class sums are the normals
+    distinct = _support(n, normals)
+    for j, areas in _grid_areas(X, step):
+        if len(set(areas)) == len(areas):
+            yield j, distinct
+            continue
+        sums: dict[int, tuple[int, ...]] = {}
+        for e, v in zip(areas, normals):
+            s = sums.get(e)
+            sums[e] = v if s is None else tuple(map(add, s, v))
+        yield j, _support(n, sums.values())
+
+
+def _support(n: int, sums: Iterable[tuple[int, ...]]) -> tuple[bool, ...]:
+    sums = list(sums)
+    return tuple(any(s[i] for s in sums) for i in range(n))

@@ -5,7 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from toricfloer import Fiber, chains, cli, disc_areas, load_toric, potential, subsets_graded, toric
+from toricfloer import (
+    Fiber,
+    chains,
+    cli,
+    disc_areas,
+    floer,
+    load_toric,
+    potential,
+    subsets_graded,
+    toric,
+)
 from toricfloer.novikov import ZERO, monomial
 
 BUILTIN_NAMES = ["CP1", "CP2", "CP1xCP1", "CPn(3)"]
@@ -465,3 +475,31 @@ def oracle_coordinate_bounds(rows, nvars):
             raise toric.InvalidPolytope("normals do not positively span, polytope is unbounded")
         bounds.append((max(lowers), min(uppers)))
     return bounds
+
+
+# Test oracle: scan as first written.  Every grid point from the Fraction
+# grid above goes through the exact path: disc areas, the area partition,
+# the class normal sums and the Novikov obstruction form.
+
+
+def oracle_scan(X, grid):
+    """scan's document for X at grid step 1/grid."""
+    scanned = 0
+    balanced_fibers = []
+    nonzero_unbalanced = 0
+    for point in oracle_interior_grid(X, Fraction(1, grid)):
+        scanned += 1
+        partition = toric.area_partition(disc_areas(X, Fiber(point)))
+        ok = toric._balance(X, partition).balanced
+        rank = floer._hf_rank(X.n, floer._obstruction_form(X, partition))
+        if ok:
+            balanced_fibers.append({"u": [str(u) for u in point], "hf_rank": rank})
+        elif rank != 0:
+            nonzero_unbalanced += 1
+    return {
+        "polytope": {"name": X.name, "dim": X.n},
+        "grid": grid,
+        "points_scanned": scanned,
+        "balanced_fibers": balanced_fibers,
+        "unbalanced_points_with_nonzero_rank": nonzero_unbalanced,
+    }

@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,12 +8,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricfloer import ChainAlgebra, cli, floer, potential, toric
 from toricfloer.cli import CONVENTION_NOTE, main
 from toricfloer.novikov import ZERO, monomial
+
+from conftest import oracle_scan
 
 SKEW_JSON = json.dumps(
     {
@@ -323,7 +327,115 @@ def test_f1_fiber_dilates_with_the_polytope(capsys, s):
         assert u == pytest.approx(s * r, rel=1e-9, abs=1e-9)
 
 
+# F1 with one corner of CP2 cut at 1/3.  W has no critical point inside:
+# on the diagonal x = y = s/2 one would solve e^(s-1) = e^(-s/2) + e^(1/3-s),
+# whose left side is below 1 and right side above e^(-1/2) + e^(-2/3) > 1
+# for 1/3 < s < 1, so Newton runs into the facet x + y = 1 and step
+# damping fails.  The max-min LP point (1/3, 1/3) is the exact answer.
+F1_THIRD_JSON = json.dumps(
+    {
+        "name": "F1_third",
+        "dim": 2,
+        "facets": [
+            {"normal": list(v), "offset": c}
+            for v, c in zip([(1, 0), (1, 1), (0, 1), (-1, -1)], ["0", "1/3", "0", "-1"])
+        ],
+    }
+)
+
+
+@pytest.mark.xfail(strict=True, reason="analyze exits 4: W has no interior critical point")
+def test_f1_third_analyzes_at_the_lp_fiber(capsys):
+    code, out, err = run(capsys, "analyze", "--input", F1_THIRD_JSON, "--format", "json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["fiber"]["u"] == ["1/3", "1/3"]
+    assert doc["balanced"] is False
+    assert doc["hf_rank"] == 0
+
+
+def _scan_bases():
+    """(name, normals, offsets, balanced fiber or None): the built-ins, two
+    boxes, CP2 x CP1, F1, F1 cut at 1/3, CP2 blown up at two points and the
+    skew triangle.  The last four have normals that do not sum to zero, so no
+    fiber of theirs is balanced."""
+    F = Fraction
+    cp3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    square = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    cube = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    f1 = [(1, 0), (1, 1), (0, 1), (-1, -1)]
+    return [
+        ("CP1", [(1,), (-1,)], [0, -1], (F(1, 2),)),
+        ("CP2", [(1, 0), (0, 1), (-1, -1)], [0, 0, -1], (F(1, 3), F(1, 3))),
+        ("CP1xCP1", square, [0, -1, 0, -1], (F(1, 2), F(1, 2))),
+        ("CPn(3)", cp3, [0, 0, 0, -1], (F(1, 4),) * 3),
+        ("rect", square, [0, -2, 0, -1], (F(1), F(1, 2))),
+        ("box", cube, [0, -1, 0, -2, 0, -1], (F(1, 2), F(1), F(1, 2))),
+        # the facet x + y <= 1 cuts grid points off the bounding box without
+        # bounding the last axis
+        (
+            "CP2xCP1",
+            [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)],
+            [0, 0, -1, 0, -1],
+            (F(1, 3), F(1, 3), F(1, 2)),
+        ),
+        ("F1", f1, [-1, -1, -1, -1], None),
+        ("F1_third", f1, [0, F(1, 3), 0, -1], None),
+        ("Bl2", [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1)], [-1] * 5, None),
+        ("skew", [(1, 0), (0, 1), (-1, -2)], [0, 0, -2], None),
+    ]
+
+
+@st.composite
+def _scan_inputs(draw, hit: bool):
+    """(polytope JSON, grid, its balanced fiber or None): a base dilated by
+    s and translated by t, offsets s*lambda_k + <t, v_k>.  With hit set, t
+    puts the balanced fiber on the grid; otherwise it lies off the grid."""
+    name, normals, offsets, centre = draw(st.sampled_from(_scan_bases()))
+    n = len(normals[0])
+    s = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2), Fraction(2, 3)]))
+    grid = draw(st.integers(1, 12 if n <= 2 else 4))
+    t = [
+        Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 6))) for _ in range(n)
+    ]
+    fiber = None
+    if centre is not None:
+        fiber = [s * c + ti for c, ti in zip(centre, t)]
+        on_grid = all((x * grid).denominator == 1 for x in fiber)
+        if hit and not on_grid:
+            snapped = [Fraction(math.floor(x * grid), grid) for x in fiber]
+            t = [ti + y - x for ti, x, y in zip(t, fiber, snapped)]
+            fiber = snapped
+        elif not hit:
+            assume(not on_grid)
+    facets = [
+        {"normal": list(v), "offset": str(s * lam + sum(ti * vi for ti, vi in zip(t, v)))}
+        for v, lam in zip(normals, offsets)
+    ]
+    doc = {"name": f"{name} x{s} + {t}", "dim": n, "facets": facets}
+    return json.dumps(doc), grid, fiber
+
+
 class TestScan:
+    @pytest.mark.parametrize("hit", [True, False])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_per_point_oracle(self, hit, data):
+        text, grid, fiber = data.draw(_scan_inputs(hit))
+        doc = cli.cmd_scan(argparse.Namespace(input=text, grid=grid))
+        assert doc == oracle_scan(toric.load_toric(text), grid)
+        expected = [] if fiber is None or not hit else [[str(x) for x in fiber]]
+        assert [b["u"] for b in doc["balanced_fibers"]] == expected
+
+    def test_a_balanced_point_the_exact_path_refutes_raises(self, monkeypatch):
+        # (1/6, 1/6) is inside CP2 and unbalanced
+        def kernel(X, step):
+            yield (1, 1), (False, False)
+
+        monkeypatch.setattr(cli, "_grid_alpha_support", kernel)
+        with pytest.raises(RuntimeError, match=r"\('1/6', '1/6'\)"):
+            cli.cmd_scan(argparse.Namespace(input="CP2", grid=6))
+
     def test_cp2_grid(self, capsys):
         code, out, _ = run(capsys, "scan", "--input", "CP2", "--grid", "12")
         assert code == 0
@@ -355,10 +467,15 @@ class TestScan:
         assert doc["balanced_fibers"] == [{"hf_rank": 2, "u": ["50"]}]
         assert doc["unbalanced_points_with_nonzero_rank"] == 0
 
-    def test_disc_areas_computed_once_per_point(self, capsys, disc_area_calls):
-        code, out, _ = run(capsys, "scan", "--input", "CP2", "--grid", "6", "--format", "json")
+    @pytest.mark.parametrize("grid,balanced", [("6", 1), ("5", 0)])
+    def test_disc_areas_computed_once_per_balanced_fiber(
+        self, capsys, disc_area_calls, grid, balanced
+    ):
+        # the kernel decides every point on integer numerators; only the
+        # balanced one, (1/3, 1/3) on the grid of step 1/6, is certified
+        code, out, _ = run(capsys, "scan", "--input", "CP2", "--grid", grid, "--format", "json")
         assert code == 0
-        assert len(disc_area_calls) == json.loads(out)["points_scanned"] == 10
+        assert len(disc_area_calls) == len(json.loads(out)["balanced_fibers"]) == balanced
 
     def test_rank_is_not_read_off_the_balance_test(self, capsys, monkeypatch):
         # a rank that ignores alpha must show in the count of unbalanced

@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import json
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -359,6 +361,37 @@ def test_str_and_fiber_defaults():
     assert str(X) == "CP2: 3 facets in dim 2"
     f = Fiber((F(1, 3), F(1, 3)))
     assert f.exact and f.holonomy is None and f.has_trivial_holonomy()
+
+
+class TestHashComputedOnce:
+    """ToricFano and Fiber hash by the value of their compared fields, as
+    the dataclass hash does, and compute it once per instance."""
+
+    def test_equal_instances_hash_equal(self):
+        X, Y = load_toric("CP2"), load_toric("CP2")
+        f, g = Fiber((F(1, 3), F(1, 3))), Fiber((F(1, 3), F(1, 3)))
+        assert X is not Y and f is not g
+        assert hash(X) == hash(Y) == hash((X.name, X.n, X.normals, X.offsets))
+        assert hash(f) == hash(g) == hash((f.u, f.holonomy, f.exact))
+
+    def test_replaced_fields_hash_by_their_new_value(self):
+        X = load_toric("CP2")
+        hash(X)
+        offsets = (F(1, 2), F(0), F(-3))
+        Y = dataclasses.replace(X, offsets=offsets)
+        assert hash(Y) == hash((X.name, X.n, X.normals, offsets)) != hash(X)
+        f = Fiber((F(1, 3), F(1, 3)))
+        hash(f)
+        g = dataclasses.replace(f, u=(F(1, 4), F(1, 3)))
+        assert hash(g) == hash(((F(1, 4), F(1, 3)), None, True)) != hash(f)
+
+    def test_pickled_copies_leave_the_hash_behind(self):
+        # a str or None hashes differently in another process
+        for x in (load_toric("CP2"), Fiber((F(1, 3), F(1, 3)))):
+            h = hash(x)
+            y = pickle.loads(pickle.dumps(x))
+            assert y == x and "_hash" not in vars(y)
+            assert hash(y) == h
 
 
 class TestFiberCoordinatesBecomeFractions:
