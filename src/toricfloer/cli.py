@@ -22,14 +22,7 @@ from .errors import (
 from .floer import _hf_rank, _obstruction_form, hf_rank  # noqa: F401
 from .novikov import NovikovElement, _render
 from .potential import _l_table, _w_grad_hess, find_critical_fiber
-from .toric import (
-    Fiber,
-    ToricFano,
-    _balance,
-    _grid_alpha_support,
-    area_partition,
-    disc_areas,
-)
+from .toric import Fiber, ToricFano, _balance, _grid_alpha_support, area_partition, disc_areas
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -270,8 +263,8 @@ def cmd_scan(args) -> dict:
     scanned = 0
     balanced_fibers = []
     nonzero_unbalanced = 0
-    # balance (no class normal sum is nonzero) and rank (alpha's support)
-    # are two tests on the same integer area numerators
+    # alpha's support, read off the integer class normal sums, decides the
+    # balance (it is empty) and, through _hf_rank, the rank
     for j, alpha in _grid_alpha_support(X, step):
         scanned += 1
         rank = _hf_rank(X.n, alpha)

@@ -412,7 +412,7 @@ def _scan_inputs(draw, hit: bool):
         {"normal": list(v), "offset": str(s * lam + sum(ti * vi for ti, vi in zip(t, v)))}
         for v, lam in zip(normals, offsets)
     ]
-    doc = {"name": f"{name} x{s} + {t}", "dim": n, "facets": facets}
+    doc = {"name": name, "dim": n, "facets": facets}
     return json.dumps(doc), grid, fiber
 
 
