@@ -30,23 +30,6 @@ for dimension reasons alone).  Over-dimensional correction terms are
 kept in every expression, never dropped, and the counts are surfaced so
 a report can flag them.
 
-A ChainAlgebra derives T, E = d(T) and reduce(E) once, from its own
-areas, and reads every certificate for a classical P off the degree
-histograms of T, E and P, with no product at all.  That is exact:
-
-* boundary is a derivation that kills l and d, so d(T * P) = E * P;
-* T and E have no l's and d-symbols sort before l-symbols, so the map
-  (m, p) -> m * p from monomials of T or E and of P is injective, adds
-  degrees and carries the sign +1; hence reduce(E * P) = reduce(E) * P;
-* the Novikov ring is a domain, so no product of two nonzero
-  coefficients vanishes.
-
-So E * P has |E| * |P| terms, the terms of T * P or E * P above degree n
-are the pairs of degrees summing past n, and reduce(E) * P vanishes
-exactly when P or reduce(E) does.  The coefficient of Q_S * odds in
-T * P is T_S times that of odds in P, so the filtration is one check on
-the coefficients of T.
-
 Signs, (-1)^n and the shuffle signs of products, boundaries and the
 degenerate-pair reduction, are applied by negating a coefficient, never
 by multiplying it by an integer.
@@ -54,7 +37,6 @@ by multiplying it by an integer.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -99,19 +81,6 @@ def _merge_odds(a: tuple[OddGen, ...], b: tuple[OddGen, ...]):
 def _degree(mono: Monomial) -> int:
     evens, odds = mono
     return len(odds) + 2 * len(evens)
-
-
-def _degree_histogram(e: ChainExpression) -> Counter:
-    """How many monomials of e there are in each degree."""
-    return Counter(_degree(m) for m in e._coeffs)
-
-
-def _pairs_above(hist_a: Counter, hist_b: Counter, n: int) -> int:
-    """The number of pairs of monomials, one counted in each histogram,
-    whose degrees sum past n."""
-    return sum(
-        ca * cb for a, ca in hist_a.items() for b, cb in hist_b.items() if a + b > n
-    )
 
 
 class ChainExpression(_Combination):
@@ -290,29 +259,6 @@ class ChainAlgebra:
             out = out + Q_term * out
         return out
 
-    @cached_property
-    def _tower_differential(self) -> ChainExpression:
-        """E = d(T)."""
-        return self.floer_differential(self._tower)
-
-    @cached_property
-    def _reduced_tower_differential(self) -> ChainExpression:
-        """reduce(E), the normal form of E modulo degenerate pairs."""
-        return self.reduce_degenerate_pairs(self._tower_differential)
-
-    @cached_property
-    def _tower_filtration_ok(self) -> bool:
-        """No coefficient T_S of T lowers a valuation."""
-        return all(c.valuation() >= 0 for c in self._tower._coeffs.values())
-
-    @cached_property
-    def _tower_degrees(self) -> Counter:
-        return _degree_histogram(self._tower)
-
-    @cached_property
-    def _tower_differential_degrees(self) -> Counter:
-        return _degree_histogram(self._tower_differential)
-
     # -- operations -------------------------------------------------------------
 
     def boundary(self, e: ChainExpression) -> ChainExpression:
@@ -401,27 +347,21 @@ class ChainAlgebra:
         return ChainExpression._from_normal(self.dims, out)
 
     def chain_map_certificate(self, P: ChainExpression) -> ChainMapCertificate:
-        """Check that the corrected cycle is closed for the deformed
-        differential, in the strongest sense available symbolically.
-
-        Every field is read off the degree histograms of T, E = d(T) and
-        P, and the verdict off reduce(E), with no chain product.  T and E
-        have no l's, and d-symbols sort before l-symbols, so m * p is
-        injective on pairs of monomials and its sign is +1; the Novikov
-        ring is a domain, so no product of nonzero coefficients vanishes.
-        Hence E * P = d(T * P) has |E| * |P| terms, the overdimensional
-        ones are the pairs of degrees summing past n, and
-        reduce(E) * P = 0 exactly when P = 0 or reduce(E) = 0.  The
-        filtration holds when no T_S * c lowers the valuation of a
-        coefficient c of P: for P != 0, when no T_S does.
+        """Check that the corrected cycle C = T * P is closed for the
+        deformed differential, in the strongest sense available
+        symbolically: E = d(C) reduces to zero modulo degenerate pairs,
+        and no coefficient of C at Q_S * odds has a lower valuation than
+        that of odds in P.
         """
-        self._check_correctable(P)
-        P_degrees = _degree_histogram(P)
-        terms = len(P._coeffs)
-        residual = len(self._tower_differential._coeffs) * terms
-        overdim = _pairs_above(self._tower_differential_degrees, P_degrees, self.n)
-        reduced_to_zero = not terms or not self._reduced_tower_differential
-        filtration_ok = not terms or self._tower_filtration_ok
+        C = self.corrected_cycle(P)
+        E = self.floer_differential(C)
+        reduced_to_zero = not self.reduce_degenerate_pairs(E)
+        filtration_ok = all(
+            c.valuation() >= P._coeffs[((), odds)].valuation()
+            for (_, odds), c in C._coeffs.items()
+        )
+        residual = len(E._coeffs)
+        overdim = len(E.part_above_degree(self.n)._coeffs)
         return ChainMapCertificate(
             holds=reduced_to_zero and filtration_ok,
             residual_terms=residual,
@@ -429,7 +369,7 @@ class ChainAlgebra:
             square_rule_terms=residual - overdim,
             reduced_to_zero=reduced_to_zero,
             filtration_ok=filtration_ok,
-            correction_terms_above_n=_pairs_above(self._tower_degrees, P_degrees, self.n),
+            correction_terms_above_n=len(C.part_above_degree(self.n)._coeffs),
         )
 
     def verify_chain_map(self, P: ChainExpression) -> bool:

@@ -445,6 +445,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except OverflowError as exc:
+        # the exact side takes any rational; the solver, the gradient
+        # column, --numeric and --two-pi need each input as a float
+        print(
+            f"error: input is outside the float range of the numeric side: {exc}",
+            file=sys.stderr,
+        )
+        return EXIT_BAD_INPUT
     try:
         if args.format == "json":
             print(_json_text(doc))

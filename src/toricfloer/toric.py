@@ -369,7 +369,7 @@ def load_toric(source: Union[str, dict]) -> ToricFano:
         )
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     return _from_json_dict(doc)
 

@@ -560,6 +560,31 @@ class TestExitCodes:
             assert code == 2 and "error:" in err and "--tol" in err
             assert out == ""
 
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        # json.loads recurses once per bracket
+        path = tmp_path / "nested.json"
+        path.write_text('{"name": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run(capsys, "analyze", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    # CP1 as [0, 10^400]: every exact step succeeds, but no float holds
+    # the offset; scan is left out, as it would walk all 10^400 points
+    @pytest.mark.parametrize("fiber", [(), ("--fiber", "1")], ids=["solver", "given"])
+    def test_offsets_beyond_float_range(self, capsys, fiber):
+        doc = {
+            "name": "CP1 [0, 10^400]",
+            "dim": 1,
+            "facets": [
+                {"normal": [1], "offset": "0"},
+                {"normal": [-1], "offset": "-1e400"},
+            ],
+        }
+        code, out, err = run(capsys, "analyze", "--input", json.dumps(doc), *fiber)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "outside the float range" in err
+
     def test_zero_tol_accepted(self, capsys):
         # the solver decides whether it can meet tol 0; it is not bad input
         code, _, _ = run(capsys, "analyze", "--input", "CP2", "--tol", "0")
