@@ -14,11 +14,14 @@ box [0,1]x[0,2]x[0,3], whose solver fiber has three area classes, was
 recorded before analyze read its chain-map block off one degree
 histogram per fiber instead of one certificate per basis monomial.  The
 scans of a translated CPn(3) and of F1 with a corner cut at 1/3 were
-recorded before scan decided each grid point on integer area numerators.  A
+recorded before scan decided each grid point on integer area numerators.  The
+scan of the 26-facet polytope with every nonzero normal in {-1,0,1}^3 was
+recorded before validation ran Fourier-Motzkin on integer right-hand sides.  A
 refactor that keeps the mathematics must keep every byte; a deliberate
 change of output re-records the affected files and says why.
 """
 
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -105,6 +108,12 @@ def _cases() -> dict[str, list[str]]:
         cases[f"scan_F1_third_grid12.{fmt}"] = [
             "scan", "--input", F1_THIRD_JSON, "--grid", "12", "--format", fmt,
         ]
+    # 26 facets in dimension 3, beyond the 3n of a smooth Fano polytope:
+    # validation eliminates across every pair of rows, and the seven grid
+    # points hold the balanced centre
+    cases["scan_all26_grid2.json"] = [
+        "scan", "--input", ALL26_JSON, "--grid", "2", "--format", "json",
+    ]
     return cases
 
 
@@ -145,6 +154,11 @@ CPN3_SHIFTED_JSON = _polytope_json(
 )
 F1_THIRD_JSON = _polytope_json(
     "F1_third", [(1, 0), (1, 1), (0, 1), (-1, -1)], [0, Fraction(1, 3), 0, -1]
+)
+ALL26_JSON = _polytope_json(
+    "all26",
+    [v for v in itertools.product((-1, 0, 1), repeat=3) if any(v)],
+    [-1] * 26,
 )
 CASES = _cases()
 
