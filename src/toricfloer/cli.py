@@ -102,10 +102,11 @@ def cmd_analyze(args) -> dict:
     partition = area_partition(classes)
     balanced, class_sums = _balance(X, partition)
     # one table gives the rank (row 1 is (-1)^n alpha), the Hessian and the
-    # Clifford relations (row 2 is Q) and the printed rows (up to --lmax)
+    # Clifford relations (row 2 is Q) and the printed rows (up to --lmax);
+    # each of its values is rendered once
     table = _l_table(X, partition, max(args.lmax, 2))
     rank = _hf_rank(X.n, [table[(i,)] for i in range(X.n)])
-    Q = [[table[min(i, j), max(i, j)] for j in range(X.n)] for i in range(X.n)]
+    text = {key: render_novikov(value, args.two_pi) for key, value in table.items()}
     # the solver's gradient, read at the reported fiber
     grad_norm = max(map(abs, _w_grad_hess(X, [float(u) for u in fiber.u])[1]))
 
@@ -157,20 +158,16 @@ def cmd_analyze(args) -> dict:
         "notes": notes,
     }
 
-    doc["hessian"] = [[render_novikov(q, args.two_pi) for q in row] for row in Q]
+    doc["hessian"] = [[text[min(i, j), max(i, j)] for j in range(X.n)] for i in range(X.n)]
     if balanced:
-        relations = []
-        for i in range(X.n):
-            relations.append(
-                f"C_{i + 1}^2 = {render_novikov(Q[i][i] * Fraction(1, 2), args.two_pi)}"
-            )
-        for i in range(X.n):
-            for j in range(i + 1, X.n):
-                relations.append(
-                    f"C_{i + 1}*C_{j + 1} + C_{j + 1}*C_{i + 1} = "
-                    f"{render_novikov(Q[i][j], args.two_pi)}"
-                )
-        doc["clifford_relations"] = relations
+        doc["clifford_relations"] = [
+            f"C_{i + 1}^2 = {render_novikov(table[i, i] * Fraction(1, 2), args.two_pi)}"
+            for i in range(X.n)
+        ] + [
+            f"C_{i + 1}*C_{j + 1} + C_{j + 1}*C_{i + 1} = {text[i, j]}"
+            for i in range(X.n)
+            for j in range(i + 1, X.n)
+        ]
 
     # l is symmetric in its indices: one value per sorted index tuple,
     # one row per ordered tuple
@@ -178,7 +175,7 @@ def cmd_analyze(args) -> dict:
     for key, value in table.items():
         if len(key) > args.lmax:  # the table is ordered by key length
             break
-        l_columns[key] = {"value": render_novikov(value, args.two_pi)}
+        l_columns[key] = {"value": text[key]}
         if args.numeric:
             l_columns[key]["numeric"] = repr(value.numeric())
     doc["l_products"] = [
@@ -343,10 +340,16 @@ def _write_json(x, newline: str, out: list[str]) -> None:
             return
         inner = newline + "  "
         sep = "{" + inner
-        for key in sorted(x):
+        for key, value in sorted(x.items()):
             # the escape function raises TypeError on a key that is not a str
             out += (sep, _escape_json(key), ": ")
-            _write_json(x[key], inner, out)
+            # the commonest leaves, str and int, are written without a call
+            if type(value) is str:
+                out.append(_escape_json(value))
+            elif type(value) is int:
+                out.append(int.__repr__(value))
+            else:
+                _write_json(value, inner, out)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(x, list):
@@ -356,8 +359,13 @@ def _write_json(x, newline: str, out: list[str]) -> None:
         inner = newline + "  "
         sep = "[" + inner
         for item in x:
-            out.append(sep)
-            _write_json(item, inner, out)
+            if type(item) is str:
+                out += (sep, _escape_json(item))
+            elif type(item) is int:
+                out += (sep, int.__repr__(item))
+            else:
+                out.append(sep)
+                _write_json(item, inner, out)
             sep = "," + inner
         out.append(newline + "]")
     else:

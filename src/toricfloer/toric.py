@@ -9,10 +9,14 @@ of equidistant facets has normals summing to zero.
 
 The geometry runs on integer numerators and builds one Fraction per
 result (an area, a grid point, a bound), not one per term; scan's grid
-kernel builds none, and decides each point on its area numerators.  Validation
-and interior-point witnesses use exact Fourier-Motzkin elimination on the
-integer normals with rational right-hand sides, so no tolerance and no
-float enters any decision.
+kernel builds none, and decides each point on its area numerators.
+Validation is exact Fourier-Motzkin elimination on integer rows: in
+y = L*x, L the lcm of the offset denominators, facet k reads
+<v_k, y> >= L*lambda_k.  A combination of strict rows is strict, so the
+bounds read every row as non-strict and the interior witness every row
+as strict, with no flag per row and no float or tolerance in any
+decision.  The tests check it against a Fraction elimination with a
+strictness flag per row, the oracle in tests/conftest.py.
 Boundedness is read off the n per-axis projections that also give the
 coordinate bounds: eliminating every other variable combines rows by
 their coefficients alone, so axis i lacks a lower or an upper bound
@@ -37,111 +41,92 @@ from .errors import InvalidPolytope, NotInterior, ParseError
 
 Rational = Union[int, Fraction]
 
-# A linear row  sum_i a_i x_i >= b  (strict when the flag is set).
-_Row = tuple[tuple[int, ...], Fraction, bool]
+# A linear row  sum_i a_i y_i >= b  in y = L*x: integer a and b.
+_Row = tuple[tuple[int, ...], int]
 
 
 # ---------------------------------------------------------------------------
-# exact Fourier-Motzkin elimination
+# exact Fourier-Motzkin elimination on integer rows
 
 
 def _eliminate_last(rows: list[_Row], nvars: int) -> list[_Row]:
+    last = nvars - 1
     pos, neg, rest = [], [], []
-    for a, b, s in rows:
-        c = a[nvars - 1]
+    for a, b in rows:
+        c = a[last]
         if c > 0:
-            pos.append((a, b, s))
+            pos.append((a, b))
         elif c < 0:
-            neg.append((a, b, s))
+            neg.append((a, b))
         else:
-            rest.append((a[: nvars - 1], b, s))
-    for ap, bp, sp in pos:
-        cp = ap[nvars - 1]
-        for an, bn, sn in neg:
-            cn = an[nvars - 1]
-            # cp*x + ap'.u >= bp  and  cn*x + an'.u >= bn  with cp>0>cn
-            coeffs = tuple(
-                cp * an[i] - cn * ap[i] for i in range(nvars - 1)
-            )
-            rhs = cp * bn - cn * bp
-            rest.append((coeffs, rhs, sp or sn))
+            rest.append((a[:last], b))
+    for ap, bp in pos:
+        cp = ap[last]
+        for an, bn in neg:
+            cn = an[last]
+            # cp*y + ap'.y' >= bp  and  cn*y + an'.y' >= bn  with cp > 0 > cn
+            rest.append((tuple([cp * an[i] - cn * ap[i] for i in range(last)]), cp * bn - cn * bp))
     return rest
 
 
 def _stages(rows: list[_Row], nvars: int) -> list[list[_Row]]:
-    """systems[k] constrains variables x_0..x_{k-1}; systems[nvars] = input."""
+    """systems[k] constrains y_0..y_k; systems[nvars - 1] = rows."""
     systems = [rows]
-    for k in range(nvars, 0, -1):
+    for k in range(nvars, 1, -1):
         systems.append(_eliminate_last(systems[-1], k))
-    systems.reverse()
-    return systems
+    return systems[::-1]
 
 
-def _consistent(constants: list[_Row]) -> bool:
-    for _a, b, strict in constants:
-        if (b > 0) or (strict and b == 0):
-            return False
-    return True
+def _interval(rows: list[_Row], Y: list[int], D: int):
+    """The tightest lower and upper bounds R/(c*D), c > 0, that rows put on
+    y_k, k = len(Y), at y_i = Y[i]/D for i < k: as (R, c), None if absent."""
+    lo = hi = None
+    for a, b in rows:
+        c = a[len(Y)]
+        R = b * D - sum(map(mul, a, Y))
+        if c > 0 and (lo is None or R * lo[1] > lo[0] * c):
+            lo = (R, c)
+        elif c < 0 and (hi is None or R * hi[1] > hi[0] * c):  # -R/-c below hi
+            hi = (-R, -c)
+    return lo, hi
 
 
-def _pick_inside(lowers, uppers) -> Optional[Fraction]:
-    lo = max((v for v, _ in lowers), default=None)
-    hi = min((v for v, _ in uppers), default=None)
-    if lo is not None and hi is not None:
-        if lo < hi:
-            return (lo + hi) / 2
-        lo_strict = any(s for v, s in lowers if v == lo)
-        hi_strict = any(s for v, s in uppers if v == hi)
-        if lo == hi and not lo_strict and not hi_strict:
-            return lo
-        return None
-    if lo is not None:
-        return lo + 1
-    if hi is not None:
-        return hi - 1
-    return Fraction(0)
-
-
-def _solve_strict(rows: list[_Row], nvars: int) -> Optional[tuple[Fraction, ...]]:
-    """A point satisfying all rows, or None; exact back substitution."""
-    systems = _stages(rows, nvars)
-    if not _consistent(systems[0]):
-        return None
-    values: list[Fraction] = []
-    for k in range(1, nvars + 1):
-        lowers, uppers = [], []
-        for a, b, strict in systems[k]:
-            c = a[k - 1]
-            if c == 0:
-                continue
-            r = b - sum(a[i] * values[i] for i in range(k - 1))
-            if c > 0:
-                lowers.append((r / c, strict))
-            else:
-                uppers.append((r / c, strict))
-        v = _pick_inside(lowers, uppers)
-        if v is None:
-            return None
-        values.append(v)
-    return tuple(values)
-
-
-def _coordinate_bounds(rows: list[_Row], nvars: int) -> list[tuple[Fraction, Fraction]]:
-    """Exact [min, max] of each coordinate over {x : rows}, one projection
-    per axis; raises InvalidPolytope when an axis is unbounded, which the
-    module docstring shows is decided by the normals alone."""
-    bounds = []
-    for i in range(nvars):
+def _coordinate_bounds(rows: list[_Row], nvars: int):
+    """The exact [min, max] of each coordinate over {y : rows}, one
+    projection per axis, as ((R_lo, c_lo), (R_hi, c_hi)) for R/c, and axis
+    0's stages, which the witness reads; raises InvalidPolytope when an
+    axis is unbounded, which the module docstring shows the normals decide."""
+    stages = _stages(rows, nvars)
+    singles = [stages[0]]
+    for i in range(1, nvars):
         perm = [i] + [j for j in range(nvars) if j != i]
-        single = [(tuple(a[p] for p in perm), b, s) for a, b, s in rows]
-        for k in range(nvars, 1, -1):  # down to x_i alone, not on to constants
-            single = _eliminate_last(single, k)
-        lowers = [b / a[0] for a, b, _s in single if a[0] > 0]
-        uppers = [b / a[0] for a, b, _s in single if a[0] < 0]
-        if not lowers or not uppers:
-            raise InvalidPolytope("normals do not positively span, polytope is unbounded")
-        bounds.append((max(lowers), min(uppers)))
-    return bounds
+        singles.append(_stages([(tuple([a[p] for p in perm]), b) for a, b in rows], nvars)[0])
+    bounds = [_interval(single, [], 1) for single in singles]
+    if any(lo is None or hi is None for lo, hi in bounds):
+        raise InvalidPolytope("normals do not positively span, polytope is unbounded")
+    return bounds, stages
+
+
+def _interior_witness(stages: list[list[_Row]]) -> Optional[tuple[list[int], int]]:
+    """A point strictly inside {y : stages[-1]}, as numerators Y over one
+    denominator D, or None when the interior is empty.  Each y_k is the
+    midpoint of its interval given y_0..y_{k-1}, bounded on both sides when
+    the polytope is.  Every row is strict, and so is every combination, so
+    the interior is empty exactly when an interval is."""
+    Y: list[int] = []
+    D = 1
+    for system in stages:
+        (Rl, cl), (Ru, cu) = _interval(system, Y, D)
+        if Rl * cu >= Ru * cl:
+            return None
+        # (Rl/cl + Ru/cu) / (2*D) over the denominator 2*cl*cu*D
+        m = 2 * cl * cu
+        Y = [y * m for y in Y] + [Rl * cu + Ru * cl]
+        D *= m
+        g = math.gcd(D, *Y)
+        Y = [y // g for y in Y]
+        D //= g
+    return Y, D
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +249,21 @@ def make_toric(
         if math.gcd(*v) != 1:
             raise InvalidPolytope(f"facet normal {v} is not primitive")
 
+    # in y = L*x facet k reads <v_k, y> >= L*lambda_k, an integer row
+    L = math.lcm(*(lam.denominator for lam in lams))
+    rows = [(v, lam.numerator * (L // lam.denominator)) for v, lam in zip(vs, lams)]
     # raises when the normals do not positively span
-    bounds = _coordinate_bounds([(v, lam, False) for v, lam in zip(vs, lams)], n)
-    witness = _solve_strict([(v, lam, True) for v, lam in zip(vs, lams)], n)
+    bounds, stages = _coordinate_bounds(rows, n)
+    witness = _interior_witness(stages)
     if witness is None:
         raise InvalidPolytope("polytope has empty interior")
     # of two facets with one normal, one is redundant: its disc would count twice
     for k, v in enumerate(vs):
         if v in vs[:k]:
             raise InvalidPolytope(f"facets {vs.index(v) + 1} and {k + 1} share the normal {v}")
-    return ToricFano(name, n, vs, lams, witness, tuple(bounds))
+    Y, D = witness
+    box = tuple((Fraction(Rl, cl * L), Fraction(Ru, cu * L)) for (Rl, cl), (Ru, cu) in bounds)
+    return ToricFano(name, n, vs, lams, tuple(Fraction(y, D * L) for y in Y), box)
 
 
 def _builtin(name: str) -> Optional[ToricFano]:

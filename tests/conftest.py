@@ -356,6 +356,90 @@ def closed_form_chain_map(n, N, l):
     }
 
 
+# Test oracle: Fourier-Motzkin elimination as toric.py first ran it, on
+# rows  sum_i a_i x_i >= b  (strict when the flag is set) with Fraction
+# right-hand sides, every combination and every back-substituted bound a
+# Fraction, and no row ever dropped.
+
+
+def _oracle_eliminate_last(rows, nvars):
+    pos, neg, rest = [], [], []
+    for a, b, s in rows:
+        c = a[nvars - 1]
+        if c > 0:
+            pos.append((a, b, s))
+        elif c < 0:
+            neg.append((a, b, s))
+        else:
+            rest.append((a[: nvars - 1], b, s))
+    for ap, bp, sp in pos:
+        cp = ap[nvars - 1]
+        for an, bn, sn in neg:
+            cn = an[nvars - 1]
+            # cp*x + ap'.u >= bp  and  cn*x + an'.u >= bn  with cp>0>cn
+            coeffs = tuple(cp * an[i] - cn * ap[i] for i in range(nvars - 1))
+            rest.append((coeffs, cp * bn - cn * bp, sp or sn))
+    return rest
+
+
+def _oracle_stages(rows, nvars):
+    """systems[k] constrains variables x_0..x_{k-1}; systems[nvars] = input."""
+    systems = [rows]
+    for k in range(nvars, 0, -1):
+        systems.append(_oracle_eliminate_last(systems[-1], k))
+    systems.reverse()
+    return systems
+
+
+def _oracle_consistent(constants):
+    for _a, b, strict in constants:
+        if (b > 0) or (strict and b == 0):
+            return False
+    return True
+
+
+def _oracle_pick_inside(lowers, uppers):
+    lo = max((v for v, _ in lowers), default=None)
+    hi = min((v for v, _ in uppers), default=None)
+    if lo is not None and hi is not None:
+        if lo < hi:
+            return (lo + hi) / 2
+        lo_strict = any(s for v, s in lowers if v == lo)
+        hi_strict = any(s for v, s in uppers if v == hi)
+        if lo == hi and not lo_strict and not hi_strict:
+            return lo
+        return None
+    if lo is not None:
+        return lo + 1
+    if hi is not None:
+        return hi - 1
+    return Fraction(0)
+
+
+def oracle_solve_strict(rows, nvars):
+    """A point satisfying all rows, or None; exact back substitution."""
+    systems = _oracle_stages(rows, nvars)
+    if not _oracle_consistent(systems[0]):
+        return None
+    values = []
+    for k in range(1, nvars + 1):
+        lowers, uppers = [], []
+        for a, b, strict in systems[k]:
+            c = a[k - 1]
+            if c == 0:
+                continue
+            r = b - sum(a[i] * values[i] for i in range(k - 1))
+            if c > 0:
+                lowers.append((r / c, strict))
+            else:
+                uppers.append((r / c, strict))
+        v = _oracle_pick_inside(lowers, uppers)
+        if v is None:
+            return None
+        values.append(v)
+    return tuple(values)
+
+
 # Test oracle: polytope validation as first written.  Boundedness is one
 # exact feasibility solve per signed axis on the recession cone
 # {d : <d, v_k> >= 0}, and the coordinate bounds are read per axis.
@@ -370,7 +454,7 @@ def _oracle_coordinate_bounds(normals, offsets, n):
             for v, lam in zip(normals, offsets)
         ]
         lo, hi = None, None
-        for a, b, _s in toric._stages(rows, n)[1]:
+        for a, b, _s in _oracle_stages(rows, n)[1]:
             c = a[0]
             if c > 0:
                 lo = b / c if lo is None else max(lo, b / c)
@@ -387,9 +471,9 @@ def oracle_validate(normals, offsets, n):
     for i in range(n):
         for sign in (1, -1):
             axis = tuple(Fraction(sign if j == i else 0) for j in range(n))
-            if toric._solve_strict(cone + [(axis, Fraction(0), True)], n) is not None:
+            if oracle_solve_strict(cone + [(axis, Fraction(0), True)], n) is not None:
                 return "unbounded", None, None
-    witness = toric._solve_strict(
+    witness = oracle_solve_strict(
         [(tuple(Fraction(c) for c in v), Fraction(lam), True) for v, lam in zip(normals, offsets)],
         n,
     )
@@ -441,34 +525,11 @@ def oracle_fraction_rows(X, strict):
     ]
 
 
-def oracle_solve_strict(rows, nvars):
-    systems = toric._stages(rows, nvars)
-    if not toric._consistent(systems[0]):
-        return None
-    values = []
-    for k in range(1, nvars + 1):
-        lowers, uppers = [], []
-        for a, b, strict in systems[k]:
-            c = a[k - 1]
-            if c == 0:
-                continue
-            r = b - sum(a[i] * values[i] for i in range(k - 1))
-            if c > 0:
-                lowers.append((r / c, strict))
-            else:
-                uppers.append((r / c, strict))
-        v = toric._pick_inside(lowers, uppers)
-        if v is None:
-            return None
-        values.append(v)
-    return tuple(values)
-
-
 def oracle_coordinate_bounds(rows, nvars):
     bounds = []
     for i in range(nvars):
         perm = [i] + [j for j in range(nvars) if j != i]
-        single = toric._stages([(tuple(a[p] for p in perm), b, s) for a, b, s in rows], nvars)[1]
+        single = _oracle_stages([(tuple(a[p] for p in perm), b, s) for a, b, s in rows], nvars)[1]
         lowers = [b / a[0] for a, b, _s in single if a[0] > 0]
         uppers = [b / a[0] for a, b, _s in single if a[0] < 0]
         if not lowers or not uppers:

@@ -1,9 +1,11 @@
 import argparse
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +17,7 @@ from toricfloer import ChainAlgebra, cli, floer, potential, toric
 from toricfloer.cli import CONVENTION_NOTE, main
 from toricfloer.novikov import ZERO, monomial
 
-from conftest import oracle_scan
+from conftest import oracle_formal_hessian, oracle_l_product, oracle_scan
 
 SKEW_JSON = json.dumps(
     {
@@ -293,6 +295,39 @@ class TestAnalyzeJson:
         doc = json.loads(out)
         assert all(isinstance(d["area"], str) for d in doc["disc_areas"])
         assert all(isinstance(r["numeric"], str) for r in doc["l_products"])
+
+    @pytest.mark.parametrize("flags", [[], ["--lmax", "1"], ["--two-pi"]])
+    def test_each_table_value_is_rendered_once(self, capsys, monkeypatch, flags):
+        # the Hessian, the off-diagonal Clifford relations and the printed
+        # rows share one rendering per sorted key of length <= max(lmax, 2);
+        # only the diagonal halves Q_ii/2 of the balanced fiber add calls
+        calls = []
+        original = cli.render_novikov
+
+        def counting(e, two_pi=False):
+            calls.append((str(e), two_pi))
+            return original(e, two_pi)
+
+        monkeypatch.setattr(cli, "render_novikov", counting)
+        code, out, _ = run(capsys, "analyze", "--input", "CPn(4)", "--format", "json", *flags)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["balanced"] is True
+        X = toric.load_toric("CPn(4)")
+        f = toric.Fiber(tuple(Fraction(u) for u in doc["fiber"]["u"]))
+        lmax = int(flags[1]) if "--lmax" in flags else 3
+        two_pi = "--two-pi" in flags
+        keys = [
+            key
+            for m in range(max(lmax, 2) + 1)
+            for key in itertools.combinations_with_replacement(range(X.n), m)
+        ]
+        Q = oracle_formal_hessian(X, f)
+        expected = [(str(oracle_l_product(X, f, key)), two_pi) for key in keys]
+        expected += [(str(Q[i][i] * Fraction(1, 2)), two_pi) for i in range(X.n)]
+        assert len(calls) == len(keys) + X.n
+        assert Counter(calls) == Counter(expected)
+        assert max(len(row["indices"]) for row in doc["l_products"]) == lmax
 
 
 def _f1_json(s: int) -> str:
