@@ -22,7 +22,7 @@ from .errors import (
 from .floer import _hf_rank, _obstruction_form, hf_rank  # noqa: F401
 from .novikov import NovikovElement, _render
 from .potential import _l_table, _w_grad_hess, find_critical_fiber
-from .toric import Fiber, ToricFano, _balance, _grid_alpha_support, area_partition, disc_areas
+from .toric import Fiber, ToricFano, _balance, _grid_alpha_support, _parse_rational, area_partition, disc_areas
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -50,7 +50,7 @@ def render_novikov(e: NovikovElement, two_pi: bool = False) -> str:
 
 def _parse_fiber_arg(arg: str, n: int) -> Fiber:
     try:
-        coords = tuple(Fraction(p.strip()) for p in arg.split(","))
+        coords = tuple(_parse_rational(p.strip()) for p in arg.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"cannot parse fiber point {arg!r}: {exc}") from exc
     if len(coords) != n:

@@ -8,6 +8,11 @@ so the anticommutator convention C_i C_j + C_j C_i = Q_ij holds for all
 pairs, including the diagonal.  Basis words C_S are indexed by sorted
 index subsets S, with the empty subset playing the unit [L].  Setting
 every Q entry to zero degenerates the product to the exterior algebra.
+
+cl_mul multiplies on the right, one generator at a time: C_S * C_T is C_S
+times C_{t_1}, then C_{t_2}, and so on.  The at most |w| + 1 terms of
+C_w * C_i carry int signs, so no coefficient is multiplied by +-1, and
+each form keeps them in a table keyed by (w, i): at most n * 2^n entries.
 """
 
 from __future__ import annotations
@@ -89,53 +94,58 @@ class CliffordElement(_Combination):
         return hash((self.n, tuple(self.items())))
 
 
-def _word_normal_form(
-    Q: QuadraticForm, word: tuple[int, ...]
-) -> tuple[tuple[Subset, NovikovElement], ...]:
-    """Rewrite a generator word into the sorted-subset basis.
+def _times_generator(
+    Q: QuadraticForm, w: Subset, i: int
+) -> tuple[tuple[Subset, int, NovikovElement | None], ...]:
+    """C_w * C_i as (subset, sign, factor) terms, factor None for 1.
 
-    Each pending word carries the sign of the transpositions that produced
-    it, applied once when the sorted word is added to the result.
-    """
-    half = Q._half_diagonal
-    out: dict[Subset, NovikovElement] = {}
-    stack: list[tuple[list[int], NovikovElement, int]] = [(list(word), ONE, 1)]
-    while stack:
-        w, c, sign = stack.pop()
-        pos = next((p for p in range(len(w) - 1) if w[p] >= w[p + 1]), None)
-        if pos is None:
-            key = tuple(w)
-            acc = out.get(key, ZERO) + (c if sign > 0 else -c)
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-            continue
-        a, b = w[pos], w[pos + 1]
-        rest = w[:pos] + w[pos + 2 :]
-        if a == b:
-            if half[a]:
-                stack.append((rest, c * half[a], sign))
-        else:
-            stack.append((w[:pos] + [b, a] + w[pos + 2 :], c, -sign))
-            q = Q.entry(a, b)
-            if q:
-                stack.append((rest, c * q, sign))
-    return tuple(sorted(out.items()))
+    C_i moves left past each larger index w_j, flipping the sign and
+    leaving sign * Q_{w_j,i} * C_{w - w_j}; it ends as sign * C_{w + i},
+    or as sign * (Q_ii / 2) * C_{w - i}.  Zero factors leave no term."""
+    out = []
+    sign = 1
+    j = len(w)
+    while j and w[j - 1] >= i:
+        j -= 1
+        rest = w[:j] + w[j + 1 :]
+        if w[j] == i:
+            half = Q.entries[i][i] * Fraction(1, 2)
+            return (*out, (rest, sign, half)) if half else tuple(out)
+        if Q.entries[w[j]][i]:
+            out.append((rest, sign, Q.entries[w[j]][i]))
+        sign = -sign
+    out.append((w[:j] + (i,) + w[j:], sign, None))
+    return tuple(out)
 
 
 def cl_mul(Q: QuadraticForm, x: CliffordElement, y: CliffordElement) -> CliffordElement:
-    """Product in Cl(Q); with Q = 0 this is the exterior (wedge) product."""
+    """Product in Cl(Q), by the right action of each generator of y's
+    words through Q's table; with Q = 0 this is the exterior (wedge) product."""
     if not (Q.n == x.n == y.n):
         raise DimensionMismatch(
             f"dimension mismatch: Q has n={Q.n}, factors n={x.n}, n={y.n}"
         )
+    table = Q._generator_terms
     out: dict[Subset, NovikovElement] = {}
-    for sx, cx in x._coeffs.items():
-        for sy, cy in y._coeffs.items():
-            c = cx * cy
-            for subset, unit_coeff in _word_normal_form(Q, sx + sy):
-                out[subset] = out.get(subset, ZERO) + c * unit_coeff
+    for sy, cy in y._coeffs.items():
+        terms = x._coeffs if cy == ONE else {w: c * cy for w, c in x._coeffs.items()}
+        for i in sy:
+            step: dict[Subset, NovikovElement] = {}
+            for w, c in terms.items():
+                key = (w, i)
+                action = table.get(key)
+                if action is None:
+                    action = table[key] = _times_generator(Q, w, i)
+                for subset, sign, factor in action:
+                    term = c if factor is None else c * factor
+                    acc = step.get(subset)
+                    if acc is None:
+                        step[subset] = term if sign > 0 else -term
+                    else:
+                        step[subset] = acc + term if sign > 0 else acc - term
+            terms = step
+        for subset, c in terms.items():
+            out[subset] = out.get(subset, ZERO) + c
     return CliffordElement._from_normal(x.n, out)
 
 

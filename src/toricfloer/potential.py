@@ -218,6 +218,7 @@ class QuadraticForm:
                         )
 
     @classmethod
+    @functools.lru_cache
     def zero(cls, n: int) -> "QuadraticForm":
         return cls(n, tuple(tuple(ZERO for _ in range(n)) for _ in range(n)))
 
@@ -225,9 +226,10 @@ class QuadraticForm:
         return self.entries[i][j]
 
     @functools.cached_property
-    def _half_diagonal(self) -> tuple[NovikovElement, ...]:
-        """Q_ii / 2 for each i, the square of the Clifford generator C_i."""
-        return tuple(self.entries[i][i] * Fraction(1, 2) for i in range(self.n))
+    def _generator_terms(self) -> dict:
+        """C_w * C_i in Cl(Q) for each (w, i) a product has needed, as
+        clifford._times_generator computes it: at most n * 2^n entries."""
+        return {}
 
 
 def _class_sum(partition: Sequence[AreaClass], weights: Sequence[int]) -> NovikovElement:

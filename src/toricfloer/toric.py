@@ -30,6 +30,7 @@ import json
 import math
 import os
 import re
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -289,6 +290,30 @@ def _builtin(name: str) -> Optional[ToricFano]:
     return None
 
 
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def _parse_rational(text: str) -> Fraction:
+    """Fraction(text), refused with ValueError when its numerator or
+    denominator has more digits than int() reads from a string
+    (sys.get_int_max_str_digits(), no limit when 0): no report could print
+    it.  Without an exponent, no such number has more digits than the text
+    has characters.  An exponent of 3 * limit or more is refused before
+    Fraction builds its power of ten: it leaves more than limit digits
+    unless the mantissa, of at most 2 * limit digits, is 0."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # before 3.10.7: no limit
+    exponent = _EXPONENT.search(text)
+    if limit and exponent and abs(int(exponent.group(1))) >= 3 * limit:
+        raise ValueError(f"exponent beyond the {limit}-digit limit")
+    x = Fraction(text)
+    if limit and (exponent or len(text) > limit):
+        m = max(abs(x.numerator), x.denominator)
+        # 2^(3 * limit) < 10^limit, so only a longer m can have too many digits
+        if m.bit_length() > 3 * limit and m >= 10**limit:
+            raise ValueError(f"numerator or denominator has more than {limit} digits")
+    return x
+
+
 def _from_json_dict(doc: dict) -> ToricFano:
     if not isinstance(doc, dict):
         raise ParseError("polytope document must be a JSON object")
@@ -323,9 +348,9 @@ def _from_json_dict(doc: dict) -> ToricFano:
             )
         if isinstance(offset, str):
             try:
-                offset = Fraction(offset)
+                offset = _parse_rational(offset)
             except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"cannot parse offset {offset!r}") from exc
+                raise ParseError(f"cannot parse offset {offset!r}: {exc}") from exc
         elif not isinstance(offset, int) or isinstance(offset, bool):
             raise ParseError("offsets must be rational strings or integers")
         normals.append(tuple(normal))
@@ -359,7 +384,8 @@ def load_toric(source: Union[str, dict]) -> ToricFano:
         )
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer beyond the digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     return _from_json_dict(doc)
 

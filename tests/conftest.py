@@ -1,11 +1,13 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from toricfloer import (
+    CliffordElement,
     Fiber,
     chains,
     cli,
@@ -16,7 +18,7 @@ from toricfloer import (
     subsets_graded,
     toric,
 )
-from toricfloer.novikov import ZERO, monomial
+from toricfloer.novikov import ONE, ZERO, monomial
 
 BUILTIN_NAMES = ["CP1", "CP2", "CP1xCP1", "CPn(3)"]
 
@@ -39,6 +41,15 @@ def disc_area_calls(monkeypatch):
     for module in (toric, potential, cli):
         monkeypatch.setattr(module, "disc_areas", counting)
     return calls
+
+
+@pytest.fixture
+def digit_limit():
+    """sys.get_int_max_str_digits() pinned to its default, 4300, for one test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
 
 
 def balanced_fiber(X):
@@ -238,6 +249,51 @@ def assert_clifford_normal(x) -> None:
         assert all(a < b for a, b in zip(subset, subset[1:]))
         assert c
         assert_normal(c)
+
+
+# Test oracle: the Clifford product as clifford.py first ran it.  Each
+# pair of basis words is joined and bubble-sorted on a stack: swapping a
+# descent flips the pending sign and leaves a Q_ab term without the pair,
+# and a repeated generator becomes Q_aa / 2.
+
+
+def _oracle_word_normal_form(Q, word):
+    half = [Q.entry(a, a) * Fraction(1, 2) for a in range(Q.n)]
+    out = {}
+    stack = [(list(word), ONE, 1)]
+    while stack:
+        w, c, sign = stack.pop()
+        pos = next((p for p in range(len(w) - 1) if w[p] >= w[p + 1]), None)
+        if pos is None:
+            key = tuple(w)
+            acc = out.get(key, ZERO) + (c if sign > 0 else -c)
+            if acc:
+                out[key] = acc
+            else:
+                out.pop(key, None)
+            continue
+        a, b = w[pos], w[pos + 1]
+        rest = w[:pos] + w[pos + 2 :]
+        if a == b:
+            if half[a]:
+                stack.append((rest, c * half[a], sign))
+        else:
+            stack.append((w[:pos] + [b, a] + w[pos + 2 :], c, -sign))
+            q = Q.entry(a, b)
+            if q:
+                stack.append((rest, c * q, sign))
+    return sorted(out.items())
+
+
+def oracle_cl_mul(Q, x, y):
+    """x * y in Cl(Q), one rewritten word per pair of basis words."""
+    out = {}
+    for sx, cx in x.items():
+        for sy, cy in y.items():
+            c = cx * cy
+            for subset, unit_coeff in _oracle_word_normal_form(Q, sx + sy):
+                out[subset] = out.get(subset, ZERO) + c * unit_coeff
+    return CliffordElement(x.n, out)
 
 
 def oracle_reduce_degenerate_pairs(A, e):

@@ -82,6 +82,25 @@ REPEATED_CP1_JSON = json.dumps(
 )
 
 
+# CP1 as [-10^-5000, 1]: the offset is exact, but has 5001 digits
+CP1_TINY_OFFSET_JSON = json.dumps(
+    {
+        "name": "CP1 tiny offset",
+        "dim": 1,
+        "facets": [
+            {"normal": [1], "offset": "-1e-5000"},
+            {"normal": [-1], "offset": "-1"},
+        ],
+    }
+)
+
+# the same length as an integer: the JSON parser's int() meets the limit
+CP1_HUGE_INT_OFFSET_JSON = (
+    '{"name": "CP1 huge", "dim": 1, "facets": [{"normal": [1], "offset": 0}, '
+    '{"normal": [-1], "offset": -1' + "0" * 5000 + "}]}"
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -619,6 +638,50 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "outside the float range" in err
+
+    # Fraction reads "1e-5000" without the digit limit that int() and str()
+    # apply to decimal text, so no report could print such a number; an
+    # exponent that size is refused before Fraction builds its power of ten
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--input", "CP1", "--fiber", "1e-5000"),
+            ("analyze", "--input", "CP2", "--fiber", "1/3,1e-5000"),
+            ("analyze", "--input", "CP1", "--fiber", "1e-10000000"),
+            ("analyze", "--input", "CP1", "--fiber", "0e99999999"),
+            # no exponent: 4300 decimals, over a denominator of 10^4300
+            ("analyze", "--input", "CP1", "--fiber", "0." + "0" * 4299 + "1"),
+            ("analyze", "--input", CP1_TINY_OFFSET_JSON),
+            ("analyze", "--input", CP1_TINY_OFFSET_JSON, "--fiber", "1/2"),
+            ("scan", "--input", CP1_TINY_OFFSET_JSON, "--grid", "2"),
+            ("analyze", "--input", CP1_HUGE_INT_OFFSET_JSON),
+        ],
+        ids=[
+            "fiber", "second-coordinate", "fiber-exponent", "zero-exponent", "long-decimal",
+            "offset-solver", "offset-given", "offset-scan", "int-offset",
+        ],
+    )
+    def test_rationals_beyond_the_digit_limit(self, capsys, digit_limit, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_digit_limit_is_inclusive(self, capsys, digit_limit):
+        # 10^(limit - 1) has limit digits, 10^limit one more
+        code, out, err = run(
+            capsys, "analyze", "--input", "CP1", "--fiber", f"1e-{digit_limit - 1}", "--format", "json"
+        )
+        assert code == 0 and not err
+        assert json.loads(out)["fiber"]["u"] == [f"1/1{'0' * (digit_limit - 1)}"]
+        code, out, err = run(capsys, "analyze", "--input", "CP1", "--fiber", f"1e-{digit_limit}")
+        assert (code, out) == (2, "")
+        assert f"more than {digit_limit} digits" in err
+
+    def test_no_digit_limit(self, capsys, digit_limit):
+        sys.set_int_max_str_digits(0)
+        code, out, err = run(capsys, "analyze", "--input", "CP1", "--fiber", "1e-5000", "--format", "json")
+        assert code == 0 and not err
+        assert json.loads(out)["fiber"]["u"] == [f"1/1{'0' * 5000}"]
 
     def test_zero_tol_accepted(self, capsys):
         # the solver decides whether it can meet tol 0; it is not bad input

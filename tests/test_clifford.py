@@ -1,8 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricfloer import (
     CliffordElement,
@@ -15,7 +18,7 @@ from toricfloer import (
 )
 from toricfloer.novikov import ONE, ZERO, NovikovElement, monomial
 
-from conftest import assert_clifford_normal, balanced_fiber
+from conftest import assert_clifford_normal, balanced_fiber, oracle_cl_mul
 
 T13 = monomial(1, F(1, 3), 1)
 
@@ -198,6 +201,81 @@ class TestAlgebraLaws:
             cl_mul(Q, CliffordElement.unit(1), CliffordElement.unit(2))
         with pytest.raises(DimensionMismatch):
             cl_mul(Q, CliffordElement.unit(3), CliffordElement.unit(3))
+
+
+# disc-area form entries: 0 to 3 terms at distinct T exponents, each with q^1
+form_entries = st.lists(
+    st.tuples(
+        st.integers(-3, 3).filter(bool),
+        st.fractions(min_value=0, max_value=3, max_denominator=3),
+    ),
+    max_size=3,
+    unique_by=lambda term: term[1],
+).map(lambda terms: NovikovElement([(c, t, 1) for c, t in terms]))
+
+coefficients = st.lists(
+    st.tuples(
+        st.integers(-3, 3),
+        st.fractions(min_value=0, max_value=3, max_denominator=3),
+        st.integers(0, 2),
+    ),
+    max_size=3,
+).map(NovikovElement)
+
+
+@st.composite
+def forms_and_factors(draw):
+    """A random symmetric form with n <= 5, maybe with a zero diagonal, and
+    two elements of its Clifford algebra with multi-term coefficients."""
+    n = draw(st.integers(1, 5))
+    zero_diagonal = draw(st.booleans())
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or not zero_diagonal:
+                rows[i][j] = rows[j][i] = draw(form_entries)
+    Q = QuadraticForm(n, tuple(map(tuple, rows)))
+    element = st.dictionaries(
+        st.sets(st.integers(0, n - 1)).map(lambda s: tuple(sorted(s))), coefficients, max_size=3
+    ).map(lambda coeffs: CliffordElement(n, coeffs))
+    return Q, draw(element), draw(element)
+
+
+class TestAgainstRewritingOracle:
+    """cl_mul multiplies on the right one generator at a time through a
+    per-form table; the oracle bubble-sorts each joined word instead."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(forms_and_factors())
+    def test_random_forms(self, case):
+        Q, x, y = case
+        assert cl_mul(Q, x, y) == oracle_cl_mul(Q, x, y)
+
+    def test_cpn4_basis_table(self):
+        X = load_toric("CPn(4)")
+        Q = builtin_form(X)
+        subsets = [s for r in range(5) for s in combinations(range(4), r)]
+        for s1 in subsets:
+            for s2 in subsets:
+                x = CliffordElement.basis_element(4, s1)
+                y = CliffordElement.basis_element(4, s2)
+                assert cl_mul(Q, x, y) == oracle_cl_mul(Q, x, y)
+
+    def test_table_belongs_to_its_form(self):
+        Q = builtin_form(load_toric("CPn(3)"))
+        rows = [list(row) for row in Q.entries]
+        rows[0][1] = rows[1][0] = Q.entry(0, 1) + monomial(-2, F(1, 2), 1)
+        R = dataclasses.replace(Q, entries=tuple(map(tuple, rows)))
+        subsets = [s for r in range(4) for s in combinations(range(3), r)]
+        for s1 in subsets:
+            for s2 in subsets:
+                x = CliffordElement.basis_element(3, s1)
+                y = CliffordElement.basis_element(3, s2)
+                for form in (Q, R):
+                    assert cl_mul(form, x, y) == oracle_cl_mul(form, x, y)
+        # every (w, i) is the basis pair (C_w, C_i), and no other key exists
+        assert len(Q._generator_terms) == len(R._generator_terms) == 3 * 2**3
+        assert dataclasses.replace(Q)._generator_terms == {}
 
 
 def wedge_sign(s1, s2):

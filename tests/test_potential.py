@@ -295,3 +295,7 @@ class TestQuadraticFormValidation:
     def test_zero_form(self):
         Q = QuadraticForm.zero(3)
         assert all(Q.entry(i, j) == ZERO for i in range(3) for j in range(3))
+
+    def test_zero_form_is_built_once_per_dimension(self):
+        assert QuadraticForm.zero(3) is QuadraticForm.zero(3)
+        assert QuadraticForm.zero(2) is not QuadraticForm.zero(3)

@@ -226,6 +226,13 @@ class TestJsonLoading:
         with pytest.raises(ParseError, match="cannot parse offset"):
             load_toric(doc)
 
+    @pytest.mark.parametrize("offset", ["-1e-5000", "1e5000", "-1e-10000000"])
+    def test_offset_beyond_the_digit_limit(self, digit_limit, offset):
+        doc = json.loads(json.dumps(RECT_DOC))
+        doc["facets"][0]["offset"] = offset
+        with pytest.raises(ParseError, match="cannot parse offset"):
+            load_toric(doc)
+
     @pytest.mark.parametrize("key", ["name", "dim", "facets"])
     def test_missing_keys(self, key):
         doc = json.loads(json.dumps(RECT_DOC))
