@@ -21,8 +21,8 @@ from .errors import (
 # hf_rank stays bound here: the benchmark's tracer test resolves cli.hf_rank
 from .floer import _hf_rank, _obstruction_form, hf_rank  # noqa: F401
 from .novikov import NovikovElement, _render
-from .potential import _l_table, _w_grad_hess, find_critical_fiber
-from .toric import Fiber, ToricFano, _balance, _grid_alpha_support, _parse_rational, area_partition, disc_areas
+from .potential import _gradient, _l_table, find_critical_fiber
+from .toric import Fiber, ToricFano, _balance, _digit_limit, _grid_alpha_support, _over_digit_limit, _parse_rational, area_partition, disc_areas
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -100,6 +100,15 @@ def cmd_analyze(args) -> dict:
 
     classes = disc_areas(X, fiber)
     partition = area_partition(classes)
+    # the areas are the only derived rationals printed: every other value
+    # is an integer, a half or an area exponent
+    limit = _digit_limit()
+    for area, _idxs in partition:
+        if _over_digit_limit(area, limit):
+            raise ParseError(
+                f"a disc area at this fiber has more than {limit} digits "
+                "in its numerator or denominator and cannot be printed"
+            )
     balanced, class_sums = _balance(X, partition)
     # one table gives the rank (row 1 is (-1)^n alpha), the Hessian and the
     # Clifford relations (row 2 is Q) and the printed rows (up to --lmax);
@@ -108,7 +117,7 @@ def cmd_analyze(args) -> dict:
     rank = _hf_rank(X.n, [table[(i,)] for i in range(X.n)])
     text = {key: render_novikov(value, args.two_pi) for key, value in table.items()}
     # the solver's gradient, read at the reported fiber
-    grad_norm = max(map(abs, _w_grad_hess(X, [float(u) for u in fiber.u])[1]))
+    grad_norm = max(map(abs, _gradient(X, [float(u) for u in fiber.u])))
 
     notes = [CONVENTION_NOTE]
     if args.two_pi:
@@ -170,19 +179,22 @@ def cmd_analyze(args) -> dict:
         ]
 
     # l is symmetric in its indices: one value per sorted index tuple,
-    # one row per ordered tuple
-    l_columns: dict[tuple[int, ...], dict] = {}
-    for key, value in table.items():
-        if len(key) > args.lmax:  # the table is ordered by key length
-            break
-        l_columns[key] = {"value": text[key]}
-        if args.numeric:
-            l_columns[key]["numeric"] = repr(value.numeric())
-    doc["l_products"] = [
-        {"indices": [i + 1 for i in idx], **l_columns[tuple(sorted(idx))]}
+    # one row per ordered tuple, keyed by the 1-based indices it prints
+    keys = [key for key in table if len(key) <= args.lmax]
+    value = {tuple(i + 1 for i in key): text[key] for key in keys}
+    rows = [
+        (list(idx), tuple(sorted(idx)))
         for m in range(args.lmax + 1)
-        for idx in iter_product(range(X.n), repeat=m)
+        for idx in iter_product(range(1, X.n + 1), repeat=m)
     ]
+    if args.numeric:
+        numeric = {tuple(i + 1 for i in key): repr(table[key].numeric()) for key in keys}
+        doc["l_products"] = [
+            {"indices": idx, "numeric": numeric[key], "value": value[key]}
+            for idx, key in rows
+        ]
+    else:
+        doc["l_products"] = [{"indices": idx, "value": value[key]} for idx, key in rows]
 
     if balanced:
         # balanced, and disc_areas found every area positive: the two
@@ -324,17 +336,9 @@ def _json_text(doc) -> str:
 
 
 def _write_json(x, newline: str, out: list[str]) -> None:
-    if isinstance(x, str):
-        out.append(_escape_json(x))
-    elif x is None:
-        out.append("null")
-    elif x is True:
-        out.append("true")
-    elif x is False:
-        out.append("false")
-    elif isinstance(x, int):
-        out.append(int.__repr__(x))
-    elif isinstance(x, dict):
+    # dicts and lists first: the branches below write their str and int
+    # leaves inline, so nearly every call is for a container
+    if type(x) is dict:
         if not x:
             out.append("{}")
             return
@@ -352,7 +356,7 @@ def _write_json(x, newline: str, out: list[str]) -> None:
                 _write_json(value, inner, out)
             sep = "," + inner
         out.append(newline + "}")
-    elif isinstance(x, list):
+    elif type(x) is list:
         if not x:
             out.append("[]")
             return
@@ -368,6 +372,16 @@ def _write_json(x, newline: str, out: list[str]) -> None:
                 _write_json(item, inner, out)
             sep = "," + inner
         out.append(newline + "]")
+    elif isinstance(x, str):
+        out.append(_escape_json(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
     else:
         raise TypeError(f"cannot write {type(x).__name__} as JSON")
 

@@ -54,10 +54,17 @@ def _frac(x: Rational) -> Fraction:
 
 
 def _fmt_exp(x) -> str:
-    s = str(x)
-    if len(s) == 1 and s.isdigit():
-        return s
-    return "{" + s + "}"
+    """A rational exponent as printed after ^: bare if a single digit,
+    else in braces."""
+    num, den = x.as_integer_ratio()
+    if den != 1:
+        return f"{{{num}/{den}}}"
+    return str(num) if 0 <= num <= 9 else f"{{{num}}}"
+
+
+def _t_power(t: Fraction) -> str:
+    e = _fmt_exp(t)
+    return "T" if e == "1" else f"T^{e}"
 
 
 class NovikovElement:
@@ -168,6 +175,9 @@ class NovikovElement:
         x, y = (other, self) if len(self._terms) == 1 else (self, other)
         a, b = x._terms, y._terms
         if len(b) == 1:
+            if len(a) == 1 and not a[0][2] and not a[0][1] and a[0][0] == 1:
+                # x is the unit, and y the operand to return
+                return y
             # one term shifts every exponent alike: the order is kept
             c2, t2, q2 = b[0]
             if c2 != 1:
@@ -257,7 +267,7 @@ class NovikovElement:
     # -- rendering -------------------------------------------------------
 
     def __str__(self) -> str:
-        return _render(self, lambda t: "T" if t == 1 else f"T^{_fmt_exp(t)}")
+        return _render(self, _t_power)
 
     def __repr__(self) -> str:
         return f"NovikovElement[{self}]"
@@ -276,27 +286,36 @@ def _from_normal(terms: tuple) -> NovikovElement:
 
 
 def _render(x: NovikovElement, t_text: Callable[[Fraction], str]) -> str:
-    """x as a signed sum of terms; t_text(t) spells T^t for t != 0."""
+    """x as a signed sum of terms; t_text(t) spells T^t for t != 0.
+
+    Each coefficient is printed from its integer numerator and
+    denominator, as str(Fraction) spells it."""
     if not x._terms:
         return "0"
-    pieces = []
+    parts = []
     for coeff, t, q in x._terms:
-        tpart = "" if t == 0 else t_text(t)
-        qpart = "" if q == 0 else ("q" if q == 1 else f"q^{_fmt_exp(q)}")
-        core = "*".join(p for p in (tpart, qpart) if p)
-        mag = abs(coeff)
-        if core and mag == 1:
-            body = core
-        elif core:
-            body = f"{mag}*{core}"
+        num, den = coeff.as_integer_ratio()
+        if num < 0:
+            parts.append(" - ")
+            num = -num
         else:
-            body = str(mag)
-        pieces.append((coeff < 0, body))
-    first_neg, first = pieces[0]
-    out = ("-" if first_neg else "") + first
-    for neg, body in pieces[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
+            parts.append(" + ")
+        if q:
+            qpart = "q" if q == 1 else f"q^{_fmt_exp(q)}"
+            core = f"{t_text(t)}*{qpart}" if t else qpart
+        elif t:
+            core = t_text(t)
+        else:
+            parts.append(str(num) if den == 1 else f"{num}/{den}")
+            continue
+        if den != 1:
+            parts.append(f"{num}/{den}*{core}")
+        elif num != 1:
+            parts.append(f"{num}*{core}")
+        else:
+            parts.append(core)
+    parts[0] = "-" if parts[0] == " - " else ""
+    return "".join(parts)
 
 
 def _as_novikov(x: Union[Rational, NovikovElement]) -> NovikovElement:

@@ -21,6 +21,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .errors import DimensionMismatch, NoConvergence, NotInterior
@@ -100,16 +101,32 @@ def twisted_class_sums(X: ToricFano, f: Fiber) -> list[tuple[complex, ...]]:
 
 def _w_grad_hess(X: ToricFano, u: Sequence[float]):
     """W, its gradient and its Hessian at a real interior point u."""
-    n = X.n
+    return _w_grad_hess_at(X.normals, _distances(X, u))
+
+
+def _w_grad_hess_at(normals: Sequence[Sequence[int]], distances: Sequence[float]):
+    """W, its gradient and its Hessian from the facet distances at a point."""
+    n = len(normals[0])
     w, grad, hess = 0.0, [0.0] * n, [[0.0] * n for _ in range(n)]
-    for v, ell in zip(X.normals, _distances(X, u)):
+    for v, ell in zip(normals, distances):
         e = math.exp(-ell)
         w += e
-        for i in range(n):
-            grad[i] -= e * v[i]
-            for j in range(n):
-                hess[i][j] += e * v[i] * v[j]
+        for i, row in enumerate(hess):
+            ev = e * v[i]
+            grad[i] -= ev
+            hess[i] = [h + ev * c for h, c in zip(row, v)]
     return w, grad, hess
+
+
+def _gradient(X: ToricFano, u: Sequence[float]) -> list[float]:
+    """The gradient of _w_grad_hess(X, u), bit for bit, without W or the
+    Hessian: the same distances, exponentials and order of summation."""
+    grad = [0.0] * X.n
+    for v, ell in zip(X.normals, _distances(X, u)):
+        e = math.exp(-ell)
+        for i in range(X.n):
+            grad[i] -= e * v[i]
+    return grad
 
 
 def _solve(A: Sequence[Sequence[float]], b: Sequence[float]) -> list[float]:
@@ -141,35 +158,59 @@ def find_critical_fiber(
     an exact Fiber when the rounding is exactly balanced; otherwise the
     float iterate is wrapped with exact=False.
 
+    Each point is evaluated once: the offsets are converted to floats
+    once per solve, and W, its gradient and its Hessian at an accepted
+    step are those of the next iterate, so a solve makes one evaluation
+    per iterate and one per interior step it rejects.
+
     Raises NotInterior for a bad starting point and NoConvergence when
     the gradient is still not below tol after max_iters Newton steps.
+    Without init, the polytope's own interior point is the start; when
+    its float image is not strictly interior, the polytope is too small
+    or too thin for floats and OverflowError is raised.
     """
     start = X.interior_point if init is None else tuple(init)
     if len(start) != X.n:
         raise NotInterior(f"initial point has dimension {len(start)}, expected {X.n}")
     u = [float(x) for x in start]
-    if not min(_distances(X, u)) > 0:
-        raise NotInterior(f"initial point {start} is not strictly interior")
+    offsets = [float(lam) for lam in X.offsets]
+
+    def evaluate(point: list[float]):
+        """W, its gradient and its Hessian at point, or None when the point
+        is not strictly interior."""
+        distances = [sum(map(mul, point, v)) - lam for v, lam in zip(X.normals, offsets)]
+        if not min(distances) > 0:
+            return None
+        return _w_grad_hess_at(X.normals, distances)
+
+    current = evaluate(u)
+    if current is None:
+        if init is None:
+            raise OverflowError(
+                "the polytope's interior point is not strictly interior "
+                "once its coordinates and offsets are rounded to floats"
+            )
+        coords = ", ".join(map(str, start))
+        raise NotInterior(f"initial point ({coords}) is not strictly interior")
 
     for _ in range(max_iters):
-        w, grad, hess = _w_grad_hess(X, u)
+        w, grad, hess = current
         if max(map(abs, grad)) < tol:
             return _round_fiber(X, u)
         step = _solve(hess, [-g for g in grad])
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             cand = [x + t * s for x, s in zip(u, step)]
-            if min(_distances(X, cand)) > 0:
-                w_cand, _, _ = _w_grad_hess(X, cand)
-                if w_cand <= w * (1 + 1e-12):
-                    u = cand
-                    break
+            evaluated = evaluate(cand)
+            if evaluated is not None and evaluated[0] <= w * (1 + 1e-12):
+                u, current = cand, evaluated
+                break
             t /= 2
         else:
             raise NoConvergence(
                 "step damping failed to find an interior descent point"
             )
-    grad_norm = max(map(abs, _w_grad_hess(X, u)[1]))
+    grad_norm = max(map(abs, current[1]))
     if grad_norm < tol:
         return _round_fiber(X, u)
     raise NoConvergence(

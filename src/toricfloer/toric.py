@@ -293,24 +293,34 @@ def _builtin(name: str) -> Optional[ToricFano]:
 _EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
 
 
+def _digit_limit() -> int:
+    """The most digits int() reads from a string or str() writes
+    (sys.get_int_max_str_digits()); 0, also before 3.10.7, is no limit."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def _over_digit_limit(x: Fraction, limit: int) -> bool:
+    """Whether x's numerator or denominator has more than limit digits, so
+    that no report could print it; limit 0 is no limit."""
+    m = max(abs(x.numerator), x.denominator)
+    # 2^(3 * limit) < 10^limit, so only a longer m can have too many digits
+    return bool(limit) and m.bit_length() > 3 * limit and m >= 10**limit
+
+
 def _parse_rational(text: str) -> Fraction:
     """Fraction(text), refused with ValueError when its numerator or
-    denominator has more digits than int() reads from a string
-    (sys.get_int_max_str_digits(), no limit when 0): no report could print
-    it.  Without an exponent, no such number has more digits than the text
-    has characters.  An exponent of 3 * limit or more is refused before
+    denominator is over the digit limit (_over_digit_limit).  Without an
+    exponent, no such number has more digits than the text has
+    characters.  An exponent of 3 * limit or more is refused before
     Fraction builds its power of ten: it leaves more than limit digits
     unless the mantissa, of at most 2 * limit digits, is 0."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # before 3.10.7: no limit
+    limit = _digit_limit()
     exponent = _EXPONENT.search(text)
     if limit and exponent and abs(int(exponent.group(1))) >= 3 * limit:
         raise ValueError(f"exponent beyond the {limit}-digit limit")
     x = Fraction(text)
-    if limit and (exponent or len(text) > limit):
-        m = max(abs(x.numerator), x.denominator)
-        # 2^(3 * limit) < 10^limit, so only a longer m can have too many digits
-        if m.bit_length() > 3 * limit and m >= 10**limit:
-            raise ValueError(f"numerator or denominator has more than {limit} digits")
+    if (exponent or len(text) > limit) and _over_digit_limit(x, limit):
+        raise ValueError(f"numerator or denominator has more than {limit} digits")
     return x
 
 

@@ -9,6 +9,8 @@ import pytest
 from toricfloer import (
     CliffordElement,
     Fiber,
+    NoConvergence,
+    NotInterior,
     chains,
     cli,
     disc_areas,
@@ -620,3 +622,82 @@ def oracle_scan(X, grid):
         "balanced_fibers": balanced_fibers,
         "unbalanced_points_with_nonzero_rank": nonzero_unbalanced,
     }
+
+
+# Test oracle: the Newton solver as first written.  Each line-search
+# candidate is tested for interiority, then W, its gradient and its
+# Hessian are built there to read W alone, and the next iteration builds
+# all three again at the accepted point.
+
+
+def oracle_find_critical_fiber(X, init=None, tol=1e-12, max_iters=50):
+    """find_critical_fiber with two evaluations per accepted point."""
+    start = X.interior_point if init is None else tuple(init)
+    if len(start) != X.n:
+        raise NotInterior(f"initial point has dimension {len(start)}, expected {X.n}")
+    u = [float(x) for x in start]
+    if not min(potential._distances(X, u)) > 0:
+        raise NotInterior(f"initial point {start} is not strictly interior")
+
+    for _ in range(max_iters):
+        w, grad, hess = potential._w_grad_hess(X, u)
+        if max(map(abs, grad)) < tol:
+            return potential._round_fiber(X, u)
+        step = potential._solve(hess, [-g for g in grad])
+        t = 1.0
+        for _ in range(potential._MAX_HALVINGS):
+            cand = [x + t * s for x, s in zip(u, step)]
+            if min(potential._distances(X, cand)) > 0:
+                w_cand, _, _ = potential._w_grad_hess(X, cand)
+                if w_cand <= w * (1 + 1e-12):
+                    u = cand
+                    break
+            t /= 2
+        else:
+            raise NoConvergence("step damping failed to find an interior descent point")
+    grad_norm = max(map(abs, potential._w_grad_hess(X, u)[1]))
+    if grad_norm < tol:
+        return potential._round_fiber(X, u)
+    raise NoConvergence(
+        f"gradient norm {grad_norm:.3e} not below tol={tol} after {max_iters} iterations"
+    )
+
+
+# Test oracle: Novikov rendering as first written, with Fraction
+# arithmetic on every term: abs, a comparison with 1 and str.
+
+
+def oracle_fmt_exp(x) -> str:
+    s = str(x)
+    if len(s) == 1 and s.isdigit():
+        return s
+    return "{" + s + "}"
+
+
+def oracle_t_text(t) -> str:
+    """str's spelling of T^t."""
+    return "T" if t == 1 else f"T^{oracle_fmt_exp(t)}"
+
+
+def oracle_render(x, t_text=oracle_t_text) -> str:
+    """x as a signed sum of terms; t_text(t) spells T^t for t != 0."""
+    if not x.terms:
+        return "0"
+    pieces = []
+    for coeff, t, q in x.terms:
+        tpart = "" if t == 0 else t_text(t)
+        qpart = "" if q == 0 else ("q" if q == 1 else f"q^{oracle_fmt_exp(q)}")
+        core = "*".join(p for p in (tpart, qpart) if p)
+        mag = abs(coeff)
+        if core and mag == 1:
+            body = core
+        elif core:
+            body = f"{mag}*{core}"
+        else:
+            body = str(mag)
+        pieces.append((coeff < 0, body))
+    first_neg, first = pieces[0]
+    out = ("-" if first_neg else "") + first
+    for neg, body in pieces[1:]:
+        out += (" - " if neg else " + ") + body
+    return out

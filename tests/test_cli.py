@@ -639,6 +639,23 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "outside the float range" in err
 
+    # CP1 as [0, 10^-400]: the polytope's own interior point, 10^-400 / 2,
+    # becomes the float 0.0, on a facet; that is the float range of the
+    # input, not a bad starting point, and no Fraction repr is printed
+    def test_polytope_below_float_range(self, capsys):
+        doc = {
+            "name": "CP1 [0, 10^-400]",
+            "dim": 1,
+            "facets": [
+                {"normal": [1], "offset": "0"},
+                {"normal": [-1], "offset": "-1e-400"},
+            ],
+        }
+        code, out, err = run(capsys, "analyze", "--input", json.dumps(doc))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "outside the float range" in err and "Fraction" not in err
+
     # Fraction reads "1e-5000" without the digit limit that int() and str()
     # apply to decimal text, so no report could print such a number; an
     # exponent that size is refused before Fraction builds its power of ten
@@ -665,6 +682,25 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    # every number of the input has at most limit digits, but the second
+    # disc's area, 1/33...31 - 1/77...7, has a denominator of about
+    # 2 * limit digits: refused before any rendering
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_disc_area_beyond_the_digit_limit(self, capsys, digit_limit, fmt):
+        doc = {
+            "name": "CP1_near_limit",
+            "dim": 1,
+            "facets": [
+                {"normal": [1], "offset": "0"},
+                {"normal": [-1], "offset": "-1/" + "3" * (digit_limit - 1) + "1"},
+            ],
+        }
+        fiber = "1/" + "7" * digit_limit
+        code, out, err = run(capsys, "analyze", "--input", json.dumps(doc), "--fiber", fiber, "--format", fmt)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"disc area at this fiber has more than {digit_limit} digits" in err
 
     def test_digit_limit_is_inclusive(self, capsys, digit_limit):
         # 10^(limit - 1) has limit digits, 10^limit one more

@@ -3,12 +3,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from toricfloer.cli import render_novikov
 from toricfloer.novikov import DEFAULT_CUTOFF, ONE, ZERO, NovikovElement, monomial
 
-from conftest import assert_normal
+from conftest import assert_normal, oracle_render
 
 
 def rand_element(rng: random.Random, max_terms: int = 5) -> NovikovElement:
@@ -306,3 +307,45 @@ def test_product_with_unit_term_shifts_exponents(x, m):
     for result in (x * m, m * x):
         assert result == expected
         assert_normal(result)
+
+
+@given(elements)
+def test_product_by_one_is_the_operand(x):
+    # whichever side the unit is on, and however it was built; a unit
+    # times a unit may return either operand
+    assume(x != ONE)
+    for one in (ONE, monomial(1)):
+        assert (x * one) is x
+        assert (one * x) is x
+
+
+def test_one_term_times_one_is_not_rebuilt():
+    c = monomial(2, 1, 1)
+    assert (c * ONE) is c
+    assert (ONE * c) is c
+
+
+# rendering against the Fraction renderer it replaced: negative and
+# fractional coefficients, exponents of one digit and of several, q^k
+# for negative and multi-digit k, and the zero element
+render_rationals = st.one_of(
+    st.fractions(min_value=-12, max_value=12, max_denominator=12),
+    st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**9),
+)
+render_elements = st.builds(
+    NovikovElement,
+    st.lists(st.tuples(render_rationals, render_rationals, st.integers(-12, 12)), max_size=5),
+)
+
+
+@given(render_elements)
+def test_render_matches_fraction_oracle(x):
+    assert str(x) == oracle_render(x)
+    assert render_novikov(x) == oracle_render(x)
+    two_pi = oracle_render(x, lambda t: f"T^{float(t) * 2 * math.pi:.6g}")
+    assert render_novikov(x, two_pi=True) == two_pi
+
+
+def test_render_of_zero():
+    assert str(ZERO) == oracle_render(ZERO) == "0"
+    assert render_novikov(ZERO, two_pi=True) == "0"

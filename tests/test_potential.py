@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricfloer import (
     DimensionMismatch,
@@ -21,9 +23,10 @@ from toricfloer import (
     twisted_class_sums,
 )
 from toricfloer.novikov import ZERO, monomial
-from toricfloer.potential import _solve, _w_grad_hess
+from toricfloer import potential
+from toricfloer.potential import _gradient, _solve, _w_grad_hess
 
-from conftest import BUILTIN_NAMES, balanced_fiber, random_interior_fiber
+from conftest import BUILTIN_NAMES, balanced_fiber, oracle_find_critical_fiber, random_interior_fiber
 
 # critical point ((1 + ln 2)/2, (1 - ln 2)/2) is irrational, and no
 # rational point of this triangle is balanced, so the solver must return
@@ -118,13 +121,23 @@ class TestStdlibNumerics:
 
     @pytest.mark.parametrize("X", NUMERIC_POLYTOPES, ids=lambda X: X.name)
     def test_gradient_is_the_first_derivative_bit_for_bit(self, X):
-        # analyze reports the gradient norm from _w_grad_hess; it must be
-        # the same number the public superpotential_derivative gives
+        # the solver's gradient, and so analyze's gradient norm (the next
+        # test), is the same number the public superpotential_derivative gives
         rng = random.Random(25)
         for _ in range(10):
             u = [float(x) for x in random_interior_fiber(X, rng).u]
             _, grad, _ = _w_grad_hess(X, u)
             assert grad == [superpotential_derivative(X, u, (i,)).real for i in range(X.n)]
+
+    @pytest.mark.parametrize("X", NUMERIC_POLYTOPES + [SKEW_TRIANGLE], ids=lambda X: X.name)
+    def test_gradient_only_evaluation_is_bit_for_bit(self, X):
+        # analyze reads its gradient norm from _gradient, which must give the
+        # solver's _w_grad_hess gradient exactly, inside and outside
+        rng = random.Random(26)
+        points = [[float(x) for x in random_interior_fiber(X, rng).u] for _ in range(20)]
+        points += [[rng.uniform(-3, 3) for _ in range(X.n)] for _ in range(20)]
+        for u in points:
+            assert _gradient(X, u) == _w_grad_hess(X, u)[1]
 
     def test_class_sums_are_complex_tuples(self, builtin):
         f = Fiber(balanced_fiber(builtin).u, holonomy=(F(1, 4),) * builtin.n)
@@ -210,6 +223,43 @@ class TestSolver:
         with pytest.raises(NoConvergence):
             find_critical_fiber(X, tol=0.0, max_iters=5)
 
+    def test_bad_start_is_printed_with_str(self):
+        with pytest.raises(NotInterior, match=r"^initial point \(2, 1/2\) is not strictly interior$"):
+            find_critical_fiber(load_toric("CP2"), init=(F(2), F(1, 2)))
+
+    def test_polytope_too_small_for_floats_overflows(self):
+        # the witness 10^-400 / 2 is strictly interior, but its float image
+        # is 0.0, on the facet: the polytope is outside the float range,
+        # not a bad starting point, which the caller did not give
+        X = make_toric("CP1_tiny", 1, [(1,), (-1,)], [0, -F(1, 10**400)])
+        with pytest.raises(OverflowError):
+            find_critical_fiber(X)
+        with pytest.raises(NotInterior):
+            find_critical_fiber(X, init=(X.interior_point[0],))
+
+    def test_one_evaluation_per_iterate(self, monkeypatch):
+        # every step of this solve is taken whole, no halving rejected, so
+        # the bound is one (W, gradient, Hessian) evaluation per iterate:
+        # the witness and the point each Newton step lands on
+        evaluations, steps = [], []
+        kernel, solve = potential._w_grad_hess_at, potential._solve
+        monkeypatch.setattr(
+            potential, "_w_grad_hess_at", lambda *a: evaluations.append(a) or kernel(*a)
+        )
+        monkeypatch.setattr(potential, "_solve", lambda *a: steps.append(a) or solve(*a))
+        X = load_toric("CPn(3)")
+        assert find_critical_fiber(X).u == balanced_fiber(X).u
+        assert len(steps) == 4
+        assert len(evaluations) == len(steps) + 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_two_evaluation_oracle(self, data):
+        X, kwargs = data.draw(solver_cases())
+        assert _solver_outcome(find_critical_fiber, X, kwargs) == _solver_outcome(
+            oracle_find_critical_fiber, X, kwargs
+        )
+
     # Known solver defects on a dilated CP2: the iterate stops short of
     # the exact center at scale 60, and at scale 3000 exp underflows, the
     # gradient reads 0 and the starting witness comes back.  Strict, so
@@ -228,6 +278,55 @@ class TestSolver:
         f = find_critical_fiber(builtin)
         _, _, hess = _w_grad_hess(builtin, np.array([float(x) for x in f.u]))
         assert np.linalg.eigvalsh(hess).min() > 0
+
+
+def _moved(name, normals, offsets, scale, shift):
+    """The polytope with x -> scale * x + shift applied: the facet
+    <v, x> >= c moves to offset scale * c + <v, shift>."""
+    moved = [scale * c + sum(vi * ti for vi, ti in zip(v, shift)) for v, c in zip(normals, offsets)]
+    return make_toric(name, len(normals[0]), normals, moved)
+
+
+@st.composite
+def solver_cases(draw):
+    """(polytope, solver keywords): CPn(1..6), (CP1)^1..6, the rectangle or
+    the skew triangle, the last also at tol=0, max_iters=5 where it cannot
+    converge; dilated by 1..5 and translated; from the witness or from a
+    drawn starting point."""
+    kind = draw(st.sampled_from(["CPn", "cube", "rect", "skew"]))
+    kwargs = {}
+    if kind == "skew":
+        X = SKEW_TRIANGLE
+        if draw(st.booleans()):
+            kwargs = {"tol": 0.0, "max_iters": 5}
+    elif kind == "rect":
+        X = RECT
+    else:
+        n = draw(st.integers(1, 6))
+        X = load_toric(f"CPn({n})") if kind == "CPn" else _cube(n)
+    scale = draw(st.integers(1, 5))
+    shift = draw(st.lists(st.fractions(-9, 9, max_denominator=6), min_size=X.n, max_size=X.n))
+    if draw(st.booleans()):
+        # the witness, moved by up to 1/4 on each axis: a start inside, on
+        # the boundary or outside
+        kwargs["init"] = tuple(
+            scale * (x + draw(st.fractions(F(-1, 4), F(1, 4), max_denominator=16))) + t
+            for x, t in zip(X.interior_point, shift)
+        )
+    return _moved(X.name, X.normals, X.offsets, scale, shift), kwargs
+
+
+def _cube(n):
+    normals = [tuple(s if j == i else 0 for j in range(n)) for i in range(n) for s in (1, -1)]
+    return make_toric(f"(CP1)^{n}", n, normals, [0, -1] * n)
+
+
+def _solver_outcome(solver, X, kwargs):
+    """The solver's Fiber, or the class of the error it raised."""
+    try:
+        return solver(X, **kwargs)
+    except (NotInterior, NoConvergence) as exc:
+        return type(exc)
 
 
 class TestFormalHessian:
