@@ -6,6 +6,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product as iter_product
@@ -87,6 +88,29 @@ def _chain_map_block(n: int, N: int, l: int) -> dict:
         "residual_terms_above_dim": overdim,
         "residual_terms_square_rule": residual - overdim,
     }
+
+
+@dataclass
+class _LProducts:
+    """analyze's l_products: one row l(i_1, ..., i_m) per ordered index
+    tuple of length m <= lmax over n axes, its value the rendered text
+    (and, if given, the numeric column) of its sorted 0-based tuple.
+
+    The JSON writer and the text renderer read the rows off walk(), so no
+    row is built as a dict.  As JSON it is the list of
+    {"indices": [1-based], "numeric": ..., "value": ...} dicts.
+    """
+
+    n: int
+    lmax: int
+    text: dict
+    numeric: Optional[dict] = None
+
+    def walk(self):
+        """(ordered 0-based index tuple, its sorted key), in print order."""
+        for m in range(self.lmax + 1):
+            for idx in iter_product(range(self.n), repeat=m):
+                yield idx, tuple(sorted(idx))
 
 
 def cmd_analyze(args) -> dict:
@@ -178,23 +202,14 @@ def cmd_analyze(args) -> dict:
             for j in range(i + 1, X.n)
         ]
 
-    # l is symmetric in its indices: one value per sorted index tuple,
-    # one row per ordered tuple, keyed by the 1-based indices it prints
-    keys = [key for key in table if len(key) <= args.lmax]
-    value = {tuple(i + 1 for i in key): text[key] for key in keys}
-    rows = [
-        (list(idx), tuple(sorted(idx)))
-        for m in range(args.lmax + 1)
-        for idx in iter_product(range(1, X.n + 1), repeat=m)
-    ]
-    if args.numeric:
-        numeric = {tuple(i + 1 for i in key): repr(table[key].numeric()) for key in keys}
-        doc["l_products"] = [
-            {"indices": idx, "numeric": numeric[key], "value": value[key]}
-            for idx, key in rows
-        ]
-    else:
-        doc["l_products"] = [{"indices": idx, "value": value[key]} for idx, key in rows]
+    # l is symmetric in its indices: one rendered value per sorted index
+    # tuple, one printed row per ordered tuple
+    numeric = (
+        {key: repr(value.numeric()) for key, value in table.items() if len(key) <= args.lmax}
+        if args.numeric
+        else None
+    )
+    doc["l_products"] = _LProducts(X.n, args.lmax, text, numeric)
 
     if balanced:
         # balanced, and disc_areas found every area positive: the two
@@ -241,10 +256,12 @@ def _analysis_text(doc: dict) -> list[str]:
         for rel in doc["clifford_relations"]:
             lines.append(f"  {rel}")
     lines.append("l products:")
-    for row in doc["l_products"]:
-        label = ",".join(str(i) for i in row["indices"]) or "-"
-        extra = f"   numeric {row['numeric']}" if "numeric" in row else ""
-        lines.append(f"  l({label}) = {row['value']}{extra}")
+    rows = doc["l_products"]
+    labels = [str(i + 1) for i in range(rows.n)]
+    for idx, key in rows.walk():
+        label = ",".join([labels[i] for i in idx]) or "-"
+        extra = f"   numeric {rows.numeric[key]}" if rows.numeric is not None else ""
+        lines.append(f"  l({label}) = {rows.text[key]}{extra}")
     if "chain_map" in doc:
         cm = doc["chain_map"]
         lines.append(
@@ -327,8 +344,10 @@ def _json_text(doc) -> str:
     With indent set, json.dumps falls back to its pure-Python encoder; this
     writer does the same walk with less dispatch, escaping through the C
     function json.dumps uses.  It takes only what the commands emit: dicts
-    with str keys, lists, str, int, bool and None.  Anything else, a float
-    or a tuple included, raises TypeError rather than print differently.
+    with str keys, lists, str, int, bool and None, and one leaf that is not
+    plain data, analyze's _LProducts, written as the list of row dicts it
+    stands for.  Anything else, a float or a tuple included, raises
+    TypeError rather than print differently.
     """
     out: list[str] = []
     _write_json(doc, "\n", out)
@@ -382,8 +401,38 @@ def _write_json(x, newline: str, out: list[str]) -> None:
         out.append("false")
     elif isinstance(x, int):
         out.append(int.__repr__(x))
+    elif type(x) is _LProducts:
+        _write_l_products(x, newline, out)
     else:
         raise TypeError(f"cannot write {type(x).__name__} as JSON")
+
+
+def _write_l_products(rows: _LProducts, newline: str, out: list[str]) -> None:
+    """The list of row dicts that rows stands for, in one join: each row's
+    indices from per-index pieces, and the rest of a row, from its numeric
+    column to its closing brace, once per sorted key."""
+    row, field = newline + "  ", newline + "    "
+    pieces = [f"{field}  {i + 1}" for i in range(rows.n)]
+    tails = {}
+    for key, value in rows.text.items():
+        if len(key) <= rows.lmax:
+            numeric = (
+                f'"numeric": {_escape_json(rows.numeric[key])},{field}'
+                if rows.numeric is not None
+                else ""
+            )
+            tails[key] = f',{field}{numeric}"value": {_escape_json(value)}{row}}}'
+    head = f'{{{field}"indices": '
+    out.append(
+        f"[{row}"
+        + f",{row}".join(
+            head
+            + ("[" + ",".join([pieces[i] for i in idx]) + field + "]" if idx else "[]")
+            + tails[key]
+            for idx, key in rows.walk()
+        )
+        + f"{newline}]"
+    )
 
 
 def load_from_arg(source: str) -> ToricFano:

@@ -130,10 +130,19 @@ def _gradient(X: ToricFano, u: Sequence[float]) -> list[float]:
 
 
 def _solve(A: Sequence[Sequence[float]], b: Sequence[float]) -> list[float]:
-    """x with A x = b for symmetric positive definite A, so no pivoting."""
+    """x with A x = b for symmetric positive definite A, so no pivoting.
+
+    A is positive definite in exact arithmetic; a float pivot of exactly 0
+    means the float model broke down, and NoConvergence is raised.
+    """
     n = len(b)
     rows = [list(row) + [rhs] for row, rhs in zip(A, b)]
     for p in range(n):
+        if rows[p][p] == 0:
+            raise NoConvergence(
+                f"the float Hessian of W has a zero pivot in row {p + 1}; "
+                "the solver cannot take a Newton step"
+            )
         for r in range(p + 1, n):
             f = rows[r][p] / rows[p][p]
             rows[r] = [x - f * y for x, y in zip(rows[r], rows[p])]

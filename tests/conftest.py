@@ -701,3 +701,51 @@ def oracle_render(x, t_text=oracle_t_text) -> str:
     for neg, body in pieces[1:]:
         out += (" - " if neg else " + ") + body
     return out
+
+
+# Test oracle: analyze's l_products rows as cmd_analyze first built them,
+# one dict and one indices list per ordered index tuple, each value looked
+# up by its sorted tuple.
+
+
+def oracle_l_rows(n, lmax, text, numeric=None):
+    """The rows from rendered values (and numeric columns) keyed by sorted
+    0-based index tuples."""
+    keys = [key for key in text if len(key) <= lmax]
+    value = {tuple(i + 1 for i in key): text[key] for key in keys}
+    rows = [
+        (list(idx), tuple(sorted(idx)))
+        for m in range(lmax + 1)
+        for idx in itertools.product(range(1, n + 1), repeat=m)
+    ]
+    if numeric is not None:
+        numbers = {tuple(i + 1 for i in key): numeric[key] for key in keys}
+        return [
+            {"indices": idx, "numeric": numbers[key], "value": value[key]}
+            for idx, key in rows
+        ]
+    return [{"indices": idx, "value": value[key]} for idx, key in rows]
+
+
+def oracle_l_products(X, f, lmax, numeric=False, two_pi=False):
+    """analyze's l_products at the fiber f, from the per-disc sums of
+    oracle_l_product rendered by oracle_render."""
+    t_text = (lambda t: f"T^{float(t) * 2 * math.pi:.6g}") if two_pi else oracle_t_text
+    table = {
+        key: oracle_l_product(X, f, key)
+        for m in range(lmax + 1)
+        for key in itertools.combinations_with_replacement(range(X.n), m)
+    }
+    text = {key: oracle_render(value, t_text) for key, value in table.items()}
+    numbers = {key: repr(value.numeric()) for key, value in table.items()} if numeric else None
+    return oracle_l_rows(X.n, lmax, text, numbers)
+
+
+def oracle_l_product_lines(rows):
+    """The text report's l(...) lines for these rows."""
+    lines = []
+    for row in rows:
+        label = ",".join(str(i) for i in row["indices"]) or "-"
+        extra = f"   numeric {row['numeric']}" if "numeric" in row else ""
+        lines.append(f"  l({label}) = {row['value']}{extra}")
+    return lines

@@ -223,6 +223,12 @@ class TestSolver:
         with pytest.raises(NoConvergence):
             find_critical_fiber(X, tol=0.0, max_iters=5)
 
+    @pytest.mark.parametrize("A", [[[0.0]], [[1.0, 1.0], [1.0, 1.0]]], ids=["first", "second"])
+    def test_zero_pivot_raises(self, A):
+        # a singular float Hessian: NoConvergence, not ZeroDivisionError
+        with pytest.raises(NoConvergence, match="zero pivot"):
+            _solve(A, [1.0] * len(A))
+
     def test_bad_start_is_printed_with_str(self):
         with pytest.raises(NotInterior, match=r"^initial point \(2, 1/2\) is not strictly interior$"):
             find_critical_fiber(load_toric("CP2"), init=(F(2), F(1, 2)))
