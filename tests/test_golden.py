@@ -16,7 +16,10 @@ histogram per fiber instead of one certificate per basis monomial.  The
 scans of a translated CPn(3) and of F1 with a corner cut at 1/3 were
 recorded before scan decided each grid point on integer area numerators.  The
 scan of the 26-facet polytope with every nonzero normal in {-1,0,1}^3 was
-recorded before validation ran Fourier-Motzkin on integer right-hand sides.  A
+recorded before validation ran Fourier-Motzkin on integer right-hand sides.  The
+ring tables, str(m2_product(X, f, C_S, C_T)) for every pair of basis words
+at the solver fiber of CPn(3) (one area class) and of the rectangle (two),
+were recorded before cl_mul moved to integer T-exponents.  A
 refactor that keeps the mathematics must keep every byte; a deliberate
 change of output re-records the affected files and says why.
 """
@@ -28,7 +31,9 @@ from pathlib import Path
 
 import pytest
 
+from toricfloer import CliffordElement, find_critical_fiber, load_toric, m2_product
 from toricfloer.cli import main
+from toricfloer.floer import subsets_graded
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -179,3 +184,20 @@ def test_consecutive_calls_match_their_goldens(fmt, capsys):
         assert main(CASES[f"{stem}.{fmt}"]) == 0
         out = capsys.readouterr().out
         assert out == (GOLDEN / f"{stem}.{fmt}").read_text(encoding="utf-8")
+
+
+RING_CASES = {"ring_CPn3_solver.txt": "CPn(3)", "ring_rect_solver.txt": RECT_JSON}
+
+
+def _ring_table(spec: str) -> str:
+    """One line "x * y = m2_product(x, y)" per ordered pair of basis words."""
+    X = load_toric(spec)
+    f = find_critical_fiber(X)
+    assert f.exact
+    basis = [CliffordElement.basis_element(X.n, s) for s in subsets_graded(X.n)]
+    return "".join(f"{x} * {y} = {m2_product(X, f, x, y)}\n" for x in basis for y in basis)
+
+
+@pytest.mark.parametrize("stem", sorted(RING_CASES))
+def test_ring_matches_golden(stem):
+    assert _ring_table(RING_CASES[stem]) == (GOLDEN / stem).read_text(encoding="utf-8")
