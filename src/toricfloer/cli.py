@@ -22,8 +22,8 @@ from .errors import (
 # hf_rank stays bound here: the benchmark's tracer test resolves cli.hf_rank
 from .floer import _hf_rank, _obstruction_form, hf_rank  # noqa: F401
 from .novikov import NovikovElement, _render
-from .potential import _gradient, _l_table, find_critical_fiber
-from .toric import Fiber, ToricFano, _balance, _digit_limit, _grid_alpha_support, _over_digit_limit, _parse_rational, area_partition, disc_areas
+from .potential import _critical_fiber, _fiber_areas, _gradient, _l_table
+from .toric import Fiber, ToricFano, _digit_limit, _grid_alpha_support, _over_digit_limit, _parse_rational
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -116,14 +116,14 @@ class _LProducts:
 def cmd_analyze(args) -> dict:
     X = load_from_arg(args.input)
     if args.fiber:
-        fiber = _parse_fiber_arg(args.fiber, X.n)
+        fiber, areas = _parse_fiber_arg(args.fiber, X.n), None
         fiber_source = "given"
     else:
-        fiber = find_critical_fiber(X, tol=args.tol, max_iters=args.max_iters)
+        fiber, areas = _critical_fiber(X, None, args.tol, args.max_iters)
         fiber_source = "solver"
 
-    classes = disc_areas(X, fiber)
-    partition = area_partition(classes)
+    # the solver's accepted rounding comes with its areas and balance
+    classes, partition, (balanced, class_sums) = areas or _fiber_areas(X, fiber)
     # the areas are the only derived rationals printed: every other value
     # is an integer, a half or an area exponent
     limit = _digit_limit()
@@ -133,7 +133,6 @@ def cmd_analyze(args) -> dict:
                 f"a disc area at this fiber has more than {limit} digits "
                 "in its numerator or denominator and cannot be printed"
             )
-    balanced, class_sums = _balance(X, partition)
     # one table gives the rank (row 1 is (-1)^n alpha), the Hessian and the
     # Clifford relations (row 2 is Q) and the printed rows (up to --lmax);
     # each of its values is rendered once
@@ -312,8 +311,7 @@ def _certified_fiber(X: ToricFano, point: tuple[Fraction, ...]) -> dict:
     """scan's entry for a grid point the integer kernel found balanced, on
     the exact disc areas analyze reads: a polytope has at most one
     balanced fiber, so this runs at most once per scan."""
-    partition = area_partition(disc_areas(X, Fiber(point)))
-    balanced, sums = _balance(X, partition)
+    _classes, partition, (balanced, sums) = _fiber_areas(X, Fiber(point))
     if not balanced:
         raise RuntimeError(
             f"the grid kernel found {tuple(map(str, point))} balanced, "
@@ -473,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--fiber",
-        help="rational fiber point like 1/3,1/3 (default: critical point of W)",
+        help="rational fiber point like 1/3,1/3 (default: critical point of W); "
+        "write a negative first coordinate as --fiber=-1/2,1/3",
     )
     analyze.add_argument("--lmax", type=int, default=3, help="largest product arity tabulated")
     analyze.add_argument("--numeric", action="store_true", help="add numeric columns")

@@ -10,18 +10,24 @@ index subsets S, with the empty subset playing the unit [L].  Setting
 every Q entry to zero degenerates the product to the exterior algebra.
 
 cl_mul multiplies on the right, one generator at a time: C_S * C_T is C_S
-times C_{t_1}, then C_{t_2}, and so on.  The at most |w| + 1 terms of
-C_w * C_i carry int signs, so no coefficient is multiplied by +-1, and
-each form keeps them in a table keyed by (w, i): at most n * 2^n entries.
+times C_{t_1}, then C_{t_2}, and so on.  Inside it a coefficient is a
+dict {(t * D, q): coeff}, D the lcm of the form's T-exponent denominators
+and coeff an int where integral, so exponent shifts and signs are int
+arithmetic.  Each form keeps the at most |w| + 1 terms of C_w * C_i in
+this form, signs folded into their coefficients, in a table keyed by
+(w, i): at most n * 2^n entries, and keeps the Novikov elements its
+products returned, to hand out again.  Factors whose exponents need a
+finer scale than D get tables at that scale for the one call.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .errors import DimensionMismatch
-from .novikov import ONE, ZERO, NovikovElement, _Combination
+from .novikov import ONE, ZERO, NovikovElement, _Combination, _from_normal
 from .potential import QuadraticForm
 
 Subset = tuple[int, ...]
@@ -94,10 +100,25 @@ class CliffordElement(_Combination):
         return hash((self.n, tuple(self.items())))
 
 
-def _times_generator(
-    Q: QuadraticForm, w: Subset, i: int
-) -> tuple[tuple[Subset, int, NovikovElement | None], ...]:
-    """C_w * C_i as (subset, sign, factor) terms, factor None for 1.
+def _exponent_ints(c: NovikovElement, scale: int) -> dict | None:
+    """c as {(t * scale, q): coeff}, coeff an int where it is integral, or
+    None when some t * scale is not an integer."""
+    if c is ONE:
+        return _UNIT
+    out = {}
+    for a, t, q in c._terms:
+        m, r = divmod(scale, t.denominator)
+        if r:
+            return None
+        out[t.numerator * m, q] = a.numerator if a.denominator == 1 else a
+    return out
+
+
+_UNIT = {(0, 0): 1}  # ONE, shared: cl_mul never writes to a coefficient dict
+
+
+def _times_generator(Q: QuadraticForm, w: Subset, i: int, scale: int) -> tuple:
+    """C_w * C_i as the (subset, factor) terms of Q._generator_terms.
 
     C_i moves left past each larger index w_j, flipping the sign and
     leaving sign * Q_{w_j,i} * C_{w - w_j}; it ends as sign * C_{w + i},
@@ -109,13 +130,26 @@ def _times_generator(
         j -= 1
         rest = w[:j] + w[j + 1 :]
         if w[j] == i:
-            half = Q.entries[i][i] * Fraction(1, 2)
-            return (*out, (rest, sign, half)) if half else tuple(out)
+            half = _exponent_ints(Q.entries[i][i] * Fraction(sign, 2), scale)
+            return (*out, (rest, tuple(half.items()))) if half else tuple(out)
         if Q.entries[w[j]][i]:
-            out.append((rest, sign, Q.entries[w[j]][i]))
+            out.append((rest, tuple(_exponent_ints(Q.entries[w[j]][i] * sign, scale).items())))
         sign = -sign
-    out.append((w[:j] + (i,) + w[j:], sign, None))
+    out.append((w[:j] + (i,) + w[j:], None if sign > 0 else (((0, 0), -1),)))
     return tuple(out)
+
+
+def _times(c: dict, factor) -> dict:
+    out: dict = {}
+    for (k1, q1), a1 in c.items():
+        for (k2, q2), a2 in factor:
+            key = k1 + k2, q1 + q2
+            out[key] = out.get(key, 0) + a1 * a2
+    return out
+
+
+def _plus(a: dict, b: dict) -> dict:
+    return {**a, **{key: a.get(key, 0) + v for key, v in b.items()}}
 
 
 def cl_mul(Q: QuadraticForm, x: CliffordElement, y: CliffordElement) -> CliffordElement:
@@ -125,27 +159,38 @@ def cl_mul(Q: QuadraticForm, x: CliffordElement, y: CliffordElement) -> Clifford
         raise DimensionMismatch(
             f"dimension mismatch: Q has n={Q.n}, factors n={x.n}, n={y.n}"
         )
-    table = Q._generator_terms
-    out: dict[Subset, NovikovElement] = {}
-    for sy, cy in y._coeffs.items():
-        terms = x._coeffs if cy == ONE else {w: c * cy for w, c in x._coeffs.items()}
+    scale, table, known = Q._t_scale, Q._generator_terms, Q._coefficients
+    coeffs = [*x._coeffs.values(), *y._coeffs.values()]
+    ints = [_exponent_ints(c, scale) for c in coeffs]
+    if None in ints:
+        # a factor needs a finer scale than Q's: tables at it, for this call
+        scale = math.lcm(scale, *(t.denominator for c in coeffs for _a, t, _q in c._terms))
+        table, known = {}, {}
+        ints = [_exponent_ints(c, scale) for c in coeffs]
+    xs = dict(zip(x._coeffs, ints))
+    out: dict[Subset, dict] = {}
+    for sy, cy in zip(y._coeffs, ints[len(xs) :]):
+        terms = xs if cy is _UNIT else {w: _times(c, cy.items()) for w, c in xs.items()}
         for i in sy:
-            step: dict[Subset, NovikovElement] = {}
+            step: dict[Subset, dict] = {}
             for w, c in terms.items():
-                key = (w, i)
-                action = table.get(key)
+                action = table.get((w, i))
                 if action is None:
-                    action = table[key] = _times_generator(Q, w, i)
-                for subset, sign, factor in action:
-                    term = c if factor is None else c * factor
-                    acc = step.get(subset)
-                    if acc is None:
-                        step[subset] = term if sign > 0 else -term
-                    else:
-                        step[subset] = acc + term if sign > 0 else acc - term
+                    action = table[w, i] = _times_generator(Q, w, i, scale)
+                for subset, factor in action:
+                    term = c if factor is None else _times(c, factor)
+                    step[subset] = _plus(step[subset], term) if subset in step else term
             terms = step
         for subset, c in terms.items():
-            out[subset] = out.get(subset, ZERO) + c
+            out[subset] = _plus(out[subset], c) if subset in out else c
+    for subset, c in out.items():
+        key = tuple(sorted(c.items()))
+        elem = known.get(key)
+        if elem is None:
+            elem = _from_normal(tuple((Fraction(a), Fraction(k, scale), q) for (k, q), a in key if a))
+            if len(known) < Q.n << Q.n:
+                known[key] = elem
+        out[subset] = elem
     return CliffordElement._from_normal(x.n, out)
 
 

@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import DimensionMismatch, NoConvergence, NotInterior
 from .novikov import ZERO, NovikovElement, _from_normal
-from .toric import AreaClass, Fiber, ToricFano, _fiber_partition, area_partition, disc_areas, is_balanced
+from .toric import AreaClass, Fiber, ToricFano, _balance, _fiber_partition, area_partition, disc_areas
 
 Rational = Union[int, Fraction]
 
@@ -178,6 +178,12 @@ def find_critical_fiber(
     its float image is not strictly interior, the polytope is too small
     or too thin for floats and OverflowError is raised.
     """
+    return _critical_fiber(X, init, tol, max_iters)[0]
+
+
+def _critical_fiber(X: ToricFano, init, tol: float, max_iters: int) -> tuple[Fiber, Optional[tuple]]:
+    """find_critical_fiber's fiber, with _fiber_areas of it when it is an
+    exactly balanced rounding, else None."""
     start = X.interior_point if init is None else tuple(init)
     if len(start) != X.n:
         raise NotInterior(f"initial point has dimension {len(start)}, expected {X.n}")
@@ -228,17 +234,24 @@ def find_critical_fiber(
     )
 
 
-def _round_fiber(X: ToricFano, u: Sequence[float]) -> Fiber:
-    rounded = tuple(
-        Fraction(x).limit_denominator(_ROUND_DENOMINATOR) for x in u
-    )
-    candidate = Fiber(rounded)
+def _round_fiber(X: ToricFano, u: Sequence[float]) -> tuple[Fiber, Optional[tuple]]:
+    """(the rounding of u, _fiber_areas of it) when it is exactly balanced,
+    else (the float iterate u, None)."""
+    candidate = Fiber(tuple(Fraction(x).limit_denominator(_ROUND_DENOMINATOR) for x in u))
     try:
-        if is_balanced(X, candidate).balanced:
-            return candidate
+        areas = _fiber_areas(X, candidate)
+        if areas[2].balanced:
+            return candidate, areas
     except NotInterior:
         pass
-    return Fiber(tuple(Fraction(x) for x in u), exact=False)
+    return Fiber(tuple(Fraction(x) for x in u), exact=False), None
+
+
+def _fiber_areas(X: ToricFano, f: Fiber) -> tuple:
+    """The disc areas at f, their area partition and its balance."""
+    classes = disc_areas(X, f)
+    partition = area_partition(classes)
+    return classes, partition, _balance(X, partition)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +289,21 @@ class QuadraticForm:
         return self.entries[i][j]
 
     @functools.cached_property
+    def _t_scale(self) -> int:
+        """The lcm D of the entries' T-exponent denominators."""
+        return math.lcm(1, *(t.denominator for row in self.entries for e in row for _c, t, _q in e.terms))
+
+    @functools.cached_property
     def _generator_terms(self) -> dict:
-        """C_w * C_i in Cl(Q) for each (w, i) a product has needed, as
-        clifford._times_generator computes it: at most n * 2^n entries."""
+        """C_w * C_i in Cl(Q) for each (w, i) a product has needed: (subset,
+        factor) terms, factor None for +1 or the signed coefficient as
+        ((t * D, q), coeff) pairs, D = _t_scale.  At most n * 2^n entries."""
+        return {}
+
+    @functools.cached_property
+    def _coefficients(self) -> dict:
+        """Coefficients cl_mul has returned, keyed by their sorted ((t * D, q),
+        coeff) items: at most n * 2^n of them."""
         return {}
 
 

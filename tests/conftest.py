@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -12,7 +13,6 @@ from toricfloer import (
     NoConvergence,
     NotInterior,
     chains,
-    cli,
     disc_areas,
     floer,
     load_toric,
@@ -40,7 +40,7 @@ def disc_area_calls(monkeypatch):
         calls.append(f)
         return original(X, f)
 
-    for module in (toric, potential, cli):
+    for module in (toric, potential):
         monkeypatch.setattr(module, "disc_areas", counting)
     return calls
 
@@ -62,20 +62,32 @@ def balanced_fiber(X):
 
 
 def random_interior_fiber(X, rng: random.Random, denom: int = 60) -> Fiber:
-    bounds = X.coordinate_bounds()
+    """A point of the 1/denom grid strictly inside X.  Each coordinate is
+    drawn on the grid strictly inside its interval given the earlier ones,
+    which Fourier-Motzkin elimination of the later ones gives, so a draw
+    starts again only when an interval holds no grid point."""
+    stages = _sampling_stages(X)
     for _ in range(1000):
         u = []
-        for lo, hi in bounds:
-            low = math.floor(lo * denom) + 1
-            high = math.ceil(hi * denom) - 1
+        for k in range(1, X.n + 1):
+            lo, hi = -math.inf, math.inf
+            for a, b, _strict in stages[k]:
+                c = a[k - 1]
+                if c:
+                    r = (b - sum(ai * ui for ai, ui in zip(a, u))) / c
+                    lo, hi = (max(lo, r), hi) if c > 0 else (lo, min(hi, r))
+            low, high = math.floor(lo * denom) + 1, math.ceil(hi * denom) - 1
+            if low > high:
+                break
             u.append(Fraction(rng.randint(low, high), denom))
-        point = tuple(u)
-        if all(
-            sum(ui * vi for ui, vi in zip(point, v)) - lam > 0
-            for v, lam in zip(X.normals, X.offsets)
-        ):
-            return Fiber(point)
+        else:
+            return Fiber(tuple(u))
     raise RuntimeError(f"could not sample an interior point of {X.name}")
+
+
+@functools.lru_cache
+def _sampling_stages(X):
+    return _oracle_stages(oracle_fraction_rows(X, True), X.n)
 
 
 def _evaluate(entry, s: int, denom: int) -> Fraction:
@@ -642,7 +654,7 @@ def oracle_find_critical_fiber(X, init=None, tol=1e-12, max_iters=50):
     for _ in range(max_iters):
         w, grad, hess = potential._w_grad_hess(X, u)
         if max(map(abs, grad)) < tol:
-            return potential._round_fiber(X, u)
+            return potential._round_fiber(X, u)[0]
         step = potential._solve(hess, [-g for g in grad])
         t = 1.0
         for _ in range(potential._MAX_HALVINGS):
@@ -657,7 +669,7 @@ def oracle_find_critical_fiber(X, init=None, tol=1e-12, max_iters=50):
             raise NoConvergence("step damping failed to find an interior descent point")
     grad_norm = max(map(abs, potential._w_grad_hess(X, u)[1]))
     if grad_norm < tol:
-        return potential._round_fiber(X, u)
+        return potential._round_fiber(X, u)[0]
     raise NoConvergence(
         f"gradient norm {grad_norm:.3e} not below tol={tol} after {max_iters} iterations"
     )

@@ -269,6 +269,13 @@ class TestAnalyzeJson:
         assert code == 0
         assert len(disc_area_calls) == 1
 
+    def test_solver_fiber_areas_computed_once(self, capsys, disc_area_calls):
+        # the solver accepts its rounding on the areas analyze then prints
+        code, out, _ = run(capsys, "analyze", "--input", "CPn(3)", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["fiber"]["source"] == "solver"
+        assert len(disc_area_calls) == 1
+
     def test_one_tower_per_fiber(self, capsys, monkeypatch):
         # the chain_map block of CPn(4) is the closed form in (n, N, l):
         # analyze builds no chain algebra, so no differential, reduction,

@@ -600,3 +600,18 @@ def test_validation_matches_oracle_on_hard_rationals(data, n, frame, k):
     if got[0] == "ok":
         X = make_toric("hard", n, normals, lams)
         assert len(disc_areas(X, X.interior_point)) == len(normals)
+
+
+# conftest.random_interior_fiber draws coordinate by coordinate, so it
+# reaches the interior of CPn(6), about 1/720 of its bounding box
+@pytest.mark.parametrize(
+    "X",
+    [load_toric(f"CPn({n})") for n in range(1, 7)]
+    + [make_toric(f"CP1^{k}", k, *_cube(k)) for k in range(1, 7)],
+    ids=lambda X: X.name,
+)
+def test_random_interior_fiber_is_interior(X):
+    for seed in range(50):
+        f = random_interior_fiber(X, random.Random(seed))
+        assert all(u.denominator <= 60 and 60 % u.denominator == 0 for u in f.u)
+        assert len(disc_areas(X, f)) == X.num_facets  # raises unless strictly inside
