@@ -19,7 +19,10 @@ scan of the 26-facet polytope with every nonzero normal in {-1,0,1}^3 was
 recorded before validation ran Fourier-Motzkin on integer right-hand sides.  The
 ring tables, str(m2_product(X, f, C_S, C_T)) for every pair of basis words
 at the solver fiber of CPn(3) (one area class) and of the rectangle (two),
-were recorded before cl_mul moved to integer T-exponents.  A
+were recorded before cl_mul moved to integer T-exponents.  CP2 in the
+sheared basis with normals (5, 3), (3, 2), (-8, -5), whose normals have
+no zero entry, was recorded before the solver, the gradient and the
+l-table skipped zero normal entries.  A
 refactor that keeps the mathematics must keep every byte; a deliberate
 change of output re-records the affected files and says why.
 """
@@ -119,6 +122,13 @@ def _cases() -> dict[str, list[str]]:
     cases["scan_all26_grid2.json"] = [
         "scan", "--input", ALL26_JSON, "--grid", "2", "--format", "json",
     ]
+    # CP2 in a sheared lattice basis: every normal entry is nonzero, so the
+    # float bits of W's derivatives and every l-table entry sum over all
+    # facets on every axis
+    for fmt in ("text", "json"):
+        cases[f"analyze_CP2_sheared_solver.{fmt}"] = [
+            "analyze", "--input", CP2_SHEARED_JSON, "--format", fmt,
+        ]
     return cases
 
 
@@ -164,6 +174,9 @@ ALL26_JSON = _polytope_json(
     "all26",
     [v for v in itertools.product((-1, 0, 1), repeat=3) if any(v)],
     [-1] * 26,
+)
+CP2_SHEARED_JSON = _polytope_json(
+    "CP2_sheared", [(5, 3), (3, 2), (-8, -5)], [0, 0, -1]
 )
 CASES = _cases()
 
