@@ -9,7 +9,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product as iter_product
 from json.encoder import encode_basestring_ascii as _escape_json
 from typing import Optional
 
@@ -96,8 +95,11 @@ class _LProducts:
     tuple of length m <= lmax over n axes, its value the rendered text
     (and, if given, the numeric column) of its sorted 0-based tuple.
 
-    The JSON writer and the text renderer read the rows off walk(), so no
-    row is built as a dict.  As JSON it is the list of
+    The JSON writer and the text renderer read the rows off layout(), so
+    no row is built as a dict and none sorts its indices: the rows of
+    length m are those of length m - 1, each extended by each index, and
+    a row's key is read from a map of each sorted key to its n extensions,
+    filled once per key.  As JSON it is the list of
     {"indices": [1-based], "numeric": ..., "value": ...} dicts.
     """
 
@@ -106,11 +108,22 @@ class _LProducts:
     text: dict
     numeric: Optional[dict] = None
 
-    def walk(self):
-        """(ordered 0-based index tuple, its sorted key), in print order."""
-        for m in range(self.lmax + 1):
-            for idx in iter_product(range(self.n), repeat=m):
-                yield idx, tuple(sorted(idx))
+    def layout(self, pieces: list[str]) -> list[tuple[str, tuple[int, ...]]]:
+        """(a row's indices as pieces[i] joined by ",", its sorted key) for
+        each row, in print order."""
+        level = [("", ())]
+        rows = list(level)
+        extensions: dict = {}
+        for _ in range(self.lmax):
+            nxt = []
+            for text, key in level:
+                if key not in extensions:
+                    extensions[key] = [tuple(sorted((*key, i))) for i in range(self.n)]
+                head = text + "," if key else ""
+                nxt += [(head + piece, k) for piece, k in zip(pieces, extensions[key])]
+            rows += nxt
+            level = nxt
+        return rows
 
 
 def cmd_analyze(args) -> dict:
@@ -256,11 +269,9 @@ def _analysis_text(doc: dict) -> list[str]:
             lines.append(f"  {rel}")
     lines.append("l products:")
     rows = doc["l_products"]
-    labels = [str(i + 1) for i in range(rows.n)]
-    for idx, key in rows.walk():
-        label = ",".join([labels[i] for i in idx]) or "-"
+    for label, key in rows.layout([str(i + 1) for i in range(rows.n)]):
         extra = f"   numeric {rows.numeric[key]}" if rows.numeric is not None else ""
-        lines.append(f"  l({label}) = {rows.text[key]}{extra}")
+        lines.append(f"  l({label or '-'}) = {rows.text[key]}{extra}")
     if "chain_map" in doc:
         cm = doc["chain_map"]
         lines.append(
@@ -407,10 +418,9 @@ def _write_json(x, newline: str, out: list[str]) -> None:
 
 def _write_l_products(rows: _LProducts, newline: str, out: list[str]) -> None:
     """The list of row dicts that rows stands for, in one join: each row's
-    indices from per-index pieces, and the rest of a row, from its numeric
-    column to its closing brace, once per sorted key."""
+    indices from rows.layout of per-index pieces, and the rest of a row,
+    from its numeric column to its closing brace, once per sorted key."""
     row, field = newline + "  ", newline + "    "
-    pieces = [f"{field}  {i + 1}" for i in range(rows.n)]
     tails = {}
     for key, value in rows.text.items():
         if len(key) <= rows.lmax:
@@ -424,10 +434,8 @@ def _write_l_products(rows: _LProducts, newline: str, out: list[str]) -> None:
     out.append(
         f"[{row}"
         + f",{row}".join(
-            head
-            + ("[" + ",".join([pieces[i] for i in idx]) + field + "]" if idx else "[]")
-            + tails[key]
-            for idx, key in rows.walk()
+            head + (f"[{indices}{field}]" if indices else "[]") + tails[key]
+            for indices, key in rows.layout([f"{field}  {i + 1}" for i in range(rows.n)])
         )
         + f"{newline}]"
     )

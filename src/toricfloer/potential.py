@@ -6,12 +6,13 @@ polytope interior; an imaginary part encodes the holonomy of a flat line
 bundle and is confined to this numeric module.
 
 The module has two halves that the test suite plays against each other:
-a numeric one (derivatives of W, a damped Newton search for the critical
-fiber) and an exact one: the l-table of a fiber, whose degree-m row is
-the exact counterpart of the m-th derivatives of W.  Its degree-1 row is
-(-1)^n times the obstruction form and its degree-2 row is the formal
-Hessian, the quadratic form Q_ij = sum_k v_ki * v_kj * T^{e_k} q.
-The numeric half needs only the standard library: floats in lists.
+a numeric one (derivatives of W in plain floats, a damped Newton search
+for the critical fiber) and an exact one: the l-table of a fiber, whose
+degree-m row is the exact counterpart of the m-th derivatives of W.  Its
+degree-1 row is (-1)^n times the obstruction form and its degree-2 row is
+the formal Hessian, Q_ij = sum_k v_ki * v_kj * T^{e_k} q.  Every term of
+either carries one normal entry per index, so both visit only the nonzero
+entries (ToricFano._supports), the floats with the dense sums' bits.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -101,31 +104,37 @@ def twisted_class_sums(X: ToricFano, f: Fiber) -> list[tuple[complex, ...]]:
 
 def _w_grad_hess(X: ToricFano, u: Sequence[float]):
     """W, its gradient and its Hessian at a real interior point u."""
-    return _w_grad_hess_at(X.normals, _distances(X, u))
+    return _w_grad_hess_at(X._supports, X.n, _distances(X, u))
 
 
-def _w_grad_hess_at(normals: Sequence[Sequence[int]], distances: Sequence[float]):
-    """W, its gradient and its Hessian from the facet distances at a point."""
-    n = len(normals[0])
+def _w_grad_hess_at(supports, n: int, distances: Sequence[float]):
+    """W, its gradient and its Hessian from the facet distances at a point.
+
+    In facet order, facet k adds e = exp(-ell) to W, then -e*v_i and
+    (e*v_i)*v_j in place on its support supports[k] (ToricFano._supports)
+    only.  A skipped term adds +-0.0 to a sum that is never -0.0, so this
+    is the dense conftest.oracle_w_grad_hess_at bit for bit."""
     w, grad, hess = 0.0, [0.0] * n, [[0.0] * n for _ in range(n)]
-    for v, ell in zip(normals, distances):
+    for support, ell in zip(supports, distances):
         e = math.exp(-ell)
         w += e
-        for i, row in enumerate(hess):
-            ev = e * v[i]
+        for i, a in support:
+            ev = e * a
             grad[i] -= ev
-            hess[i] = [h + ev * c for h, c in zip(row, v)]
+            row = hess[i]
+            for j, c in support:
+                row[j] += ev * c
     return w, grad, hess
 
 
 def _gradient(X: ToricFano, u: Sequence[float]) -> list[float]:
     """The gradient of _w_grad_hess(X, u), bit for bit, without W or the
-    Hessian: the same distances, exponentials and order of summation."""
+    Hessian: the same distances, exponentials, supports and sum order."""
     grad = [0.0] * X.n
-    for v, ell in zip(X.normals, _distances(X, u)):
+    for support, ell in zip(X._supports, _distances(X, u)):
         e = math.exp(-ell)
-        for i in range(X.n):
-            grad[i] -= e * v[i]
+        for i, a in support:
+            grad[i] -= e * a
     return grad
 
 
@@ -196,7 +205,7 @@ def _critical_fiber(X: ToricFano, init, tol: float, max_iters: int) -> tuple[Fib
         distances = [sum(map(mul, point, v)) - lam for v, lam in zip(X.normals, offsets)]
         if not min(distances) > 0:
             return None
-        return _w_grad_hess_at(X.normals, distances)
+        return _w_grad_hess_at(X._supports, X.n, distances)
 
     current = evaluate(u)
     if current is None:
@@ -307,18 +316,19 @@ class QuadraticForm:
         return {}
 
 
-def _class_sum(partition: Sequence[AreaClass], weights: Sequence[int]) -> NovikovElement:
-    """sum_k weights[k] * T^{e_k} q, added up within each area class.
-
-    The partition is sorted by area and every term carries q^1, so the
-    nonzero class totals are already in the Novikov normal form.
-    """
+def _class_terms(partition: Sequence[AreaClass], totals: Sequence[int]) -> NovikovElement:
+    """sum_t totals[t] * T^{a_t} q over the area classes t: the partition is
+    sorted by area and every term carries q^1, so this is the normal form."""
     terms = []
-    for area, idxs in partition:
-        w = sum(weights[k] for k in idxs)
+    for (area, _idxs), w in zip(partition, totals):
         if w:
             terms.append((Fraction(w), area, 1))
     return _from_normal(tuple(terms))
+
+
+def _class_sum(partition: Sequence[AreaClass], weights: Sequence[int]) -> NovikovElement:
+    """sum_k weights[k] * T^{e_k} q, added up within each area class."""
+    return _class_terms(partition, [sum(weights[k] for k in idxs) for _area, idxs in partition])
 
 
 def boundary_pairing(n: int, normal: Sequence[int], i: int) -> int:
@@ -333,23 +343,32 @@ def _l_table(
     keyed and ordered by length, then lexicographically.
 
     A disc's weight is the product of its boundary pairings, the divisor
-    equation taken as the definition.  Each key extends its prefix's weights
-    by one column of pairings, so it costs one product per facet and one
-    _class_sum.
+    equation taken as the definition, so it is 0 on a key with an axis where
+    the disc's normal is 0.  Each facet walks only the sorted keys over its
+    support, extending a key's weight by one pairing, and adds it into its
+    area class's total for that key.  A key some facet reaches costs one
+    _class_terms, any other is ZERO: conftest.oracle_l_table key for key.
     """
-    pairings = [[boundary_pairing(X.n, v, i) for v in X.normals] for i in range(X.n)]
-    table = {}
-    level = {(): [1] * X.num_facets}
-    for m in range(lmax + 1):
-        for key, weights in level.items():
-            table[key] = _class_sum(partition, weights)
-        if m < lmax:
-            level = {
-                (*key, i): [w * p for w, p in zip(weights, pairings[i])]
-                for key, weights in level.items()
-                for i in range(key[-1] if key else 0, X.n)
-            }
-    return table
+    sign = (-1) ** X.n  # boundary_pairing(n, v, i) is sign * v[i]
+    totals: dict = defaultdict(lambda: [0] * len(partition))
+    for t, (_area, idxs) in enumerate(partition):
+        for k in idxs:
+            pairings = [(i, sign * a) for i, a in X._supports[k]]
+            level = [((), 1, 0)]  # (key, its weight, its last axis's place in pairings)
+            for m in range(lmax + 1):
+                for key, w, _last in level:
+                    totals[key][t] += w
+                if m < lmax:
+                    level = [
+                        ((*key, i), w * p, s)
+                        for key, w, last in level
+                        for s, (i, p) in enumerate(pairings[last:], last)
+                    ]
+    return {
+        key: ZERO if (sums := totals.get(key)) is None else _class_terms(partition, sums)
+        for m in range(lmax + 1)
+        for key in combinations_with_replacement(range(X.n), m)
+    }
 
 
 def formal_hessian(X: ToricFano, f: Fiber) -> QuadraticForm:

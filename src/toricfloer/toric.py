@@ -173,6 +173,11 @@ class ToricFano:
         """The dataclass hash of the compared fields, once per instance."""
         return hash((self.name, self.n, self.normals, self.offsets))
 
+    @cached_property
+    def _supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each normal's nonzero (axis, entry) pairs, in axis order, once."""
+        return tuple(tuple((i, c) for i, c in enumerate(v) if c) for v in self.normals)
+
     __getstate__ = _state_without_hash
 
 
@@ -201,6 +206,15 @@ class Fiber:
     def _hash(self) -> int:
         """The dataclass hash of the compared fields, once per instance."""
         return hash((self.u, self.holonomy, self.exact))
+
+    @cached_property
+    def _normal(self) -> bool:
+        """Whether _as_fiber returns this fiber as it is, checked once per
+        instance: u a tuple of Fractions, the holonomy None or a tuple."""
+        hol = self.holonomy
+        return type(self.u) is tuple and all(type(x) is Fraction for x in self.u) and (
+            hol is None or tuple(hol) == hol
+        )
 
     __getstate__ = _state_without_hash
 
@@ -409,9 +423,9 @@ def _as_fiber(f: Union[Fiber, Sequence[Rational]]) -> Fiber:
     and u and the holonomy as tuples, so that the result hashes."""
     if not isinstance(f, Fiber):
         return Fiber(tuple(Fraction(x) for x in f))
-    hol = None if f.holonomy is None else tuple(f.holonomy)
-    if type(f.u) is tuple and all(type(x) is Fraction for x in f.u) and hol == f.holonomy:
+    if f._normal:
         return f
+    hol = None if f.holonomy is None else tuple(f.holonomy)
     return replace(f, u=tuple(Fraction(x) for x in f.u), holonomy=hol)
 
 

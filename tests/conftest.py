@@ -636,10 +636,55 @@ def oracle_scan(X, grid):
     }
 
 
+# Test oracle: W, its gradient and its Hessian as the solver first built
+# them, over every normal entry, zeros included, each Hessian row a new
+# list per facet.
+
+
+def oracle_w_grad_hess_at(normals, distances):
+    """W, its gradient and its Hessian from the facet distances at a point."""
+    n = len(normals[0])
+    w, grad, hess = 0.0, [0.0] * n, [[0.0] * n for _ in range(n)]
+    for v, ell in zip(normals, distances):
+        e = math.exp(-ell)
+        w += e
+        for i, row in enumerate(hess):
+            ev = e * v[i]
+            grad[i] -= ev
+            hess[i] = [h + ev * c for h, c in zip(row, v)]
+    return w, grad, hess
+
+
+def _oracle_w_grad_hess(X, u):
+    return oracle_w_grad_hess_at(X.normals, potential._distances(X, u))
+
+
+# Test oracle: the l-table from prefix products over every facet: each
+# sorted key extends its prefix's weights by one column of boundary
+# pairings, and every key's weights are summed per area class.
+
+
+def oracle_l_table(X, partition, lmax):
+    pairings = [[potential.boundary_pairing(X.n, v, i) for v in X.normals] for i in range(X.n)]
+    table = {}
+    level = {(): [1] * X.num_facets}
+    for m in range(lmax + 1):
+        for key, weights in level.items():
+            table[key] = potential._class_sum(partition, weights)
+        if m < lmax:
+            level = {
+                (*key, i): [w * p for w, p in zip(weights, pairings[i])]
+                for key, weights in level.items()
+                for i in range(key[-1] if key else 0, X.n)
+            }
+    return table
+
+
 # Test oracle: the Newton solver as first written.  Each line-search
 # candidate is tested for interiority, then W, its gradient and its
-# Hessian are built there to read W alone, and the next iteration builds
-# all three again at the accepted point.
+# Hessian are built there (by the dense oracle_w_grad_hess_at) to read W
+# alone, and the next iteration builds all three again at the accepted
+# point.
 
 
 def oracle_find_critical_fiber(X, init=None, tol=1e-12, max_iters=50):
@@ -652,7 +697,7 @@ def oracle_find_critical_fiber(X, init=None, tol=1e-12, max_iters=50):
         raise NotInterior(f"initial point {start} is not strictly interior")
 
     for _ in range(max_iters):
-        w, grad, hess = potential._w_grad_hess(X, u)
+        w, grad, hess = _oracle_w_grad_hess(X, u)
         if max(map(abs, grad)) < tol:
             return potential._round_fiber(X, u)[0]
         step = potential._solve(hess, [-g for g in grad])
@@ -660,14 +705,14 @@ def oracle_find_critical_fiber(X, init=None, tol=1e-12, max_iters=50):
         for _ in range(potential._MAX_HALVINGS):
             cand = [x + t * s for x, s in zip(u, step)]
             if min(potential._distances(X, cand)) > 0:
-                w_cand, _, _ = potential._w_grad_hess(X, cand)
+                w_cand, _, _ = _oracle_w_grad_hess(X, cand)
                 if w_cand <= w * (1 + 1e-12):
                     u = cand
                     break
             t /= 2
         else:
             raise NoConvergence("step damping failed to find an interior descent point")
-    grad_norm = max(map(abs, potential._w_grad_hess(X, u)[1]))
+    grad_norm = max(map(abs, _oracle_w_grad_hess(X, u)[1]))
     if grad_norm < tol:
         return potential._round_fiber(X, u)[0]
     raise NoConvergence(

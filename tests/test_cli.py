@@ -186,9 +186,11 @@ class TestAnalyzeText:
 
     def test_one_l_product_per_index_multiset(self, capsys, monkeypatch):
         # l is symmetric: the 85 ordered index tuples of length <= 3 over
-        # four axes fall into 35 multisets, one class sum each
+        # four axes fall into 35 multisets, one element built from its area
+        # class totals each (the last facet's normal has no zero entry, so
+        # it reaches every key)
         tables, sums_per_table, sums = [], [], []
-        original_table, original_sum = cli._l_table, potential._class_sum
+        original_table, original_sum = cli._l_table, potential._class_terms
 
         def recording(X, partition, lmax):
             start = len(sums)
@@ -196,12 +198,12 @@ class TestAnalyzeText:
             sums_per_table.append(len(sums) - start)
             return tables[-1]
 
-        def counting(partition, weights):
-            sums.append(weights)
-            return original_sum(partition, weights)
+        def counting(partition, totals):
+            sums.append(totals)
+            return original_sum(partition, totals)
 
         monkeypatch.setattr(cli, "_l_table", recording)
-        monkeypatch.setattr(potential, "_class_sum", counting)
+        monkeypatch.setattr(potential, "_class_terms", counting)
         code, out, _ = run(
             capsys, "analyze", "--input", "CPn(4)", "--lmax", "3", "--format", "json"
         )
@@ -439,6 +441,20 @@ def test_l_product_rows_match_the_oracle(argv):
     rows = oracle_l_products(X, f, int(argv[4]), "--numeric" in argv, "--two-pi" in argv)
     assert doc["l_products"] == rows
     lines = [line for line in _main_stdout(argv).splitlines() if line.startswith("  l(")]
+    assert lines == oracle_l_product_lines(rows)
+
+
+def test_cpn6_text_rows_at_lmax_4_match_the_oracle():
+    # the largest layout the property above reaches, every row of it: 1,555
+    # l(...) lines with the numeric column, in the text renderer
+    lines = [
+        line
+        for line in _main_stdout(["analyze", "--input", "CPn(6)", "--lmax", "4", "--numeric"]).splitlines()
+        if line.startswith("  l(")
+    ]
+    X = toric.load_toric("CPn(6)")
+    rows = oracle_l_products(X, toric.Fiber((Fraction(1, 7),) * 6), 4, numeric=True)
+    assert len(lines) == len(rows) == 1 + 6 + 6**2 + 6**3 + 6**4
     assert lines == oracle_l_product_lines(rows)
 
 
@@ -998,8 +1014,8 @@ class TestJsonText:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        n=st.integers(1, 4),
-        lmax=st.integers(0, 3),
+        n=st.integers(1, 6),
+        lmax=st.integers(0, 4),
         numeric=st.booleans(),
         strings=st.lists(json_strings, min_size=1),
         depth=st.integers(0, 3),

@@ -50,6 +50,7 @@ from conftest import (
     exact_differential_rank,
     oracle_formal_hessian,
     oracle_l_product,
+    oracle_l_table,
     oracle_obstruction_form,
     random_interior_fiber,
 )
@@ -388,14 +389,26 @@ HEXAGON = make_toric(
 )
 
 
+BOX_123 = make_toric(
+    "box123",
+    3,
+    [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+    [0, -1, 0, -2, 0, -3],
+)
+
+
 def assert_l_table_matches_l_product(X, f, lmax=4):
     """_l_table holds l_product(X, f, key) for each sorted key of length at
-    most lmax, in order of length, then lexicographically."""
-    table = potential._l_table(X, _fiber_partition(X, f), lmax)
+    most lmax, in order of length, then lexicographically, and is the
+    prefix-product oracle_l_table key for key."""
+    partition = _fiber_partition(X, f)
+    table = potential._l_table(X, partition, lmax)
     keys = [k for m in range(lmax + 1) for k in combinations_with_replacement(range(X.n), m)]
     assert list(table) == keys
+    oracle = oracle_l_table(X, partition, lmax)
+    assert list(oracle) == keys
     for key, value in table.items():
-        assert value == l_product(X, f, key)
+        assert value == l_product(X, f, key) == oracle[key]
         assert_normal(value)
 
 
@@ -428,6 +441,34 @@ def test_l_table_matches_l_product_on_rational_boxes(sides, seed, at_solver):
     X = make_toric("box", n, normals, [c for side in sides for c in (0, -side)])
     f = find_critical_fiber(X) if at_solver else random_interior_fiber(X, random.Random(seed), denom=24)
     assert_l_table_matches_l_product(X, f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_l_table_matches_l_product_on_sheared_normals(data):
+    # a random unimodular shear v_i += c * v_j of the normals, with the
+    # fiber moved by u_j -= c * u_i so that every disc area stays: the
+    # normals' supports then take every size from 1 to n, and the
+    # per-facet walk over sorted keys must still give every entry
+    X = data.draw(
+        st.sampled_from([load_toric(name) for name in BUILTIN_NAMES] + [RECT, HEXAGON, BOX_123]),
+        label="X",
+    )
+    if data.draw(st.booleans(), label="at_solver"):
+        f = find_critical_fiber(X)
+    else:
+        f = random_interior_fiber(X, random.Random(data.draw(st.integers(0, 2**16))), denom=12)
+    normals, u = [list(v) for v in X.normals], list(f.u)
+    for _ in range(data.draw(st.integers(0, 2 * X.n), label="shears") if X.n > 1 else 0):
+        i, j = data.draw(st.permutations(range(X.n)), label="axes")[:2]
+        c = data.draw(st.integers(-5, 5), label="multiplier")
+        for v in normals:
+            v[i] += c * v[j]
+        u[j] -= c * u[i]
+    Y = make_toric(f"{X.name}_sheared", X.n, [tuple(v) for v in normals], X.offsets)
+    g = Fiber(tuple(u))
+    assert [d.area for d in disc_areas(Y, g)] == [d.area for d in disc_areas(X, f)]
+    assert_l_table_matches_l_product(Y, g, data.draw(st.integers(0, 4), label="lmax"))
 
 
 class TestDivisorRelation:

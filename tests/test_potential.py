@@ -26,7 +26,15 @@ from toricfloer.novikov import ZERO, monomial
 from toricfloer import potential
 from toricfloer.potential import _gradient, _solve, _w_grad_hess
 
-from conftest import BUILTIN_NAMES, balanced_fiber, oracle_find_critical_fiber, random_interior_fiber
+from toricfloer.toric import ToricFano
+
+from conftest import (
+    BUILTIN_NAMES,
+    balanced_fiber,
+    oracle_find_critical_fiber,
+    oracle_w_grad_hess_at,
+    random_interior_fiber,
+)
 
 # critical point ((1 + ln 2)/2, (1 - ln 2)/2) is irrational, and no
 # rational point of this triangle is balanced, so the solver must return
@@ -138,6 +146,52 @@ class TestStdlibNumerics:
         points += [[rng.uniform(-3, 3) for _ in range(X.n)] for _ in range(20)]
         for u in points:
             assert _gradient(X, u) == _w_grad_hess(X, u)[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_sparse_kernel_is_the_dense_one_bit_for_bit(self, data):
+        # the kernels skip the zero normal entries; W, every gradient entry
+        # and every Hessian entry must keep the dense sum's bits, on
+        # zero-heavy and on fully dense normals alike
+        n = data.draw(st.integers(1, 6), label="n")
+        N = data.draw(st.integers(n + 1, 3 * n), label="N")
+        entries = st.integers(-100, 100)
+        if data.draw(st.booleans(), label="dense"):
+            entries = entries.filter(bool)
+        else:
+            entries = st.one_of(st.just(0), entries)
+        normals = data.draw(
+            st.lists(st.tuples(*[entries] * n), min_size=N, max_size=N), label="normals"
+        )
+        distance = st.floats(0, 700, exclude_min=True)
+        distances = data.draw(st.lists(distance, min_size=N, max_size=N), label="distances")
+
+        # a polytope with these normals (unvalidated: only the normals and
+        # offsets are read), its facet distances at a drawn point u about
+        # the drawn ones
+        u = data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n), label="u")
+        dots = [sum(t * c for t, c in zip(u, v)) for v in normals]
+        offsets = tuple(F(dot - d) for dot, d in zip(dots, distances))
+        X = ToricFano("drawn", n, tuple(normals), offsets, (), ())
+
+        def bits(w, grad, hess):
+            return w.hex(), [g.hex() for g in grad], [[h.hex() for h in row] for row in hess]
+
+        expected = bits(*oracle_w_grad_hess_at(normals, distances))
+        assert bits(*potential._w_grad_hess_at(X._supports, n, distances)) == expected
+        # _gradient reads the distances at u off the offsets
+        _, grad, _ = oracle_w_grad_hess_at(normals, potential._distances(X, u))
+        assert [g.hex() for g in _gradient(X, u)] == [g.hex() for g in grad]
+
+    def test_supports_are_the_nonzero_entries(self):
+        X = load_toric("CPn(3)")
+        assert X._supports == (
+            ((0, 1),),
+            ((1, 1),),
+            ((2, 1),),
+            ((0, -1), (1, -1), (2, -1)),
+        )
+        assert X._supports is X._supports
 
     def test_class_sums_are_complex_tuples(self, builtin):
         f = Fiber(balanced_fiber(builtin).u, holonomy=(F(1, 4),) * builtin.n)

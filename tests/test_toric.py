@@ -23,6 +23,7 @@ from toricfloer import (
     is_balanced,
     load_toric,
     make_toric,
+    toric,
 )
 
 from conftest import (
@@ -418,6 +419,41 @@ class TestFiberCoordinatesBecomeFractions:
             got = disc_areas(X, f)
             assert [d.area for d in got] == [1, 3]
             assert all(type(d.area) is F for d in got)
+
+
+class TestNormalFiberCheckedOnce:
+    """_as_fiber returns a Fiber that is already normal as it is, and
+    checks that once per instance."""
+
+    def test_accepted_fiber_is_returned_as_it_is(self):
+        f = Fiber((F(1, 3), F(1, 3)), holonomy=(F(1, 2), F(0)))
+        assert toric._as_fiber(f) is f
+        assert vars(f)["_normal"] is True
+        assert toric._as_fiber(f) is f
+        assert toric._as_fiber(Fiber((F(1, 4),))).u == (F(1, 4),)
+
+    @pytest.mark.parametrize("u", [(1, F(1, 3)), (F(1, 3), 0.25), [F(1, 3), F(1, 3)]])
+    def test_int_float_or_list_coordinates_are_normalized(self, u):
+        f = Fiber(u)
+        for _ in range(2):
+            g = toric._as_fiber(f)
+            assert g is not f and type(g.u) is tuple
+            assert all(type(x) is F for x in g.u) and g.u == tuple(F(x) for x in u)
+            assert toric._as_fiber(g) is g
+        assert vars(f)["_normal"] is False
+
+    def test_list_holonomy_becomes_a_tuple(self):
+        f = Fiber((F(1, 3), F(1, 3)), holonomy=[F(1, 2), F(0)])
+        g = toric._as_fiber(f)
+        assert g is not f and g.holonomy == (F(1, 2), F(0)) and hash(g) == hash(g)
+
+    def test_pickled_accepted_fiber_hashes_equal(self):
+        f = Fiber((F(1, 3), F(2, 5)))
+        assert toric._as_fiber(f) is f
+        h = hash(f)
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and hash(g) == h
+        assert toric._as_fiber(g) is g
 
 
 def _box(lows, highs):
