@@ -112,8 +112,8 @@ def _w_grad_hess_at(supports, n: int, distances: Sequence[float]):
 
     In facet order, facet k adds e = exp(-ell) to W, then -e*v_i and
     (e*v_i)*v_j in place on its support supports[k] (ToricFano._supports)
-    only.  A skipped term adds +-0.0 to a sum that is never -0.0, so this
-    is the dense conftest.oracle_w_grad_hess_at bit for bit."""
+    only.  A skipped term would add +-0.0 to a sum that is never -0.0, so
+    this is the dense conftest.oracle_w_grad_hess_at bit for bit."""
     w, grad, hess = 0.0, [0.0] * n, [[0.0] * n for _ in range(n)]
     for support, ell in zip(supports, distances):
         e = math.exp(-ell)
