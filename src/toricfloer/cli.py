@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from json.encoder import encode_basestring_ascii as _escape_json
 from typing import Optional
 
@@ -89,18 +90,24 @@ def _chain_map_block(n: int, N: int, l: int) -> dict:
     }
 
 
+# the row layouts _LProducts.layout keeps: one per recently used n,
+# --lmax and output format, since a process may run main many times
+_LAYOUTS = 16
+
+
 @dataclass
 class _LProducts:
     """analyze's l_products: one row l(i_1, ..., i_m) per ordered index
     tuple of length m <= lmax over n axes, its value the rendered text
     (and, if given, the numeric column) of its sorted 0-based tuple.
 
-    The JSON writer and the text renderer read the rows off layout(), so
-    no row is built as a dict and none sorts its indices: the rows of
-    length m are those of length m - 1, each extended by each index, and
-    a row's key is read from a map of each sorted key to its n extensions,
-    filled once per key.  As JSON it is the list of
-    {"indices": [1-based], "numeric": ..., "value": ...} dicts.
+    The JSON writer and the text renderer write each row as its prefix,
+    which depends only on n, lmax and the format, then the tail of its
+    sorted key, built once per key.  layout() keeps the prefixes and keys
+    of the _LAYOUTS most recently used layouts for the life of the
+    process, as tuples, so no report can change a later one.  As JSON
+    the rows are the list of {"indices": [1-based], "numeric": ...,
+    "value": ...} dicts.
     """
 
     n: int
@@ -108,22 +115,45 @@ class _LProducts:
     text: dict
     numeric: Optional[dict] = None
 
-    def layout(self, pieces: list[str]) -> list[tuple[str, tuple[int, ...]]]:
-        """(a row's indices as pieces[i] joined by ",", its sorted key) for
-        each row, in print order."""
+    @staticmethod
+    @lru_cache(maxsize=_LAYOUTS)
+    def layout(
+        lmax: int, pieces: tuple[str, ...], frame: tuple[str, str, str]
+    ) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
+        """(each row's prefix, each row's sorted 0-based key), in print
+        order, over len(pieces) axes.  A row's prefix is its indices as
+        pieces[i] joined by ",", between frame[0] and frame[1]; the row of
+        no index has frame[2].
+
+        No row sorts its indices: the rows of length m are those of length
+        m - 1, each extended by each index, and a row's key is read from a
+        map of each sorted key to its extensions, filled once per key."""
         level = [("", ())]
         rows = list(level)
         extensions: dict = {}
-        for _ in range(self.lmax):
+        for _ in range(lmax):
             nxt = []
             for text, key in level:
                 if key not in extensions:
-                    extensions[key] = [tuple(sorted((*key, i))) for i in range(self.n)]
+                    extensions[key] = [tuple(sorted((*key, i))) for i in range(len(pieces))]
                 head = text + "," if key else ""
                 nxt += [(head + piece, k) for piece, k in zip(pieces, extensions[key])]
             rows += nxt
             level = nxt
-        return rows
+        start, end, empty = frame
+        prefixes = (empty, *(start + text + end for text, _key in rows[1:]))
+        return prefixes, tuple(key for _text, key in rows)
+
+    def lines(self, pieces: tuple[str, ...], frame: tuple[str, str, str], tail) -> map:
+        """Each row as its layout prefix followed by tail(value, numeric)
+        of its sorted key, numeric None without the numeric column."""
+        tails = {
+            key: tail(value, None if self.numeric is None else self.numeric[key])
+            for key, value in self.text.items()
+            if len(key) <= self.lmax
+        }
+        prefixes, keys = self.layout(self.lmax, pieces, frame)
+        return map(operator.add, prefixes, map(tails.__getitem__, keys))
 
 
 def cmd_analyze(args) -> dict:
@@ -269,9 +299,11 @@ def _analysis_text(doc: dict) -> list[str]:
             lines.append(f"  {rel}")
     lines.append("l products:")
     rows = doc["l_products"]
-    for label, key in rows.layout([str(i + 1) for i in range(rows.n)]):
-        extra = f"   numeric {rows.numeric[key]}" if rows.numeric is not None else ""
-        lines.append(f"  l({label or '-'}) = {rows.text[key]}{extra}")
+    lines += rows.lines(
+        tuple(str(i + 1) for i in range(rows.n)),
+        ("  l(", ") = ", "  l(-) = "),
+        lambda value, number: value if number is None else f"{value}   numeric {number}",
+    )
     if "chain_map" in doc:
         cm = doc["chain_map"]
         lines.append(
@@ -418,27 +450,18 @@ def _write_json(x, newline: str, out: list[str]) -> None:
 
 def _write_l_products(rows: _LProducts, newline: str, out: list[str]) -> None:
     """The list of row dicts that rows stands for, in one join: each row's
-    indices from rows.layout of per-index pieces, and the rest of a row,
-    from its numeric column to its closing brace, once per sorted key."""
+    opening brace and indices from its layout prefix, and the rest, from
+    its numeric column to its closing brace, once per sorted key."""
     row, field = newline + "  ", newline + "    "
-    tails = {}
-    for key, value in rows.text.items():
-        if len(key) <= rows.lmax:
-            numeric = (
-                f'"numeric": {_escape_json(rows.numeric[key])},{field}'
-                if rows.numeric is not None
-                else ""
-            )
-            tails[key] = f',{field}{numeric}"value": {_escape_json(value)}{row}}}'
     head = f'{{{field}"indices": '
-    out.append(
-        f"[{row}"
-        + f",{row}".join(
-            head + (f"[{indices}{field}]" if indices else "[]") + tails[key]
-            for indices, key in rows.layout([f"{field}  {i + 1}" for i in range(rows.n)])
-        )
-        + f"{newline}]"
-    )
+
+    def tail(value: str, number: Optional[str]) -> str:
+        numeric = "" if number is None else f'"numeric": {_escape_json(number)},{field}'
+        return f',{field}{numeric}"value": {_escape_json(value)}{row}}}'
+
+    pieces = tuple(f"{field}  {i + 1}" for i in range(rows.n))
+    lines = rows.lines(pieces, (head + "[", field + "]", head + "[]"), tail)
+    out.append(f"[{row}" + f",{row}".join(lines) + f"{newline}]")
 
 
 def load_from_arg(source: str) -> ToricFano:

@@ -246,7 +246,7 @@ def _critical_fiber(X: ToricFano, init, tol: float, max_iters: int) -> tuple[Fib
 def _round_fiber(X: ToricFano, u: Sequence[float]) -> tuple[Fiber, Optional[tuple]]:
     """(the rounding of u, _fiber_areas of it) when it is exactly balanced,
     else (the float iterate u, None)."""
-    candidate = Fiber(tuple(Fraction(x).limit_denominator(_ROUND_DENOMINATOR) for x in u))
+    candidate = Fiber(tuple(_limit_denominator(x, _ROUND_DENOMINATOR) for x in u))
     try:
         areas = _fiber_areas(X, candidate)
         if areas[2].balanced:
@@ -254,6 +254,30 @@ def _round_fiber(X: ToricFano, u: Sequence[float]) -> tuple[Fiber, Optional[tupl
     except NotInterior:
         pass
     return Fiber(tuple(Fraction(x) for x in u), exact=False), None
+
+
+def _limit_denominator(x: float, bound: int) -> Fraction:
+    """Fraction(x).limit_denominator(bound), bit for bit, without building
+    a Fraction until the end: the same continued fraction, run on the
+    integers of x.as_integer_ratio()."""
+    num, den = x.as_integer_ratio()
+    if den <= bound:
+        return Fraction(num, den)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (bound - q0) // q1
+    # the convergent p1/q1 lies d/(q1*den) from x and 1/(q1*(q0 + k*q1))
+    # from the other bound, on x's other side: it wins ties, as in Fraction
+    if 2 * d * (q0 + k * q1) <= den:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)
 
 
 def _fiber_areas(X: ToricFano, f: Fiber) -> tuple:

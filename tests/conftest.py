@@ -680,6 +680,25 @@ def oracle_l_table(X, partition, lmax):
     return table
 
 
+# Test oracle: the solver's rounding of a float coordinate, the library's
+# continued fraction.
+
+
+def oracle_limit_denominator(x, bound=10**6):
+    return Fraction(x).limit_denominator(bound)
+
+
+def oracle_round_fiber(X, u):
+    """The rounding of u when it is exactly balanced, else the float iterate."""
+    candidate = Fiber(tuple(oracle_limit_denominator(x) for x in u))
+    try:
+        if toric.is_balanced(X, candidate).balanced:
+            return candidate
+    except NotInterior:
+        pass
+    return Fiber(tuple(Fraction(x) for x in u), exact=False)
+
+
 # Test oracle: the Newton solver as first written.  Each line-search
 # candidate is tested for interiority, then W, its gradient and its
 # Hessian are built there (by the dense oracle_w_grad_hess_at) to read W
@@ -699,7 +718,7 @@ def oracle_find_critical_fiber(X, init=None, tol=1e-12, max_iters=50):
     for _ in range(max_iters):
         w, grad, hess = _oracle_w_grad_hess(X, u)
         if max(map(abs, grad)) < tol:
-            return potential._round_fiber(X, u)[0]
+            return oracle_round_fiber(X, u)
         step = potential._solve(hess, [-g for g in grad])
         t = 1.0
         for _ in range(potential._MAX_HALVINGS):
@@ -714,7 +733,7 @@ def oracle_find_critical_fiber(X, init=None, tol=1e-12, max_iters=50):
             raise NoConvergence("step damping failed to find an interior descent point")
     grad_norm = max(map(abs, _oracle_w_grad_hess(X, u)[1]))
     if grad_norm < tol:
-        return potential._round_fiber(X, u)[0]
+        return oracle_round_fiber(X, u)
     raise NoConvergence(
         f"gradient norm {grad_norm:.3e} not below tol={tol} after {max_iters} iterations"
     )

@@ -994,6 +994,50 @@ json_values = st.recursive(
 )
 
 
+def _l_products_case(n, lmax, numeric, strings):
+    """_LProducts over n axes up to lmax, its values (and numeric column)
+    drawn from strings, with the row dicts oracle_l_rows gives for it."""
+    keys = [
+        key
+        for m in range(max(lmax, 2) + 1)
+        for key in itertools.combinations_with_replacement(range(n), m)
+    ]
+    text = {key: strings[k % len(strings)] for k, key in enumerate(keys)}
+    numbers = (
+        {key: strings[-1 - k % len(strings)] for k, key in enumerate(keys) if len(key) <= lmax}
+        if numeric
+        else None
+    )
+    return cli._LProducts(n, lmax, text, numbers), oracle_l_rows(n, lmax, text, numbers)
+
+
+def _l_products_json(n, lmax, numeric, strings, depth):
+    """(the writer's JSON, json.dumps of the oracle's rows), nested depth deep."""
+    rows, expected = _l_products_case(n, lmax, numeric, strings)
+    for _ in range(depth):
+        rows, expected = {"x": [rows], "a": 1}, {"x": [expected], "a": 1}
+    return cli._json_text(rows), json.dumps(expected, indent=2, sort_keys=True)
+
+
+def _l_products_text(n, lmax, numeric, strings):
+    """(the text renderer's l(...) lines, the oracle's)."""
+    rows, expected = _l_products_case(n, lmax, numeric, strings)
+    # a report with nothing but its l products
+    doc = {
+        "polytope": {"name": "p", "dim": n, "facets": []},
+        "fiber": {"u": [], "source": "given", "exact": True, "gradient_norm": "0.0"},
+        "disc_areas": [],
+        "area_classes": [],
+        "balanced": False,
+        "hf_rank": 0,
+        "hessian": [],
+        "notes": [],
+        "l_products": rows,
+    }
+    lines = cli._analysis_text(doc)
+    return lines[lines.index("l products:") + 1 : lines.index("notes:")], oracle_l_product_lines(expected)
+
+
 class TestJsonText:
     """main writes its documents with cli._json_text, which must match
     json.dumps(doc, indent=2, sort_keys=True) byte for byte."""
@@ -1023,22 +1067,8 @@ class TestJsonText:
     def test_l_products_write_as_their_rows(self, n, lmax, numeric, strings, depth):
         # the one leaf that is not plain data, at any indent, with values
         # that need escaping: the bytes json.dumps gives for its row dicts
-        keys = [
-            key
-            for m in range(max(lmax, 2) + 1)
-            for key in itertools.combinations_with_replacement(range(n), m)
-        ]
-        text = {key: strings[k % len(strings)] for k, key in enumerate(keys)}
-        numbers = (
-            {key: strings[-1 - k % len(strings)] for k, key in enumerate(keys) if len(key) <= lmax}
-            if numeric
-            else None
-        )
-        rows = cli._LProducts(n, lmax, text, numbers)
-        expected = oracle_l_rows(n, lmax, text, numbers)
-        for _ in range(depth):
-            rows, expected = {"x": [rows], "a": 1}, {"x": [expected], "a": 1}
-        assert cli._json_text(rows) == json.dumps(expected, indent=2, sort_keys=True)
+        got, want = _l_products_json(n, lmax, numeric, strings, depth)
+        assert got == want
 
     @pytest.mark.parametrize(
         "wrap",
@@ -1072,6 +1102,58 @@ class TestJsonText:
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
         assert json.loads(out)["polytope"]["name"] == name
+
+
+
+class TestRowLayoutCache:
+    """_LProducts.layout keeps the row layouts of recently used n, lmax
+    and formats for the life of the process: no report may reach a later
+    one, whatever came before it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 4),
+                st.integers(0, 4),
+                st.booleans(),
+                st.lists(json_strings, min_size=1, max_size=3),
+                # JSON at three nesting depths, each its own layout, or text
+                st.sampled_from([0, 1, 2, "text"]),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    def test_interleaved_calls_match_the_oracle(self, calls):
+        layout = cli._LProducts.layout
+        for n, lmax, numeric, strings, depth in calls:
+            if depth == "text":
+                got, want = _l_products_text(n, lmax, numeric, strings)
+            else:
+                got, want = _l_products_json(n, lmax, numeric, strings, depth)
+            # a bool, not the two reports: pytest's diff of a mismatch
+            # would cost more than hypothesis's search for the smallest one
+            matches = got == want
+            assert matches, (n, lmax, numeric, depth)
+            assert layout.cache_info().currsize <= layout.cache_info().maxsize
+
+    def test_layout_is_tuples_and_reused(self):
+        pieces, frame = ("1", "2", "3"), ("  l(", ") = ", "  l(-) = ")
+        prefixes, keys = layout = cli._LProducts.layout(2, pieces, frame)
+        assert type(prefixes) is tuple and type(keys) is tuple
+        assert all(type(key) is tuple for key in keys)
+        assert prefixes[:6] == ("  l(-) = ", "  l(1) = ", "  l(2) = ", "  l(3) = ", "  l(1,1) = ", "  l(1,2) = ")
+        assert keys[:6] == ((), (0,), (1,), (2,), (0, 0), (0, 1))
+        assert keys[7] == (0, 1)  # l(2,1)
+        assert cli._LProducts.layout(2, pieces, frame) is layout
+
+    def test_cache_stays_within_its_bound(self):
+        layout = cli._LProducts.layout
+        maxsize = layout.cache_info().maxsize
+        for lmax in range(maxsize + 5):
+            layout(lmax, ("1",), ("(", ")", "()"))
+        assert layout.cache_info().currsize == maxsize
 
 
 def test_render_novikov_spells_terms_like_str():

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import pytest
 
-from toricfloer import CliffordElement, find_critical_fiber, load_toric, m2_product
+from toricfloer import CliffordElement, cli, find_critical_fiber, load_toric, m2_product
 from toricfloer.cli import main
 from toricfloer.floer import subsets_graded
 
@@ -197,6 +197,17 @@ def test_consecutive_calls_match_their_goldens(fmt, capsys):
         assert main(CASES[f"{stem}.{fmt}"]) == 0
         out = capsys.readouterr().out
         assert out == (GOLDEN / f"{stem}.{fmt}").read_text(encoding="utf-8")
+
+
+# main also keeps the l-product row layouts it has used: the whole corpus
+# from an empty cache, then again in reverse order against a warm one
+def test_corpus_twice_in_one_process_matches_its_goldens(capsys):
+    cli._LProducts.layout.cache_clear()
+    stems = sorted(CASES)
+    for stem in stems + stems[::-1]:
+        assert main(CASES[stem]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / stem).read_text(encoding="utf-8"), stem
 
 
 RING_CASES = {"ring_CPn3_solver.txt": "CPn(3)", "ring_rect_solver.txt": RECT_JSON}
