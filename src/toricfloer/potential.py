@@ -273,8 +273,9 @@ def _limit_denominator(x: float, bound: int) -> Fraction:
         p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
         n, d = d, n - a * d
     k = (bound - q0) // q1
-    # the convergent p1/q1 lies d/(q1*den) from x and 1/(q1*(q0 + k*q1))
-    # from the other bound, on x's other side: it wins ties, as in Fraction
+    # x lies between the convergent p1/q1 and the other bound, d/(q1*den)
+    # from the first and 1/(q1*(q0 + k*q1)) apart from each other: the
+    # convergent is kept when it is no farther, ties included, as in Fraction
     if 2 * d * (q0 + k * q1) <= den:
         return Fraction(p1, q1)
     return Fraction(p0 + k * p1, q0 + k * q1)
