@@ -22,7 +22,9 @@ at the solver fiber of CPn(3) (one area class) and of the rectangle (two),
 were recorded before cl_mul moved to integer T-exponents.  CP2 in the
 sheared basis with normals (5, 3), (3, 2), (-8, -5), whose normals have
 no zero entry, was recorded before the solver, the gradient and the
-l-table skipped zero normal entries.  A
+l-table skipped zero normal entries.  CPn(6) as JSON and (CP1)^6 as
+text, where the most l-table keys share one value, were recorded before
+analyze built, rendered and wrote each distinct l-table value once.  A
 refactor that keeps the mathematics must keep every byte; a deliberate
 change of output re-records the affected files and says why.
 """
@@ -86,6 +88,14 @@ def _cases() -> dict[str, list[str]]:
     ]
     cases["analyze_CP1fourth_solver.json"] = [
         "analyze", "--input", CP1_FOURTH_JSON, "--format", "json",
+    ]
+    # n = 6, the largest benchmark inputs: 84 sorted keys up to --lmax 3
+    # take 5 distinct values on CPn(6) and 3 on (CP1)^6
+    cases["analyze_CPn6_solver.json"] = [
+        "analyze", "--input", "CPn(6)", "--format", "json",
+    ]
+    cases["analyze_CP1sixth_solver.text"] = [
+        "analyze", "--input", CP1_SIXTH_JSON,
     ]
     # three area classes (1/2, 1, 3/2) at the centre (1/2, 1, 3/2): the
     # correction tower has eight terms
@@ -162,6 +172,7 @@ BOX_123_JSON = _polytope_json(
     [0, -1, 0, -2, 0, -3],
 )
 CP1_FOURTH_JSON = _cube_json(4)
+CP1_SIXTH_JSON = _cube_json(6)
 CPN3_SHIFTED_JSON = _polytope_json(
     "CPn3_shifted",
     [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
