@@ -49,6 +49,20 @@ def render_novikov(e: NovikovElement, two_pi: bool = False) -> str:
 # analyze
 
 
+def _per_value(f, items) -> dict:
+    """{key: f(value)} over the (key, value) items, calling f once per
+    distinct value object.  The memo is keyed by id(value), which is sound
+    while the caller holds every value, as analyze holds its l-table."""
+    seen: dict = {}
+    out = {}
+    for key, value in items:
+        ident = id(value)
+        if ident not in seen:
+            seen[ident] = f(value)
+        out[key] = seen[ident]
+    return out
+
+
 def _parse_fiber_arg(arg: str, n: int) -> Fiber:
     try:
         coords = tuple(_parse_rational(p.strip()) for p in arg.split(","))
@@ -91,8 +105,10 @@ def _chain_map_block(n: int, N: int, l: int) -> dict:
 
 
 # the row layouts _LProducts.layout keeps: one per recently used n,
-# --lmax and output format, since a process may run main many times
+# --lmax and output format, since a process may run main many times, and
+# only those of at most _LAYOUT_ROWS rows, since a layout grows as n^lmax
 _LAYOUTS = 16
+_LAYOUT_ROWS = 4096
 
 
 @dataclass
@@ -103,11 +119,12 @@ class _LProducts:
 
     The JSON writer and the text renderer write each row as its prefix,
     which depends only on n, lmax and the format, then the tail of its
-    sorted key, built once per key.  layout() keeps the prefixes and keys
-    of the _LAYOUTS most recently used layouts for the life of the
-    process, as tuples, so no report can change a later one.  As JSON
-    the rows are the list of {"indices": [1-based], "numeric": ...,
-    "value": ...} dicts.
+    sorted key's value, built once per distinct value.  layout() keeps the
+    prefixes and keys of the _LAYOUTS most recently used layouts of at
+    most _LAYOUT_ROWS rows for the life of the process, as tuples, so no
+    report can change a later one; lines() builds a larger layout for the
+    one call.  As JSON the rows are the list of {"indices": [1-based],
+    "numeric": ..., "value": ...} dicts.
     """
 
     n: int
@@ -146,13 +163,21 @@ class _LProducts:
 
     def lines(self, pieces: tuple[str, ...], frame: tuple[str, str, str], tail) -> map:
         """Each row as its layout prefix followed by tail(value, numeric)
-        of its sorted key, numeric None without the numeric column."""
-        tails = {
-            key: tail(value, None if self.numeric is None else self.numeric[key])
-            for key, value in self.text.items()
-            if len(key) <= self.lmax
-        }
-        prefixes, keys = self.layout(self.lmax, pieces, frame)
+        of its sorted key, numeric None without the numeric column.  Many
+        keys share one value: tail runs once per distinct (value, numeric)
+        pair."""
+        numeric = self.numeric
+        built: dict = {}
+        tails = {}
+        for key, value in self.text.items():
+            if len(key) <= self.lmax:
+                pair = (value, None if numeric is None else numeric[key])
+                if pair not in built:
+                    built[pair] = tail(*pair)
+                tails[key] = built[pair]
+        rows = sum(self.n**m for m in range(self.lmax + 1))
+        layout = self.layout if rows <= _LAYOUT_ROWS else self.layout.__wrapped__
+        prefixes, keys = layout(self.lmax, pieces, frame)
         return map(operator.add, prefixes, map(tails.__getitem__, keys))
 
 
@@ -178,10 +203,10 @@ def cmd_analyze(args) -> dict:
             )
     # one table gives the rank (row 1 is (-1)^n alpha), the Hessian and the
     # Clifford relations (row 2 is Q) and the printed rows (up to --lmax);
-    # each of its values is rendered once
+    # keys of equal value share one element, rendered once
     table = _l_table(X, partition, max(args.lmax, 2))
     rank = _hf_rank(X.n, [table[(i,)] for i in range(X.n)])
-    text = {key: render_novikov(value, args.two_pi) for key, value in table.items()}
+    text = _per_value(lambda value: render_novikov(value, args.two_pi), table.items())
     # the solver's gradient, read at the reported fiber
     grad_norm = max(map(abs, _gradient(X, [float(u) for u in fiber.u])))
 
@@ -235,19 +260,25 @@ def cmd_analyze(args) -> dict:
 
     doc["hessian"] = [[text[min(i, j), max(i, j)] for j in range(X.n)] for i in range(X.n)]
     if balanced:
+        halves = _per_value(
+            lambda value: render_novikov(value * Fraction(1, 2), args.two_pi),
+            ((i, table[i, i]) for i in range(X.n)),
+        )
         doc["clifford_relations"] = [
-            f"C_{i + 1}^2 = {render_novikov(table[i, i] * Fraction(1, 2), args.two_pi)}"
-            for i in range(X.n)
+            f"C_{i + 1}^2 = {halves[i]}" for i in range(X.n)
         ] + [
             f"C_{i + 1}*C_{j + 1} + C_{j + 1}*C_{i + 1} = {text[i, j]}"
             for i in range(X.n)
             for j in range(i + 1, X.n)
         ]
 
-    # l is symmetric in its indices: one rendered value per sorted index
-    # tuple, one printed row per ordered tuple
+    # l is symmetric in its indices: one numeric column per distinct value
+    # over the sorted index tuples, one printed row per ordered tuple
     numeric = (
-        {key: repr(value.numeric()) for key, value in table.items() if len(key) <= args.lmax}
+        _per_value(
+            lambda value: repr(value.numeric()),
+            ((key, value) for key, value in table.items() if len(key) <= args.lmax),
+        )
         if args.numeric
         else None
     )

@@ -371,8 +371,12 @@ def _l_table(
     equation taken as the definition, so it is 0 on a key with an axis where
     the disc's normal is 0.  Each facet walks only the sorted keys over its
     support, extending a key's weight by one pairing, and adds it into its
-    area class's total for that key.  A key some facet reaches costs one
-    _class_terms, any other is ZERO: conftest.oracle_l_table key for key.
+    area class's total for that key: conftest.oracle_l_table key for key.
+
+    The class totals fix the value, so keys with equal totals share one
+    element, built by one _class_terms; all-zero totals, or a key no
+    facet reaches, give ZERO.  Two keys of the table hold one object
+    exactly when their values are equal.
     """
     sign = (-1) ** X.n  # boundary_pairing(n, v, i) is sign * v[i]
     totals: dict = defaultdict(lambda: [0] * len(partition))
@@ -389,11 +393,17 @@ def _l_table(
                         for key, w, last in level
                         for s, (i, p) in enumerate(pairings[last:], last)
                     ]
-    return {
-        key: ZERO if (sums := totals.get(key)) is None else _class_terms(partition, sums)
-        for m in range(lmax + 1)
-        for key in combinations_with_replacement(range(X.n), m)
-    }
+    zero = (0,) * len(partition)
+    values = {zero: ZERO}  # each distinct totals tuple's element
+    table = {}
+    for m in range(lmax + 1):
+        for key in combinations_with_replacement(range(X.n), m):
+            sums = tuple(totals.get(key, zero))
+            value = values.get(sums)
+            if value is None:
+                value = values[sums] = _class_terms(partition, sums)
+            table[key] = value
+    return table
 
 
 def formal_hessian(X: ToricFano, f: Fiber) -> QuadraticForm:

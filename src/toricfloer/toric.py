@@ -251,7 +251,9 @@ def make_toric(
 ) -> ToricFano:
     """Validate facet data and attach an exact interior witness."""
     vs = tuple(tuple(int(c) for c in v) for v in normals)
-    lams = tuple(Fraction(x) for x in offsets)
+    # a Fraction as such is kept: Fraction(x) would check it against the
+    # numbers.Rational ABC again
+    lams = tuple(x if type(x) is Fraction else Fraction(x) for x in offsets)
     if n < 1:
         raise InvalidPolytope("dimension must be at least 1")
     if len(vs) != len(lams):
@@ -378,7 +380,9 @@ def _from_json_dict(doc: dict) -> ToricFano:
         elif not isinstance(offset, int) or isinstance(offset, bool):
             raise ParseError("offsets must be rational strings or integers")
         normals.append(tuple(normal))
-        offsets.append(Fraction(offset))
+        # an int, or the Fraction _parse_rational returned: make_toric
+        # converts only the int
+        offsets.append(offset)
     return make_toric(name, dim, normals, offsets)
 
 

@@ -16,6 +16,7 @@ from toricfloer import (
     disc_areas,
     floer,
     load_toric,
+    make_toric,
     potential,
     subsets_graded,
     toric,
@@ -83,6 +84,34 @@ def random_interior_fiber(X, rng: random.Random, denom: int = 60) -> Fiber:
         else:
             return Fiber(tuple(u))
     raise RuntimeError(f"could not sample an interior point of {X.name}")
+
+
+# Polytopes beyond the built-ins: the rectangle [0,2]x[0,1] (two area
+# classes at its centre), the hexagon (CP2 blown up at three points) and
+# the box [0,1]x[0,2]x[0,3] (three classes at its centre).
+RECT = make_toric("rect", 2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [0, -2, 0, -1])
+HEXAGON = make_toric(
+    "hexagon", 2, [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)], [-1] * 6
+)
+BOX_123 = make_toric(
+    "box123",
+    3,
+    [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+    [0, -1, 0, -2, 0, -3],
+)
+
+
+def shear(X, f, shears):
+    """X and the fiber f under the unimodular shears (i, j, c), in order:
+    v_i += c * v_j on every normal and u_j -= c * u_i on the fiber, so
+    that every disc area stays."""
+    normals, u = [list(v) for v in X.normals], list(f.u)
+    for i, j, c in shears:
+        for v in normals:
+            v[i] += c * v[j]
+        u[j] -= c * u[i]
+    Y = make_toric(f"{X.name}_sheared", X.n, [tuple(v) for v in normals], X.offsets)
+    return Y, Fiber(tuple(u))
 
 
 @functools.lru_cache

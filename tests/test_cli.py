@@ -25,8 +25,10 @@ from conftest import (
     oracle_l_product_lines,
     oracle_l_products,
     oracle_l_rows,
+    oracle_l_table,
     oracle_scan,
 )
+from strategies import sheared_fibers
 
 SKEW_JSON = json.dumps(
     {
@@ -186,9 +188,9 @@ class TestAnalyzeText:
 
     def test_one_l_product_per_index_multiset(self, capsys, monkeypatch):
         # l is symmetric: the 85 ordered index tuples of length <= 3 over
-        # four axes fall into 35 multisets, one element built from its area
-        # class totals each (the last facet's normal has no zero entry, so
-        # it reaches every key)
+        # four axes fall into 35 multisets, and the table builds one element
+        # per distinct nonzero vector of area class totals: at the solver
+        # fiber of CPn(4) the 35 keys take 5 values, one of them 0
         tables, sums_per_table, sums = [], [], []
         original_table, original_sum = cli._l_table, potential._class_terms
 
@@ -210,8 +212,14 @@ class TestAnalyzeText:
         assert code == 0
         rows = json.loads(out)["l_products"]
         assert len(rows) == 85
-        assert len(tables) == 1 and len(tables[0]) == 35 and sums_per_table == [35]
+        assert len(tables) == 1 and len(tables[0]) == 35
         assert {tuple(sorted(i - 1 for i in r["indices"])) for r in rows} == set(tables[0])
+        assert len(set(map(tuple, sums))) == len(sums) == sums_per_table[0] == 4
+        assert all(map(any, sums))
+        X = toric.load_toric("CPn(4)")
+        partition = toric._fiber_partition(X, toric.Fiber((Fraction(1, 5),) * 4))
+        values = set(map(str, oracle_l_table(X, partition, 3).values()))
+        assert values == {str(value) for value in tables[0].values()} and len(values) == 5
 
     def test_numeric_column(self, capsys):
         code, out, _ = run(
@@ -366,8 +374,9 @@ class TestAnalyzeJson:
     @pytest.mark.parametrize("flags", [[], ["--lmax", "1"], ["--two-pi"]])
     def test_each_table_value_is_rendered_once(self, capsys, monkeypatch, flags):
         # the Hessian, the off-diagonal Clifford relations and the printed
-        # rows share one rendering per sorted key of length <= max(lmax, 2);
-        # only the diagonal halves Q_ii/2 of the balanced fiber add calls
+        # rows share one rendering per distinct value over the sorted keys
+        # of length <= max(lmax, 2); the diagonal halves Q_ii/2 of the
+        # balanced fiber add one per distinct value
         calls = []
         original = cli.render_novikov
 
@@ -390,9 +399,12 @@ class TestAnalyzeJson:
             for key in itertools.combinations_with_replacement(range(X.n), m)
         ]
         Q = oracle_formal_hessian(X, f)
-        expected = [(str(oracle_l_product(X, f, key)), two_pi) for key in keys]
-        expected += [(str(Q[i][i] * Fraction(1, 2)), two_pi) for i in range(X.n)]
-        assert len(calls) == len(keys) + X.n
+        values = {str(oracle_l_product(X, f, key)) for key in keys}
+        halves = {str(Q[i][i] * Fraction(1, 2)) for i in range(X.n)}
+        expected = [(text, two_pi) for text in [*values, *halves]]
+        # at the solver fiber of CPn(4): l(-), l(i) = 0, l(i,i) and l(i,j),
+        # at lmax 3 also l(i,i,j) = l(i,j,k), then one half Q_ii/2 = l(i,j)
+        assert len(calls) == len(expected) == (5 if lmax < 3 else 6)
         assert Counter(calls) == Counter(expected)
         assert max(len(row["indices"]) for row in doc["l_products"]) == lmax
 
@@ -407,16 +419,30 @@ def _box_json(n: int) -> str:
     return json.dumps({"name": f"(CP1)^{n}", "dim": n, "facets": facets})
 
 
+def _toric_json(X) -> str:
+    facets = [{"normal": list(v), "offset": str(c)} for v, c in zip(X.normals, X.offsets)]
+    return json.dumps({"name": X.name, "dim": X.n, "facets": facets})
+
+
 @st.composite
 def _l_product_cases(draw):
-    """analyze argv on CPn(n) or (CP1)^n, n in 1..6, with --lmax 0..4, with
-    or without --numeric and --two-pi, at the solver fiber or at a drawn
-    interior one."""
-    n = draw(st.integers(1, 6))
-    source = draw(st.sampled_from([f"CPn({n})", _box_json(n)]))
+    """analyze argv with --lmax 0..4, with or without --numeric and
+    --two-pi, on CPn(n) or (CP1)^n, n in 1..6, at the solver fiber or at a
+    drawn interior one, or on a sheared_fibers polytope at its given fiber,
+    where the l-table's values are mostly distinct."""
+    if draw(st.booleans()):
+        _X, _f, Y, g = draw(sheared_fibers())
+        n, source = Y.n, _toric_json(Y)
+        fiber = "--fiber=" + ",".join(map(str, g.u))
+    else:
+        n = draw(st.integers(1, 6))
+        source = draw(st.sampled_from([f"CPn({n})", _box_json(n)]))
+        fiber = None
     argv = ["analyze", "--input", source, "--lmax", str(draw(st.integers(0, 4)))]
     argv += [flag for flag in ("--numeric", "--two-pi") if draw(st.booleans())]
-    if draw(st.booleans()):
+    if fiber:
+        argv.append(fiber)
+    elif draw(st.booleans()):
         # u_i = a_i / (a_1 + ... + a_{n+1}) with every a_i >= 1 is inside both
         a = draw(st.lists(st.integers(1, 9), min_size=n + 1, max_size=n + 1))
         argv.append("--fiber=" + ",".join(str(Fraction(ai, sum(a))) for ai in a[:n]))
@@ -430,7 +456,7 @@ def _main_stdout(argv) -> str:
     return out.getvalue()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(_l_product_cases())
 def test_l_product_rows_match_the_oracle(argv):
     out = _main_stdout([*argv, "--format", "json"])
@@ -1011,6 +1037,23 @@ def _l_products_case(n, lmax, numeric, strings):
     return cli._LProducts(n, lmax, text, numbers), oracle_l_rows(n, lmax, text, numbers)
 
 
+def assert_same_lines(got, want) -> None:
+    """got == want, two strings or two lists of lines.  The test is a bool,
+    and a mismatch reports only its first differing line: pytest's diff of
+    two long reports would run at every step of hypothesis's shrinking."""
+    same = got == want
+    assert same, _first_difference(got, want)
+
+
+def _first_difference(got, want) -> str:
+    if isinstance(got, str):
+        got, want = got.split("\n"), want.split("\n")
+    for k, (a, b) in enumerate(itertools.zip_longest(got, want)):
+        if a != b:
+            return f"line {k + 1} is {a!r}, expected {b!r}"
+    return "no line differs"
+
+
 def _l_products_json(n, lmax, numeric, strings, depth):
     """(the writer's JSON, json.dumps of the oracle's rows), nested depth deep."""
     rows, expected = _l_products_case(n, lmax, numeric, strings)
@@ -1068,7 +1111,7 @@ class TestJsonText:
         # the one leaf that is not plain data, at any indent, with values
         # that need escaping: the bytes json.dumps gives for its row dicts
         got, want = _l_products_json(n, lmax, numeric, strings, depth)
-        assert got == want
+        assert_same_lines(got, want)
 
     @pytest.mark.parametrize(
         "wrap",
@@ -1132,10 +1175,7 @@ class TestRowLayoutCache:
                 got, want = _l_products_text(n, lmax, numeric, strings)
             else:
                 got, want = _l_products_json(n, lmax, numeric, strings, depth)
-            # a bool, not the two reports: pytest's diff of a mismatch
-            # would cost more than hypothesis's search for the smallest one
-            matches = got == want
-            assert matches, (n, lmax, numeric, depth)
+            assert_same_lines(got, want)
             assert layout.cache_info().currsize <= layout.cache_info().maxsize
 
     def test_layout_is_tuples_and_reused(self):
@@ -1147,6 +1187,18 @@ class TestRowLayoutCache:
         assert keys[:6] == ((), (0,), (1,), (2,), (0, 0), (0, 1))
         assert keys[7] == (0, 1)  # l(2,1)
         assert cli._LProducts.layout(2, pieces, frame) is layout
+
+    def test_layouts_over_the_row_bound_are_not_kept(self):
+        # over two axes lmax 11 has 4,095 rows and is kept, in each format;
+        # lmax 12 has 8,191, built for the one call
+        assert 2**12 - 1 <= cli._LAYOUT_ROWS < 2**13 - 1
+        layout = cli._LProducts.layout
+        layout.cache_clear()
+        for lmax in (11, 12):
+            assert_same_lines(*_l_products_json(2, lmax, True, ["a", 'b"\n'], 1))
+            assert_same_lines(*_l_products_text(2, lmax, False, ["x", "y"]))
+            assert layout.cache_info().currsize == 2
+        assert layout.cache_info().misses == 2
 
     def test_cache_stays_within_its_bound(self):
         layout = cli._LProducts.layout

@@ -43,8 +43,13 @@ from toricfloer.floer import apply_differential, differential_matrix
 from toricfloer.toric import _fiber_partition
 from toricfloer.novikov import ONE, ZERO, NovikovElement, monomial
 
+from strategies import sheared_fibers
+
 from conftest import (
+    BOX_123,
     BUILTIN_NAMES,
+    HEXAGON,
+    RECT,
     assert_normal,
     balanced_fiber,
     exact_differential_rank,
@@ -260,7 +265,6 @@ def test_rank_invariant_under_dilation_and_translation(name, k, shift, seed, at_
     assert rank == 2**n - 2 * exact_differential_rank(M)
 
 
-RECT = make_toric("rect", 2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [0, -2, 0, -1])
 RECT_CENTER = Fiber((F(1), F(1, 2)))
 
 
@@ -384,19 +388,6 @@ def test_l_product_unchanged_under_every_permutation(name, seed, idx):
         assert l_product(X, f, perm) == value
 
 
-HEXAGON = make_toric(
-    "hexagon", 2, [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)], [-1] * 6
-)
-
-
-BOX_123 = make_toric(
-    "box123",
-    3,
-    [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
-    [0, -1, 0, -2, 0, -3],
-)
-
-
 def assert_l_table_matches_l_product(X, f, lmax=4):
     """_l_table holds l_product(X, f, key) for each sorted key of length at
     most lmax, in order of length, then lexicographically, and is the
@@ -444,31 +435,28 @@ def test_l_table_matches_l_product_on_rational_boxes(sides, seed, at_solver):
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_l_table_matches_l_product_on_sheared_normals(data):
-    # a random unimodular shear v_i += c * v_j of the normals, with the
-    # fiber moved by u_j -= c * u_i so that every disc area stays: the
-    # normals' supports then take every size from 1 to n, and the
-    # per-facet walk over sorted keys must still give every entry
-    X = data.draw(
-        st.sampled_from([load_toric(name) for name in BUILTIN_NAMES] + [RECT, HEXAGON, BOX_123]),
-        label="X",
-    )
-    if data.draw(st.booleans(), label="at_solver"):
-        f = find_critical_fiber(X)
-    else:
-        f = random_interior_fiber(X, random.Random(data.draw(st.integers(0, 2**16))), denom=12)
-    normals, u = [list(v) for v in X.normals], list(f.u)
-    for _ in range(data.draw(st.integers(0, 2 * X.n), label="shears") if X.n > 1 else 0):
-        i, j = data.draw(st.permutations(range(X.n)), label="axes")[:2]
-        c = data.draw(st.integers(-5, 5), label="multiplier")
-        for v in normals:
-            v[i] += c * v[j]
-        u[j] -= c * u[i]
-    Y = make_toric(f"{X.name}_sheared", X.n, [tuple(v) for v in normals], X.offsets)
-    g = Fiber(tuple(u))
+@given(case=sheared_fibers(), lmax=st.integers(0, 4))
+def test_l_table_matches_l_product_on_sheared_normals(case, lmax):
+    # the normals' supports take every size from 1 to n, and the per-facet
+    # walk over sorted keys must still give every entry
+    X, f, Y, g = case
     assert [d.area for d in disc_areas(Y, g)] == [d.area for d in disc_areas(X, f)]
-    assert_l_table_matches_l_product(Y, g, data.draw(st.integers(0, 4), label="lmax"))
+    assert_l_table_matches_l_product(Y, g, lmax)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=sheared_fibers(), lmax=st.integers(0, 4))
+def test_l_table_shares_one_element_per_value(case, lmax):
+    # on inputs whose values are mostly distinct: two keys hold one object
+    # exactly when their values are equal, and a zero value is ZERO
+    _X, _f, Y, g = case
+    partition = _fiber_partition(Y, g)
+    table = potential._l_table(Y, partition, lmax)
+    assert list(table.items()) == list(oracle_l_table(Y, partition, lmax).items())
+    values = list(table.values())
+    for a, b in combinations_with_replacement(values, 2):
+        assert (a is b) == (a == b)
+    assert all(value is ZERO for value in values if value == ZERO)
 
 
 class TestDivisorRelation:
