@@ -23,7 +23,7 @@ from .errors import (
 from .floer import _hf_rank, _obstruction_form, hf_rank  # noqa: F401
 from .novikov import NovikovElement, _render
 from .potential import _critical_fiber, _fiber_areas, _gradient, _l_table
-from .toric import Fiber, ToricFano, _digit_limit, _grid_alpha_support, _over_digit_limit, _parse_rational
+from .toric import Fiber, ToricFano, _digit_limit, _grid_lines, _over_digit_limit, _parse_rational
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -358,19 +358,28 @@ def _analysis_text(doc: dict) -> list[str]:
 
 def cmd_scan(args) -> dict:
     X = load_from_arg(args.input)
-    step = Fraction(1, args.grid)
     scanned = 0
     balanced_fibers = []
     nonzero_unbalanced = 0
-    # alpha's support, read off the integer class normal sums, decides the
-    # balance (it is empty) and, through _hf_rank, the rank
-    for j, alpha in _grid_alpha_support(X, step):
-        scanned += 1
-        rank = _hf_rank(X.n, alpha)
-        if not any(alpha):
-            balanced_fibers.append(_certified_fiber(X, tuple(step * ji for ji in j)))
-        elif rank != 0:
-            nonzero_unbalanced += 1
+    k = next(k for k, v in enumerate(X.normals) if v[-1] > 0)
+    partners = [l for l, v in enumerate(X.normals) if v[-1] < 0]
+    # at a balanced point facet k's class sums to zero, so it holds an l with
+    # v_l[-1] < 0: every point where k's area ties no such l's is unbalanced
+    for head, lo, hi, base, slopes in _grid_lines(X, Fraction(1, args.grid)):
+        scanned += hi - lo + 1
+        ties = set()
+        for l in partners:
+            t, r = divmod(base[l] - base[k], slopes[k] - slopes[l])
+            if r == 0 and lo <= t <= hi:
+                ties.add(t)
+        for t in sorted(ties):
+            point = tuple(Fraction(j, args.grid) for j in (*head, t))
+            _classes, partition, (balanced, _sums) = _fiber_areas(X, Fiber(point))
+            rank = _hf_rank(X.n, _obstruction_form(X, partition))
+            if balanced:
+                balanced_fibers.append({"u": [str(u) for u in point], "hf_rank": rank})
+            elif rank != 0:
+                nonzero_unbalanced += 1
     doc = {
         "polytope": {"name": X.name, "dim": X.n},
         "grid": args.grid,
@@ -379,20 +388,6 @@ def cmd_scan(args) -> dict:
         "unbalanced_points_with_nonzero_rank": nonzero_unbalanced,
     }
     return doc
-
-
-def _certified_fiber(X: ToricFano, point: tuple[Fraction, ...]) -> dict:
-    """scan's entry for a grid point the integer kernel found balanced, on
-    the exact disc areas analyze reads: a polytope has at most one
-    balanced fiber, so this runs at most once per scan."""
-    _classes, partition, (balanced, sums) = _fiber_areas(X, Fiber(point))
-    if not balanced:
-        raise RuntimeError(
-            f"the grid kernel found {tuple(map(str, point))} balanced, "
-            f"but its exact class normal sums are {sums}"
-        )
-    rank = _hf_rank(X.n, _obstruction_form(X, partition))
-    return {"u": [str(u) for u in point], "hf_rank": rank}
 
 
 def _scan_text(doc: dict) -> list[str]:

@@ -8,8 +8,8 @@ into classes of equal distance, and the balancedness test: every class
 of equidistant facets has normals summing to zero.
 
 The geometry runs on integer numerators and builds one Fraction per
-result (an area, a grid point, a bound), not one per term; scan's grid
-kernel builds none, and decides each point on its area numerators.
+result (an area, a grid point, a bound), not one per term; scan counts
+each line of its grid on the area numerators, building none.
 Validation is exact Fourier-Motzkin elimination on integer rows: in
 y = L*x, L the lcm of the offset denominators, facet k reads
 <v_k, y> >= L*lambda_k.  A combination of strict rows is strict, so the
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iter_product
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidPolytope, NotInterior, ParseError
@@ -504,23 +504,30 @@ def _balance(X: ToricFano, partition: Sequence[AreaClass]) -> BalanceResult:
 
 
 def interior_grid(X: ToricFano, step: Fraction) -> Iterable[tuple[Fraction, ...]]:
-    """Rational grid points with spacing `step` > 0 strictly inside the polytope."""
+    """Rational grid points with spacing `step` > 0 strictly inside the
+    polytope, in lexicographic order: t walks lo..hi on each line of
+    _grid_lines."""
     step = Fraction(step)
-    for j, _areas in _grid_areas(X, step):
-        yield tuple(step * ji for ji in j)
+    for head, lo, hi, _base, _slopes in _grid_lines(X, step):
+        prefix = tuple(step * h for h in head)
+        for t in range(lo, hi + 1):
+            yield (*prefix, step * t)
 
 
-def _grid_areas(X: ToricFano, step: Fraction) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """(j, areas) for each grid index j with j*step strictly inside X, in
-    lexicographic order of j.
+def _grid_lines(
+    X: ToricFano, step: Fraction
+) -> Iterator[tuple[tuple[int, ...], int, int, list[int], list[int]]]:
+    """(head, lo, hi, base, slopes) for each line of the last axis that has
+    grid points strictly inside X, in lexicographic order of head.
 
     With step = a/b, lambda_k = p_k/q_k and L the lcm of the q_k, facet k
-    has area areas[k] / (b*L) at j*step, areas[k] = a*L*<j, v_k> -
-    b*p_k*(L/q_k).  So the point is inside exactly when every numerator is
-    positive, and two areas are equal exactly when their numerators are.
-    The first n-1 axes walk the coordinate bounds, on which no point is
-    strictly inside; the numerators are affine in the last index, whose
-    interval is read off them with floor division.
+    has area (base[k] + t*slopes[k]) / (b*L) at the grid index (*head, t):
+    base[k] = a*L*<head, v_k> - b*p_k*(L/q_k) over the first n-1 axes and
+    slopes[k] = a*L*v_k[-1].  So two areas are equal exactly when their
+    numerators are, and the point is inside exactly when every numerator
+    is positive, which is lo <= t <= hi, read off with floor division.
+    The head walks the coordinate bounds of the first n-1 axes, on which
+    no point is strictly inside.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -531,43 +538,10 @@ def _grid_areas(X: ToricFano, step: Fraction) -> Iterator[tuple[tuple[int, ...],
     slopes = [scale * v[-1] for v in X.normals]
     heads = [range(math.floor(lo / step) + 1, math.ceil(hi / step)) for lo, hi in X.bounds[:-1]]
     for head in iter_product(*heads):
-        # the numerators at last index 0; the normals that make the polytope
-        # bounded give every last axis a lower and an upper row
+        # the normals that make the polytope bounded give every last axis a
+        # lower and an upper row
         base = [scale * sum(map(mul, head, v)) - s for v, s in zip(X.normals, shifts)]
         lo = max(-e // d + 1 for e, d in zip(base, slopes) if d > 0)
         hi = min((e - 1) // -d for e, d in zip(base, slopes) if d < 0)
-        if lo > hi or any(e <= 0 for e, d in zip(base, slopes) if d == 0):
-            continue
-        areas = [e + lo * d for e, d in zip(base, slopes)]
-        for t in range(lo, hi + 1):
-            yield (*head, t), areas
-            areas = list(map(add, areas, slopes))
-
-
-def _grid_alpha_support(
-    X: ToricFano, step: Fraction
-) -> Iterator[tuple[tuple[int, ...], tuple[bool, ...]]]:
-    """(j, support) for each grid index j with j*step strictly inside X.
-
-    support[i] says whether some class of equal-area facets has normals
-    summing to a nonzero i-th coordinate: the axes on which the
-    obstruction form alpha is nonzero, since its terms of different area
-    cannot cancel.  The point is balanced exactly when no axis is set.
-    """
-    n, normals = X.n, X.normals
-    # every class a single facet: the class sums are the normals
-    distinct = _support(n, normals)
-    for j, areas in _grid_areas(X, step):
-        if len(set(areas)) == len(areas):
-            yield j, distinct
-            continue
-        sums: dict[int, tuple[int, ...]] = {}
-        for e, v in zip(areas, normals):
-            s = sums.get(e)
-            sums[e] = v if s is None else tuple(map(add, s, v))
-        yield j, _support(n, sums.values())
-
-
-def _support(n: int, sums: Iterable[tuple[int, ...]]) -> tuple[bool, ...]:
-    sums = list(sums)
-    return tuple(any(s[i] for s in sums) for i in range(n))
+        if lo <= hi and all(e > 0 for e, d in zip(base, slopes) if d == 0):
+            yield head, lo, hi, base, slopes

@@ -579,11 +579,32 @@ def test_sheared_solver_lands_on_the_balanced_fiber(capsys, source, fiber, rank)
     assert doc["hf_rank"] == rank
 
 
+# A loose --tol stops Newton 1e-5 from the centre, and the iterate does not
+# round to it, so analyze reports a float fiber, balanced False and rank 0.
+# Strict, so the solver whose rank does not move with --tol removes them.
+@pytest.mark.xfail(strict=True, reason="a loose --tol leaves the solver's fiber unrounded, rank 0")
+@pytest.mark.parametrize(
+    "source, tol, rank", [("CP2", "1e-4", 4), ("CPn(5)", "1e-6", 32)], ids=["CP2", "CPn5"]
+)
+def test_loose_tol_keeps_the_exact_fiber(capsys, source, tol, rank):
+    code, out, err = run(
+        capsys, "analyze", "--input", source, "--tol", tol, "--lmax", "0", "--format", "json"
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["fiber"]["exact"] is True
+    assert doc["balanced"] is True
+    assert doc["hf_rank"] == rank
+
+
 def _scan_bases():
     """(name, normals, offsets, balanced fiber or None): the built-ins, two
-    boxes, CP2 x CP1, F1, F1 cut at 1/3, CP2 blown up at two points and the
-    skew triangle.  The last four have normals that do not sum to zero, so no
-    fiber of theirs is balanced."""
+    boxes, CP2 x CP1, the hexagon, CP2 and CPn(3) in sheared lattice bases,
+    F1, F1 cut at 1/3, CP2 blown up at two points and the skew triangle.  The
+    last four have normals that do not sum to zero, so no fiber of theirs is
+    balanced.  The hexagon's (1, 1) and the sheared CPn(3)'s (1, 1, 2), the
+    facets scan fixes, each have two facets whose normals end negative, so a
+    line can hold two tie points."""
     F = Fraction
     cp3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
     square = [(1, 0), (-1, 0), (0, 1), (0, -1)]
@@ -603,6 +624,15 @@ def _scan_bases():
             [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)],
             [0, 0, -1, 0, -1],
             (F(1, 3), F(1, 3), F(1, 2)),
+        ),
+        ("hexagon", [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)], [-1] * 6, (F(0), F(0))),
+        # CP2 in the golden's sheared basis, and CPn(3) with v -> (v1, v1 + v2, 2v1 - v2 + v3)
+        ("CP2_sheared", [(5, 3), (3, 2), (-8, -5)], [0, 0, -1], (F(-1, 3), F(2, 3))),
+        (
+            "CPn3_sheared",
+            [(1, 1, 2), (0, 1, -1), (0, 0, 1), (-1, -2, -2)],
+            [0, 0, 0, -1],
+            (F(-3, 4), F(1, 2), F(1, 4)),
         ),
         ("F1", f1, [-1, -1, -1, -1], None),
         ("F1_third", f1, [0, F(1, 3), 0, -1], None),
@@ -652,15 +682,6 @@ class TestScan:
         expected = [] if fiber is None or not hit else [[str(x) for x in fiber]]
         assert [b["u"] for b in doc["balanced_fibers"]] == expected
 
-    def test_a_balanced_point_the_exact_path_refutes_raises(self, monkeypatch):
-        # (1/6, 1/6) is inside CP2 and unbalanced
-        def kernel(X, step):
-            yield (1, 1), (False, False)
-
-        monkeypatch.setattr(cli, "_grid_alpha_support", kernel)
-        with pytest.raises(RuntimeError, match=r"\('1/6', '1/6'\)"):
-            cli.cmd_scan(argparse.Namespace(input="CP2", grid=6))
-
     def test_cp2_grid(self, capsys):
         code, out, _ = run(capsys, "scan", "--input", "CP2", "--grid", "12")
         assert code == 0
@@ -692,23 +713,45 @@ class TestScan:
         assert doc["balanced_fibers"] == [{"hf_rank": 2, "u": ["50"]}]
         assert doc["unbalanced_points_with_nonzero_rank"] == 0
 
-    @pytest.mark.parametrize("grid,balanced", [("6", 1), ("5", 0)])
-    def test_disc_areas_computed_once_per_balanced_fiber(
-        self, capsys, disc_area_calls, grid, balanced
-    ):
-        # the kernel decides every point on integer numerators; only the
-        # balanced one, (1/3, 1/3) on the grid of step 1/6, is certified
+    def test_cp1_dilated_by_10_400_is_counted_not_walked(self, capsys):
+        # the last axis's interior points are counted in closed form
+        doc = {
+            "name": "CP1 [0, 10^400]",
+            "dim": 1,
+            "facets": [
+                {"normal": [1], "offset": "0"},
+                {"normal": [-1], "offset": "-1e400"},
+            ],
+        }
+        code, out, err = run(
+            capsys, "scan", "--input", json.dumps(doc), "--grid", "1", "--format", "json"
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["points_scanned"] == 10**400 - 1
+        assert doc["balanced_fibers"] == [{"hf_rank": 2, "u": [str(5 * 10**399)]}]
+
+    @pytest.mark.parametrize(
+        "grid, ties, balanced",
+        [("6", [("1/3", "1/3"), ("2/3", "1/6")], 1), ("5", [("1/5", "2/5"), ("3/5", "1/5")], 0)],
+        ids=["6", "5"],
+    )
+    def test_one_exact_check_per_tie(self, capsys, disc_area_calls, grid, ties, balanced):
+        # on CP2's line j1 the areas of (0, 1) and (-1, -1) tie at j2 = (g - j1)/2:
+        # 2 of the 4 lines at grid 6 and 2 of the 3 at grid 5 have a grid tie,
+        # and only those points take the exact path, once each
         code, out, _ = run(capsys, "scan", "--input", "CP2", "--grid", grid, "--format", "json")
         assert code == 0
-        assert len(disc_area_calls) == len(json.loads(out)["balanced_fibers"]) == balanced
+        assert [tuple(map(str, f.u)) for f in disc_area_calls] == ties
+        assert len(json.loads(out)["balanced_fibers"]) == balanced
 
     def test_rank_is_not_read_off_the_balance_test(self, capsys, monkeypatch):
         # a rank that ignores alpha must show in the count of unbalanced
-        # points with nonzero rank
+        # points with nonzero rank: at grid 6 one tie, (2/3, 1/6), is unbalanced
         monkeypatch.setattr(cli, "_hf_rank", lambda n, alpha: 2**n)
         code, out, _ = run(capsys, "scan", "--input", "CP2", "--grid", "6", "--format", "json")
         assert code == 0
-        assert json.loads(out)["unbalanced_points_with_nonzero_rank"] == 9
+        assert json.loads(out)["unbalanced_points_with_nonzero_rank"] == 1
 
     def test_coordinate_bounds_computed_once(self, capsys, monkeypatch):
         # make_toric's per-axis projections also give the grid's ranges
@@ -802,7 +845,7 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1
 
     # CP1 as [0, 10^400]: every exact step succeeds, but no float holds
-    # the offset; scan is left out, as it would walk all 10^400 points
+    # the offset; TestScan scans it
     @pytest.mark.parametrize("fiber", [(), ("--fiber", "1")], ids=["solver", "given"])
     def test_offsets_beyond_float_range(self, capsys, fiber):
         doc = {
