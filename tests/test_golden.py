@@ -24,7 +24,10 @@ sheared basis with normals (5, 3), (3, 2), (-8, -5), whose normals have
 no zero entry, was recorded before the solver, the gradient and the
 l-table skipped zero normal entries.  CPn(6) as JSON and (CP1)^6 as
 text, where the most l-table keys share one value, were recorded before
-analyze built, rendered and wrote each distinct l-table value once.  A
+analyze built, rendered and wrote each distinct l-table value once.  The
+scans of the hexagon and of CPn(3) in a sheared basis, 33 and 47 tie points
+at grid 12, were recorded before scan decided each tie point on the integer
+area numerators of its grid line.  A
 refactor that keeps the mathematics must keep every byte; a deliberate
 change of output re-records the affected files and says why.
 """
@@ -139,6 +142,16 @@ def _cases() -> dict[str, list[str]]:
         cases[f"analyze_CP2_sheared_solver.{fmt}"] = [
             "analyze", "--input", CP2_SHEARED_JSON, "--format", fmt,
         ]
+    # many tie points per scan: the hexagon's (1, 1) and the sheared CPn(3)'s
+    # (1, 1, 2) each have two facets whose normals end negative, so a grid
+    # line can hold two; 33 and 47 ties, one balanced fiber each
+    cases["scan_hexagon_grid12.json"] = [
+        "scan", "--input", HEXAGON_JSON, "--grid", "12", "--format", "json",
+    ]
+    for fmt in ("text", "json"):
+        cases[f"scan_CPn3_sheared_grid12.{fmt}"] = [
+            "scan", "--input", CPN3_SHEARED_JSON, "--grid", "12", "--format", fmt,
+        ]
     return cases
 
 
@@ -188,6 +201,12 @@ ALL26_JSON = _polytope_json(
 )
 CP2_SHEARED_JSON = _polytope_json(
     "CP2_sheared", [(5, 3), (3, 2), (-8, -5)], [0, 0, -1]
+)
+HEXAGON_JSON = _polytope_json(
+    "hexagon", [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)], [-1] * 6
+)
+CPN3_SHEARED_JSON = _polytope_json(
+    "CPn3_sheared", [(1, 1, 2), (0, 1, -1), (0, 0, 1), (-1, -2, -2)], [0, 0, 0, -1]
 )
 CASES = _cases()
 
