@@ -20,10 +20,11 @@ from .errors import (
     ParseError,
 )
 # hf_rank stays bound here: the benchmark's tracer test resolves cli.hf_rank
-from .floer import _hf_rank, _obstruction_form, hf_rank  # noqa: F401
+from .floer import _hf_rank, hf_rank  # noqa: F401
 from .novikov import NovikovElement, _render
-from .potential import _critical_fiber, _fiber_areas, _gradient, _l_table
-from .toric import Fiber, ToricFano, _digit_limit, _grid_lines, _over_digit_limit, _parse_rational
+from .potential import _class_terms, _critical_fiber, _fiber_areas, _gradient, _l_table
+from .toric import Fiber, ToricFano, _digit_limit, _grid_lines, _line_balance
+from .toric import _over_digit_limit, _parse_rational
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -365,7 +366,7 @@ def cmd_scan(args) -> dict:
     partners = [l for l, v in enumerate(X.normals) if v[-1] < 0]
     # at a balanced point facet k's class sums to zero, so it holds an l with
     # v_l[-1] < 0: every point where k's area ties no such l's is unbalanced
-    for head, lo, hi, base, slopes in _grid_lines(X, Fraction(1, args.grid)):
+    for head, lo, hi, base, slopes, den in _grid_lines(X, Fraction(1, args.grid)):
         scanned += hi - lo + 1
         ties = set()
         for l in partners:
@@ -373,21 +374,20 @@ def cmd_scan(args) -> dict:
             if r == 0 and lo <= t <= hi:
                 ties.add(t)
         for t in sorted(ties):
-            point = tuple(Fraction(j, args.grid) for j in (*head, t))
-            _classes, partition, (balanced, _sums) = _fiber_areas(X, Fiber(point))
-            rank = _hf_rank(X.n, _obstruction_form(X, partition))
+            partition, (balanced, sums) = _line_balance(X, base, slopes, den, t)
+            rank = _hf_rank(X.n, [_class_terms(partition, axis) for axis in zip(*sums)])
             if balanced:
-                balanced_fibers.append({"u": [str(u) for u in point], "hf_rank": rank})
+                u = [str(Fraction(j, args.grid)) for j in (*head, t)]
+                balanced_fibers.append({"u": u, "hf_rank": rank})
             elif rank != 0:
                 nonzero_unbalanced += 1
-    doc = {
+    return {
         "polytope": {"name": X.name, "dim": X.n},
         "grid": args.grid,
         "points_scanned": scanned,
         "balanced_fibers": balanced_fibers,
         "unbalanced_points_with_nonzero_rank": nonzero_unbalanced,
     }
-    return doc
 
 
 def _scan_text(doc: dict) -> list[str]:

@@ -508,7 +508,7 @@ def interior_grid(X: ToricFano, step: Fraction) -> Iterable[tuple[Fraction, ...]
     polytope, in lexicographic order: t walks lo..hi on each line of
     _grid_lines."""
     step = Fraction(step)
-    for head, lo, hi, _base, _slopes in _grid_lines(X, step):
+    for head, lo, hi, *_areas in _grid_lines(X, step):
         prefix = tuple(step * h for h in head)
         for t in range(lo, hi + 1):
             yield (*prefix, step * t)
@@ -516,27 +516,34 @@ def interior_grid(X: ToricFano, step: Fraction) -> Iterable[tuple[Fraction, ...]
 
 def _grid_lines(
     X: ToricFano, step: Fraction
-) -> Iterator[tuple[tuple[int, ...], int, int, list[int], list[int]]]:
-    """(head, lo, hi, base, slopes) for each line of the last axis that has
-    grid points strictly inside X, in lexicographic order of head.
+) -> Iterator[tuple[tuple[int, ...], int, int, list[int], list[int], int]]:
+    """(head, lo, hi, base, slopes, den) for each line of the last axis that
+    has grid points strictly inside X, in lexicographic order of head.
 
     With step = a/b, lambda_k = p_k/q_k and L the lcm of the q_k, facet k
-    has area (base[k] + t*slopes[k]) / (b*L) at the grid index (*head, t):
-    base[k] = a*L*<head, v_k> - b*p_k*(L/q_k) over the first n-1 axes and
-    slopes[k] = a*L*v_k[-1].  So two areas are equal exactly when their
-    numerators are, and the point is inside exactly when every numerator
-    is positive, which is lo <= t <= hi, read off with floor division.
-    The head walks the coordinate bounds of the first n-1 axes, on which
-    no point is strictly inside.
+    has area (base[k] + t*slopes[k]) / den at the grid index (*head, t),
+    with den = b*L, base[k] = a*L*<head, v_k> - b*p_k*(L/q_k) over the
+    first n-1 axes and slopes[k] = a*L*v_k[-1].  So two areas are equal
+    exactly when their numerators are (_line_balance groups them), and the
+    point is inside exactly when every numerator is positive, which is
+    lo <= t <= hi, read off with floor division.  The head walks the
+    coordinate bounds of the first n-1 axes, on which no point is strictly
+    inside; an axis with more than sys.maxsize of them is a ParseError.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     a, b = step.numerator, step.denominator
     L = math.lcm(*(lam.denominator for lam in X.offsets))
-    scale = a * L
+    scale, den = a * L, b * L
     shifts = [b * lam.numerator * (L // lam.denominator) for lam in X.offsets]
     slopes = [scale * v[-1] for v in X.normals]
     heads = [range(math.floor(lo / step) + 1, math.ceil(hi / step)) for lo, hi in X.bounds[:-1]]
+    for axis, r in enumerate(heads, 1):
+        if r.stop - r.start > sys.maxsize:
+            raise ParseError(
+                f"the grid has too many lines to walk: axis {axis} holds more "
+                f"than {sys.maxsize} grid indices"
+            )
     for head in iter_product(*heads):
         # the normals that make the polytope bounded give every last axis a
         # lower and an upper row
@@ -544,4 +551,19 @@ def _grid_lines(
         lo = max(-e // d + 1 for e, d in zip(base, slopes) if d > 0)
         hi = min((e - 1) // -d for e, d in zip(base, slopes) if d < 0)
         if lo <= hi and all(e > 0 for e, d in zip(base, slopes) if d == 0):
-            yield head, lo, hi, base, slopes
+            yield head, lo, hi, base, slopes, den
+
+
+def _line_balance(
+    X: ToricFano, base: Sequence[int], slopes: Sequence[int], den: int, t: int
+) -> tuple[tuple[AreaClass, ...], BalanceResult]:
+    """_fiber_partition and is_balanced at the grid index (*head, t) of a
+    _grid_lines line, lo <= t <= hi: the facets grouped by their area
+    numerators, one Fraction per class."""
+    groups: dict[int, list[int]] = {}
+    for k, (e, d) in enumerate(zip(base, slopes)):
+        groups.setdefault(e + t * d, []).append(k)
+    partition = tuple(
+        AreaClass(Fraction(num, den), tuple(idxs)) for num, idxs in sorted(groups.items())
+    )
+    return partition, _balance(X, partition)

@@ -27,6 +27,7 @@ from conftest import (
     oracle_l_rows,
     oracle_l_table,
     oracle_scan,
+    shear,
 )
 from strategies import sheared_fibers
 
@@ -682,6 +683,61 @@ class TestScan:
         expected = [] if fiber is None or not hit else [[str(x) for x in fiber]]
         assert [b["u"] for b in doc["balanced_fibers"]] == expected
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_tie_partition_matches_the_exact_path(self, data):
+        # wherever two facets' area numerators tie on a line, scan's partition
+        # and balance are those of disc_areas at the point; points_scanned and
+        # the per-point oracle alone would not see a wrong class area
+        text, grid, _fiber = data.draw(_scan_inputs(data.draw(st.booleans())))
+        X = toric.load_toric(text)
+        step = Fraction(1, grid)
+        for head, lo, hi, base, slopes, den in toric._grid_lines(X, step):
+            for t in range(lo, hi + 1):
+                nums = [e + t * d for e, d in zip(base, slopes)]
+                if len(set(nums)) == len(nums):
+                    continue
+                point = [step * j for j in (*head, t)]
+                partition, balance = toric._line_balance(X, base, slopes, den, t)
+                assert partition == toric._fiber_partition(X, point)
+                assert balance == toric._balance(X, partition) == toric.is_balanced(X, point)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_counts_and_fibers_follow_permutation_translation_and_shear(self, data):
+        # a facet permutation, an integer translation w and unimodular shears
+        # map the grid (1/g)Z^n onto itself, so the scan of the moved polytope
+        # has the same counts and the moved balanced fibers
+        text, grid, _fiber = data.draw(_scan_inputs(data.draw(st.booleans())))
+        X = toric.load_toric(text)
+        n = X.n
+        moves = [(i, j, c) for i in range(n) for j in range(n) if i != j for c in (-1, 1)]
+        shears = data.draw(st.lists(st.sampled_from(moves), max_size=2)) if moves else []
+        w = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        order = data.draw(st.permutations(range(X.num_facets)))
+        Y, _origin = shear(X, toric.Fiber((Fraction(0),) * n), shears)
+        facets = [
+            {
+                "normal": list(Y.normals[k]),
+                "offset": str(Y.offsets[k] + sum(a * b for a, b in zip(w, Y.normals[k]))),
+            }
+            for k in order
+        ]
+        moved = json.dumps({"name": X.name, "dim": n, "facets": facets})
+        before = cli.cmd_scan(argparse.Namespace(input=text, grid=grid))
+        after = cli.cmd_scan(argparse.Namespace(input=moved, grid=grid))
+        for key in ("points_scanned", "unbalanced_points_with_nonzero_rank"):
+            assert after[key] == before[key]
+
+        def fibers(doc):
+            return sorted((tuple(map(Fraction, b["u"])), b["hf_rank"]) for b in doc["balanced_fibers"])
+
+        expected = []
+        for u, rank in fibers(before):
+            sheared = shear(X, toric.Fiber(u), shears)[1].u
+            expected.append((tuple(x + wi for x, wi in zip(sheared, w)), rank))
+        assert fibers(after) == sorted(expected)
+
     def test_cp2_grid(self, capsys):
         code, out, _ = run(capsys, "scan", "--input", "CP2", "--grid", "12")
         assert code == 0
@@ -731,18 +787,46 @@ class TestScan:
         assert doc["points_scanned"] == 10**400 - 1
         assert doc["balanced_fibers"] == [{"hf_rank": 2, "u": [str(5 * 10**399)]}]
 
+    def test_square_of_side_10_400_names_the_axis_it_cannot_walk(self, capsys):
+        # the first axis holds 10^400 - 1 lines, more than a walk can index:
+        # a bad input, not a float that the numeric side cannot hold
+        doc = {
+            "name": "square [0, 10^400]^2",
+            "dim": 2,
+            "facets": [
+                {"normal": v, "offset": c}
+                for v, c in zip([[1, 0], [-1, 0], [0, 1], [0, -1]], ["0", "-1e400"] * 2)
+            ],
+        }
+        code, out, err = run(capsys, "scan", "--input", json.dumps(doc), "--grid", "1")
+        assert (code, out) == (2, "")
+        assert "float range" not in err
+        assert err.startswith("error: ") and "axis 1" in err and "too many lines" in err
+
     @pytest.mark.parametrize(
         "grid, ties, balanced",
         [("6", [("1/3", "1/3"), ("2/3", "1/6")], 1), ("5", [("1/5", "2/5"), ("3/5", "1/5")], 0)],
         ids=["6", "5"],
     )
-    def test_one_exact_check_per_tie(self, capsys, disc_area_calls, grid, ties, balanced):
+    def test_one_check_per_tie(self, capsys, monkeypatch, disc_area_calls, grid, ties, balanced):
         # on CP2's line j1 the areas of (0, 1) and (-1, -1) tie at j2 = (g - j1)/2:
         # 2 of the 4 lines at grid 6 and 2 of the 3 at grid 5 have a grid tie,
-        # and only those points take the exact path, once each
+        # and only those points are decided, once each, on the line's area
+        # numerators: no disc areas, and the exact path's partition
+        checked = []
+        original = toric._balance
+
+        def recording(X, partition):
+            checked.append(partition)
+            return original(X, partition)
+
+        monkeypatch.setattr(toric, "_balance", recording)
         code, out, _ = run(capsys, "scan", "--input", "CP2", "--grid", grid, "--format", "json")
         assert code == 0
-        assert [tuple(map(str, f.u)) for f in disc_area_calls] == ties
+        assert disc_area_calls == []
+        X = toric.load_toric("CP2")
+        assert checked == [toric._fiber_partition(X, [Fraction(x) for x in u]) for u in ties]
+        assert len({u[0] for u in ties}) == len(ties)
         assert len(json.loads(out)["balanced_fibers"]) == balanced
 
     def test_rank_is_not_read_off_the_balance_test(self, capsys, monkeypatch):
