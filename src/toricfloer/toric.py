@@ -557,9 +557,9 @@ def _grid_lines(
 def _line_balance(
     X: ToricFano, base: Sequence[int], slopes: Sequence[int], den: int, t: int
 ) -> tuple[tuple[AreaClass, ...], BalanceResult]:
-    """_fiber_partition and is_balanced at the grid index (*head, t) of a
-    _grid_lines line, lo <= t <= hi: the facets grouped by their area
-    numerators, one Fraction per class."""
+    """(_fiber_partition, is_balanced) at the grid index (*head, t) of a
+    _grid_lines line: the facets grouped by their area numerators, which
+    are all positive for lo <= t <= hi, with one Fraction per class."""
     groups: dict[int, list[int]] = {}
     for k, (e, d) in enumerate(zip(base, slopes)):
         groups.setdefault(e + t * d, []).append(k)
