@@ -45,12 +45,7 @@ from typing import Iterable, Mapping, Union
 
 from .errors import DimensionMismatch, NotBalanced
 from .novikov import ONE, ZERO, NovikovElement, _Combination, monomial
-from .toric import (
-    Fiber,
-    ToricFano,
-    _balance,
-    _fiber_partition,
-)
+from .toric import Fiber, ToricFano, _fiber_areas
 
 OddGen = tuple[str, int]  # ("d", j) or ("l", i); "d" sorts before "l"
 Monomial = tuple[tuple[int, ...], tuple[OddGen, ...]]  # (even Q multiset, odds)
@@ -193,14 +188,14 @@ class ChainAlgebra:
 
     @classmethod
     def for_fiber(cls, X: ToricFano, f: Fiber) -> "ChainAlgebra":
-        partition = _fiber_partition(X, f)
+        classes, partition, balance = _fiber_areas(X, f)
         return cls(
             n=X.n,
             N=X.num_facets,
-            facet_areas=tuple(a for _, a in sorted((k, a) for a, ks in partition for k in ks)),
+            facet_areas=tuple(d.area for d in classes),
             class_areas=tuple(a for a, _ in partition),
             class_members=tuple(idxs for _, idxs in partition),
-            balanced=_balance(X, partition).balanced,
+            balanced=balance.balanced,
         )
 
     @property

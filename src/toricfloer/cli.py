@@ -22,8 +22,8 @@ from .errors import (
 # hf_rank stays bound here: the benchmark's tracer test resolves cli.hf_rank
 from .floer import _hf_rank, hf_rank  # noqa: F401
 from .novikov import NovikovElement, _render
-from .potential import _class_terms, _critical_fiber, _fiber_areas, _gradient, _l_table
-from .toric import Fiber, ToricFano, _digit_limit, _grid_lines, _line_balance
+from .potential import _alpha, _critical_fiber, _gradient, _l_table
+from .toric import Fiber, ToricFano, _digit_limit, _fiber_areas, _grid_lines, _line_balance
 from .toric import _over_digit_limit, _parse_rational
 
 EXIT_OK = 0
@@ -375,7 +375,7 @@ def cmd_scan(args) -> dict:
                 ties.add(t)
         for t in sorted(ties):
             partition, (balanced, sums) = _line_balance(X, base, slopes, den, t)
-            rank = _hf_rank(X.n, [_class_terms(partition, axis) for axis in zip(*sums)])
+            rank = _hf_rank(X.n, _alpha(partition, sums))
             if balanced:
                 u = [str(Fraction(j, args.grid)) for j in (*head, t)]
                 balanced_fibers.append({"u": u, "hf_rank": rank})

@@ -30,16 +30,8 @@ from typing import Sequence
 from .clifford import CliffordElement, cl_mul
 from .errors import NotBalanced
 from .novikov import DEFAULT_CUTOFF, ZERO, NovikovElement, monomial
-from .potential import QuadraticForm, _class_sum, _hessian, boundary_pairing
-from .toric import (
-    AreaClass,
-    BalanceResult,
-    Fiber,
-    ToricFano,
-    _as_fiber,
-    _balance,
-    _fiber_partition,
-)
+from .potential import QuadraticForm, _alpha, _class_terms, _hessian, boundary_pairing
+from .toric import BalanceResult, Fiber, ToricFano, _as_fiber, _fiber_areas
 
 #: cohomology classes of the fiber torus, wedge products of the degree-1
 #: generators; the same container as CliffordElement, multiplied with Q = 0
@@ -68,14 +60,8 @@ def wedge(x: ExteriorClass, y: ExteriorClass) -> ExteriorClass:
 def obstruction_form(X: ToricFano, f: Fiber) -> list[NovikovElement]:
     """Coefficients alpha_i = sum_k v_ki * T^{e_k} q of the one-form alpha,
     summed per class of equal disc area."""
-    return _obstruction_form(X, _fiber_partition(X, f))
-
-
-def _obstruction_form(
-    X: ToricFano, partition: Sequence[AreaClass]
-) -> list[NovikovElement]:
-    """obstruction_form on an area partition already computed for the fiber."""
-    return [_class_sum(partition, [v[i] for v in X.normals]) for i in range(X.n)]
+    _classes, partition, (_balanced, class_sums) = _fiber_areas(X, f)
+    return _alpha(partition, class_sums)
 
 
 def differential_matrix(
@@ -224,7 +210,8 @@ def l_product(X: ToricFano, f: Fiber, idx: Sequence[int] = ()) -> NovikovElement
         if not 0 <= i < X.n:
             raise IndexError(f"axis {i} out of range for dimension {X.n}")
     weights = [math.prod(boundary_pairing(X.n, v, i) for i in idx) for v in X.normals]
-    return _class_sum(_fiber_partition(X, f), weights)
+    partition = _fiber_areas(X, f)[1]
+    return _class_terms(partition, [sum(weights[k] for k in idxs) for _area, idxs in partition])
 
 
 def m2_product(
@@ -252,5 +239,5 @@ def _fiber_ring(X: ToricFano, f: Fiber) -> tuple[BalanceResult, QuadraticForm]:
     """The balance and formal Hessian of one fiber, the data every m2_product
     there shares.  A raised exception (NotInterior, the holonomy ValueError)
     is not remembered, so it is raised again on every call."""
-    partition = _fiber_partition(X, f)
-    return _balance(X, partition), _hessian(X, partition)
+    _classes, partition, balance = _fiber_areas(X, f)
+    return balance, _hessian(X, partition)

@@ -29,7 +29,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import DimensionMismatch, NoConvergence, NotInterior
 from .novikov import ZERO, NovikovElement, _from_normal
-from .toric import AreaClass, Fiber, ToricFano, _balance, _fiber_partition, area_partition, disc_areas
+from .toric import AreaClass, Fiber, ToricFano, _fiber_areas, area_partition, disc_areas
 
 Rational = Union[int, Fraction]
 
@@ -191,8 +191,8 @@ def find_critical_fiber(
 
 
 def _critical_fiber(X: ToricFano, init, tol: float, max_iters: int) -> tuple[Fiber, Optional[tuple]]:
-    """find_critical_fiber's fiber, with _fiber_areas of it when it is an
-    exactly balanced rounding, else None."""
+    """find_critical_fiber's fiber, with toric._fiber_areas of it when it
+    is an exactly balanced rounding, else None."""
     start = X.interior_point if init is None else tuple(init)
     if len(start) != X.n:
         raise NotInterior(f"initial point has dimension {len(start)}, expected {X.n}")
@@ -244,8 +244,8 @@ def _critical_fiber(X: ToricFano, init, tol: float, max_iters: int) -> tuple[Fib
 
 
 def _round_fiber(X: ToricFano, u: Sequence[float]) -> tuple[Fiber, Optional[tuple]]:
-    """(the rounding of u, _fiber_areas of it) when it is exactly balanced,
-    else (the float iterate u, None)."""
+    """(the rounding of u, toric._fiber_areas of it) when it is exactly
+    balanced, else (the float iterate u, None)."""
     candidate = Fiber(tuple(_limit_denominator(x, _ROUND_DENOMINATOR) for x in u))
     try:
         areas = _fiber_areas(X, candidate)
@@ -279,13 +279,6 @@ def _limit_denominator(x: float, bound: int) -> Fraction:
     if 2 * d * (q0 + k * q1) <= den:
         return Fraction(p1, q1)
     return Fraction(p0 + k * p1, q0 + k * q1)
-
-
-def _fiber_areas(X: ToricFano, f: Fiber) -> tuple:
-    """The disc areas at f, their area partition and its balance."""
-    classes = disc_areas(X, f)
-    partition = area_partition(classes)
-    return classes, partition, _balance(X, partition)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +344,12 @@ def _class_terms(partition: Sequence[AreaClass], totals: Sequence[int]) -> Novik
     return _from_normal(tuple(terms))
 
 
-def _class_sum(partition: Sequence[AreaClass], weights: Sequence[int]) -> NovikovElement:
-    """sum_k weights[k] * T^{e_k} q, added up within each area class."""
-    return _class_terms(partition, [sum(weights[k] for k in idxs) for _area, idxs in partition])
+def _alpha(
+    partition: Sequence[AreaClass], class_sums: Sequence[Sequence[int]]
+) -> list[NovikovElement]:
+    """The obstruction form alpha_i = sum_k v_ki * T^{e_k} q from the
+    normal sums of the area classes, one _class_terms per axis."""
+    return [_class_terms(partition, axis) for axis in zip(*class_sums)]
 
 
 def boundary_pairing(n: int, normal: Sequence[int], i: int) -> int:
@@ -411,7 +407,7 @@ def formal_hessian(X: ToricFano, f: Fiber) -> QuadraticForm:
 
     Each entry is summed per class of equal disc area, not per disc.
     """
-    return _hessian(X, _fiber_partition(X, f))
+    return _hessian(X, _fiber_areas(X, f)[1])
 
 
 def _hessian(X: ToricFano, partition: Sequence[AreaClass]) -> QuadraticForm:

@@ -34,7 +34,6 @@ import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import product as iter_product
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -467,11 +466,12 @@ def area_partition(classes: Sequence[DiscClass]) -> tuple[AreaClass, ...]:
     )
 
 
-def _fiber_partition(
+def _fiber_areas(
     X: ToricFano, f: Union[Fiber, Sequence[Rational]]
-) -> tuple[AreaClass, ...]:
-    """area_partition(disc_areas(X, f)) for the exact side, which is only
-    defined at trivial holonomy: every exact per-fiber entry point starts here.
+) -> tuple[tuple[DiscClass, ...], tuple[AreaClass, ...], BalanceResult]:
+    """The disc classes at f, their area partition and its balance, for the
+    exact side, which is only defined at trivial holonomy: every exact
+    per-fiber entry point starts here.
     """
     fiber = _as_fiber(f)
     if not fiber.has_trivial_holonomy():
@@ -479,7 +479,9 @@ def _fiber_partition(
             "the exact side assumes trivial holonomy; "
             "use potential.twisted_class_sums for the weighted test"
         )
-    return area_partition(disc_areas(X, fiber))
+    classes = disc_areas(X, fiber)
+    partition = area_partition(classes)
+    return classes, partition, _balance(X, partition)
 
 
 def is_balanced(X: ToricFano, f: Union[Fiber, Sequence[Rational]]) -> BalanceResult:
@@ -488,7 +490,7 @@ def is_balanced(X: ToricFano, f: Union[Fiber, Sequence[Rational]]) -> BalanceRes
     Requires trivial holonomy; the holonomy-weighted variant lives in the
     potential module and is numeric.
     """
-    return _balance(X, _fiber_partition(X, f))
+    return _fiber_areas(X, f)[2]
 
 
 def _balance(X: ToricFano, partition: Sequence[AreaClass]) -> BalanceResult:
@@ -544,7 +546,7 @@ def _grid_lines(
                 f"the grid has too many lines to walk: axis {axis} holds more "
                 f"than {sys.maxsize} grid indices"
             )
-    for head in iter_product(*heads):
+    for head in _walk(heads):
         # the normals that make the polytope bounded give every last axis a
         # lower and an upper row
         base = [scale * sum(map(mul, head, v)) - s for v, s in zip(X.normals, shifts)]
@@ -554,10 +556,22 @@ def _grid_lines(
             yield head, lo, hi, base, slopes, den
 
 
+def _walk(ranges: Sequence[range]) -> Iterator[tuple[int, ...]]:
+    """The points of the product of ranges in lexicographic order, as
+    itertools.product yields them, but lazily: product first copies every
+    range into a tuple, which costs memory in proportion to its length."""
+    if not ranges:
+        yield ()
+        return
+    for head in _walk(ranges[:-1]):
+        for h in ranges[-1]:
+            yield (*head, h)
+
+
 def _line_balance(
     X: ToricFano, base: Sequence[int], slopes: Sequence[int], den: int, t: int
 ) -> tuple[tuple[AreaClass, ...], BalanceResult]:
-    """(_fiber_partition, is_balanced) at the grid index (*head, t) of a
+    """_fiber_areas's partition and balance at the grid index (*head, t) of a
     _grid_lines line: the facets grouped by their area numerators, which
     are all positive for lo <= t <= hi, with one Fraction per class."""
     groups: dict[int, list[int]] = {}

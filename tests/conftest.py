@@ -651,7 +651,7 @@ def oracle_scan(X, grid):
         scanned += 1
         partition = toric.area_partition(disc_areas(X, Fiber(point)))
         ok = toric._balance(X, partition).balanced
-        rank = floer._hf_rank(X.n, floer._obstruction_form(X, partition))
+        rank = floer._hf_rank(X.n, oracle_obstruction_form(X, Fiber(point)))
         if ok:
             balanced_fibers.append({"u": [str(u) for u in point], "hf_rank": rank})
         elif rank != 0:
@@ -699,7 +699,10 @@ def oracle_l_table(X, partition, lmax):
     level = {(): [1] * X.num_facets}
     for m in range(lmax + 1):
         for key, weights in level.items():
-            table[key] = potential._class_sum(partition, weights)
+            table[key] = sum(
+                (monomial(sum(weights[k] for k in idxs), area, 1) for area, idxs in partition),
+                ZERO,
+            )
         if m < lmax:
             level = {
                 (*key, i): [w * p for w, p in zip(weights, pairings[i])]

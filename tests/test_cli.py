@@ -218,7 +218,7 @@ class TestAnalyzeText:
         assert len(set(map(tuple, sums))) == len(sums) == sums_per_table[0] == 4
         assert all(map(any, sums))
         X = toric.load_toric("CPn(4)")
-        partition = toric._fiber_partition(X, toric.Fiber((Fraction(1, 5),) * 4))
+        partition = toric._fiber_areas(X, toric.Fiber((Fraction(1, 5),) * 4))[1]
         values = set(map(str, oracle_l_table(X, partition, 3).values()))
         assert values == {str(value) for value in tables[0].values()} and len(values) == 5
 
@@ -321,7 +321,7 @@ class TestAnalyzeJson:
     def test_one_l_table_per_run(self, capsys, monkeypatch):
         # the rank, the Hessian, the Clifford relations and the printed rows
         # all come from one table; neither per-row helper runs
-        calls = {"_l_table": 0, "_hessian": 0, "_obstruction_form": 0}
+        calls = {"_l_table": 0, "_hessian": 0, "_alpha": 0}
         for module in (potential, floer, cli):
             for name in calls:
                 if hasattr(module, name):
@@ -336,7 +336,7 @@ class TestAnalyzeJson:
         assert code == 0
         doc = json.loads(out)
         assert doc["hf_rank"] == 4 and doc["hessian"][0] == ["2*T^{1/3}*q", "T^{1/3}*q"]
-        assert calls == {"_l_table": 1, "_hessian": 0, "_obstruction_form": 0}
+        assert calls == {"_l_table": 1, "_hessian": 0, "_alpha": 0}
 
     @pytest.mark.parametrize(
         "argv",
@@ -699,7 +699,7 @@ class TestScan:
                     continue
                 point = [step * j for j in (*head, t)]
                 partition, balance = toric._line_balance(X, base, slopes, den, t)
-                assert partition == toric._fiber_partition(X, point)
+                assert partition == toric._fiber_areas(X, point)[1]
                 assert balance == toric.is_balanced(X, point)
 
     @settings(max_examples=100, deadline=None)
@@ -826,7 +826,9 @@ class TestScan:
         assert code == 0
         assert disc_area_calls == []
         X = toric.load_toric("CP2")
-        assert checked == [toric._fiber_partition(X, [Fraction(x) for x in u]) for u in ties]
+        assert checked == [
+            toric.area_partition(toric.disc_areas(X, [Fraction(x) for x in u])) for u in ties
+        ]
         assert len({u[0] for u in ties}) == len(ties)
         assert len(json.loads(out)["balanced_fibers"]) == balanced
 

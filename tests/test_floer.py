@@ -40,7 +40,7 @@ from toricfloer import (
     wedge,
 )
 from toricfloer.floer import apply_differential, differential_matrix
-from toricfloer.toric import _fiber_partition
+from toricfloer.toric import _fiber_areas
 from toricfloer.novikov import ONE, ZERO, NovikovElement, monomial
 
 from strategies import sheared_fibers
@@ -273,6 +273,10 @@ def assert_matches_per_disc_sums(X, f):
     equal the per-disc oracle sums and are in normal form."""
     alpha = obstruction_form(X, f)
     assert alpha == oracle_obstruction_form(X, f)
+    # analyze reads its rank off the l-table's degree-1 row, the library off
+    # _alpha: the row is (-1)^n alpha
+    row = potential._l_table(X, _fiber_areas(X, f)[1], 1)
+    assert [a * (-1) ** X.n for a in alpha] == [row[(i,)] for i in range(X.n)]
     Q = formal_hessian(X, f)
     assert [list(row) for row in Q.entries] == oracle_formal_hessian(X, f)
     for m in range(4):
@@ -392,7 +396,7 @@ def assert_l_table_matches_l_product(X, f, lmax=4):
     """_l_table holds l_product(X, f, key) for each sorted key of length at
     most lmax, in order of length, then lexicographically, and is the
     prefix-product oracle_l_table key for key."""
-    partition = _fiber_partition(X, f)
+    partition = _fiber_areas(X, f)[1]
     table = potential._l_table(X, partition, lmax)
     keys = [k for m in range(lmax + 1) for k in combinations_with_replacement(range(X.n), m)]
     assert list(table) == keys
@@ -415,7 +419,7 @@ class TestLTable:
     def test_lmax_zero_is_the_obstruction_term(self):
         X = load_toric("CP2")
         f = Fiber((F(1, 4), F(1, 3)))
-        assert potential._l_table(X, _fiber_partition(X, f), 0) == {(): l_product(X, f)}
+        assert potential._l_table(X, _fiber_areas(X, f)[1], 0) == {(): l_product(X, f)}
 
 
 @settings(max_examples=40, deadline=None)
@@ -450,7 +454,7 @@ def test_l_table_shares_one_element_per_value(case, lmax):
     # on inputs whose values are mostly distinct: two keys hold one object
     # exactly when their values are equal, and a zero value is ZERO
     _X, _f, Y, g = case
-    partition = _fiber_partition(Y, g)
+    partition = _fiber_areas(Y, g)[1]
     table = potential._l_table(Y, partition, lmax)
     assert list(table.items()) == list(oracle_l_table(Y, partition, lmax).items())
     values = list(table.values())

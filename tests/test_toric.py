@@ -5,6 +5,7 @@ import math
 import operator
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -519,6 +520,18 @@ class TestGridRange:
         )
         for step in (F(1, 6), F(1, 7), F(2, 5)):
             assert list(interior_grid(X, step)) == brute_force_grid(X, step)
+
+    def test_head_walk_holds_no_copy_of_an_axis(self):
+        # [0, 10^4] x [0, 1] at step 1 has 10^4 - 1 head indices and no line
+        # with an interior point: walking them must not first store them all
+        X = _box((0, 0), (10**4, 1))
+        tracemalloc.start()
+        try:
+            assert list(toric._grid_lines(X, F(1))) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestGridStepMustBePositive:
