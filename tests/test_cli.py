@@ -332,6 +332,8 @@ class TestAnalyzeJson:
                         return _original(*args)
 
                     monkeypatch.setattr(module, name, counting)
+        # a renamed or deleted helper would count 0 without being checked
+        assert all(any(hasattr(m, name) for m in (potential, floer, cli)) for name in calls)
         code, out, _ = run(capsys, "analyze", "--input", "CP2", "--format", "json")
         assert code == 0
         doc = json.loads(out)
