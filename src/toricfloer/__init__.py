@@ -6,120 +6,88 @@ and its critical fiber, the Floer differential and the rank of its
 cohomology over the Novikov field, the Clifford-algebra ring structure
 at balanced fibers, and a symbolic certificate that corrected classical
 cycles are Floer cycles.
+
+Each public name is read from its submodule when it is first used
+(PEP 562), so importing the package, or the CLI, imports only what runs.
+Nothing is cached in this namespace: a name always resolves to the
+submodule's current binding.
 """
 
-from .chains import (
-    ChainAlgebra,
-    ChainExpression,
-    ChainMapCertificate,
-    boundary,
-    chain_map_certificate,
-    corrected_cycle,
-    floer_differential,
-    verify_chain_map,
-)
-from .clifford import CliffordElement, cl_grade, cl_mul
-from .errors import (
-    DimensionMismatch,
-    InvalidPolytope,
-    NoConvergence,
-    NotBalanced,
-    NotInterior,
-    ParseError,
-    ToricFloerError,
-)
-from .floer import (
-    ExteriorClass,
-    differential_matrix,
-    disc_l_term,
-    boundary_pairing,
-    elimination_rank,
-    hf_rank,
-    l_product,
-    m1_apply,
-    m2_product,
-    novikov_rank,
-    obstruction_form,
-    subsets_graded,
-    wedge,
-)
-from .novikov import DEFAULT_CUTOFF, ONE, ZERO, NovikovElement, monomial
-from .potential import (
-    QuadraticForm,
-    find_critical_fiber,
-    formal_hessian,
-    superpotential_derivative,
-    theta_of_fiber,
-    twisted_class_sums,
-)
-from .toric import (
-    AreaClass,
-    BalanceResult,
-    DiscClass,
-    Fiber,
-    ToricFano,
-    area_partition,
-    disc_areas,
-    interior_grid,
-    is_balanced,
-    load_toric,
-    make_toric,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AreaClass",
-    "BalanceResult",
-    "ChainAlgebra",
-    "ChainExpression",
-    "ChainMapCertificate",
-    "CliffordElement",
-    "DEFAULT_CUTOFF",
-    "DimensionMismatch",
-    "DiscClass",
-    "ExteriorClass",
-    "Fiber",
-    "InvalidPolytope",
-    "NoConvergence",
-    "NotBalanced",
-    "NotInterior",
-    "NovikovElement",
-    "ONE",
-    "ParseError",
-    "QuadraticForm",
-    "ToricFano",
-    "ToricFloerError",
-    "ZERO",
-    "area_partition",
-    "boundary",
-    "boundary_pairing",
-    "chain_map_certificate",
-    "cl_grade",
-    "cl_mul",
-    "corrected_cycle",
-    "differential_matrix",
-    "disc_areas",
-    "disc_l_term",
-    "elimination_rank",
-    "find_critical_fiber",
-    "floer_differential",
-    "formal_hessian",
-    "hf_rank",
-    "interior_grid",
-    "is_balanced",
-    "l_product",
-    "load_toric",
-    "m1_apply",
-    "m2_product",
-    "make_toric",
-    "monomial",
-    "novikov_rank",
-    "obstruction_form",
-    "subsets_graded",
-    "superpotential_derivative",
-    "theta_of_fiber",
-    "twisted_class_sums",
-    "verify_chain_map",
-    "wedge",
-]
+# each public name, by the submodule that defines it
+_SUBMODULES = {
+    "chains": (
+        "ChainAlgebra",
+        "ChainExpression",
+        "ChainMapCertificate",
+        "boundary",
+        "chain_map_certificate",
+        "corrected_cycle",
+        "floer_differential",
+        "verify_chain_map",
+    ),
+    "clifford": ("CliffordElement", "cl_grade", "cl_mul"),
+    "errors": (
+        "DimensionMismatch",
+        "InvalidPolytope",
+        "NoConvergence",
+        "NotBalanced",
+        "NotInterior",
+        "ParseError",
+        "ToricFloerError",
+    ),
+    "floer": (
+        "ExteriorClass",
+        "differential_matrix",
+        "disc_l_term",
+        "boundary_pairing",
+        "elimination_rank",
+        "hf_rank",
+        "l_product",
+        "m1_apply",
+        "m2_product",
+        "novikov_rank",
+        "obstruction_form",
+        "subsets_graded",
+        "wedge",
+    ),
+    "novikov": ("DEFAULT_CUTOFF", "ONE", "ZERO", "NovikovElement", "monomial"),
+    "potential": (
+        "QuadraticForm",
+        "find_critical_fiber",
+        "formal_hessian",
+        "superpotential_derivative",
+        "theta_of_fiber",
+        "twisted_class_sums",
+    ),
+    "toric": (
+        "AreaClass",
+        "BalanceResult",
+        "DiscClass",
+        "Fiber",
+        "ToricFano",
+        "area_partition",
+        "disc_areas",
+        "interior_grid",
+        "is_balanced",
+        "load_toric",
+        "make_toric",
+    ),
+}
+_SUBMODULE = {name: module for module, names in _SUBMODULES.items() for name in names}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -7,7 +7,6 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from json.encoder import encode_basestring_ascii as _escape_json
@@ -19,10 +18,8 @@ from .errors import (
     NotInterior,
     ParseError,
 )
-# hf_rank stays bound here: the benchmark's tracer test resolves cli.hf_rank
-from .floer import _hf_rank, hf_rank  # noqa: F401
 from .novikov import NovikovElement, _render
-from .potential import _alpha, _critical_fiber, _gradient, _l_table
+from .potential import _alpha, _critical_fiber, _gradient, _hf_rank, _l_table
 from .toric import Fiber, ToricFano, _digit_limit, _fiber_areas, _grid_lines, _line_balance
 from .toric import _over_digit_limit, _parse_rational
 
@@ -112,7 +109,6 @@ _LAYOUTS = 16
 _LAYOUT_ROWS = 4096
 
 
-@dataclass
 class _LProducts:
     """analyze's l_products: one row l(i_1, ..., i_m) per ordered index
     tuple of length m <= lmax over n axes, its value the rendered text
@@ -128,10 +124,8 @@ class _LProducts:
     "numeric": ..., "value": ...} dicts.
     """
 
-    n: int
-    lmax: int
-    text: dict
-    numeric: Optional[dict] = None
+    def __init__(self, n: int, lmax: int, text: dict, numeric: Optional[dict] = None):
+        self.n, self.lmax, self.text, self.numeric = n, lmax, text, numeric
 
     @staticmethod
     @lru_cache(maxsize=_LAYOUTS)

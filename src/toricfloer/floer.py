@@ -30,7 +30,7 @@ from typing import Sequence
 from .clifford import CliffordElement, cl_mul
 from .errors import NotBalanced
 from .novikov import DEFAULT_CUTOFF, ZERO, NovikovElement, monomial
-from .potential import QuadraticForm, _alpha, _class_terms, _hessian, boundary_pairing
+from .potential import QuadraticForm, _alpha, _class_terms, _hessian, _hf_rank, boundary_pairing
 from .toric import BalanceResult, Fiber, ToricFano, _as_fiber, _fiber_areas
 
 #: cohomology classes of the fiber torus, wedge products of the degree-1
@@ -175,11 +175,6 @@ def hf_rank(X: ToricFano, f: Fiber) -> int:
     rational fiber; no cutoff is involved.
     """
     return _hf_rank(X.n, obstruction_form(X, f))
-
-
-def _hf_rank(n: int, alpha: Sequence[NovikovElement]) -> int:
-    """hf_rank from the coefficients of the obstruction form."""
-    return 0 if any(alpha) else 2**n
 
 
 # ---------------------------------------------------------------------------

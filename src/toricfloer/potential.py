@@ -21,15 +21,13 @@ import cmath
 import functools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import mul
 from typing import Optional, Sequence, Union
 
 from .errors import DimensionMismatch, NoConvergence, NotInterior
 from .novikov import ZERO, NovikovElement, _from_normal
-from .toric import AreaClass, Fiber, ToricFano, _fiber_areas, area_partition, disc_areas
+from .toric import AreaClass, Fiber, ToricFano, _Frozen, _fiber_areas, area_partition, disc_areas
 
 Rational = Union[int, Fraction]
 
@@ -41,12 +39,26 @@ _ROUND_DENOMINATOR = 10**6
 # numeric side
 
 
-def _distances(X: ToricFano, theta: Sequence[complex]) -> list[complex]:
-    """ell_k(theta) = <theta, v_k> - lambda_k for every facet k, in order."""
-    return [
-        sum(t * c for t, c in zip(theta, v)) - float(lam)
-        for v, lam in zip(X.normals, X.offsets)
-    ]
+def _distances(
+    X: ToricFano, theta: Sequence[complex], offsets: Optional[Sequence[float]] = None
+) -> list[complex]:
+    """ell_k(theta) = <theta, v_k> - lambda_k for every facet k, in order;
+    offsets, when given, are the floats of X.offsets.
+
+    <theta, v_k> adds theta_i * v_ki over the support of v_k
+    (ToricFano._supports) to 0.0, left to right.  A skipped term would add
+    +-0.0 to a sum that is never -0.0, so for finite theta these are the
+    bits of 3.11's sum() of the dense terms, on every version: 3.12's sum()
+    of floats is compensated and would round differently."""
+    if offsets is None:
+        offsets = [float(lam) for lam in X.offsets]
+    out = []
+    for support, lam in zip(X._supports, offsets):
+        d = 0.0
+        for i, c in support:
+            d += theta[i] * c
+        out.append(d - lam)
+    return out
 
 
 def superpotential_derivative(
@@ -202,7 +214,7 @@ def _critical_fiber(X: ToricFano, init, tol: float, max_iters: int) -> tuple[Fib
     def evaluate(point: list[float]):
         """W, its gradient and its Hessian at point, or None when the point
         is not strictly interior."""
-        distances = [sum(map(mul, point, v)) - lam for v, lam in zip(X.normals, offsets)]
+        distances = _distances(X, point, offsets)
         if not min(distances) > 0:
             return None
         return _w_grad_hess_at(X._supports, X.n, distances)
@@ -285,14 +297,13 @@ def _limit_denominator(x: float, bound: int) -> Fraction:
 # exact side
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(_Frozen):
     """Symmetric n x n form with Novikov entries, homogeneous of q-degree 1."""
 
-    n: int
-    entries: tuple[tuple[NovikovElement, ...], ...]
+    __match_args__ = ("n", "entries")
 
-    def __post_init__(self):
+    def __init__(self, n: int, entries: tuple[tuple[NovikovElement, ...], ...]):
+        self.__dict__.update(n=n, entries=entries)
         if len(self.entries) != self.n or any(
             len(row) != self.n for row in self.entries
         ):
@@ -350,6 +361,11 @@ def _alpha(
     """The obstruction form alpha_i = sum_k v_ki * T^{e_k} q from the
     normal sums of the area classes, one _class_terms per axis."""
     return [_class_terms(partition, axis) for axis in zip(*class_sums)]
+
+
+def _hf_rank(n: int, alpha: Sequence[NovikovElement]) -> int:
+    """floer.hf_rank from the coefficients of the obstruction form."""
+    return 0 if any(alpha) else 2**n
 
 
 def boundary_pairing(n: int, normal: Sequence[int], i: int) -> int:

@@ -31,7 +31,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -133,23 +132,66 @@ def _interior_witness(stages: list[list[_Row]]) -> Optional[tuple[list[int], int
 # polytope data
 
 
-def _state_without_hash(self) -> dict:
-    """The pickled state of an instance that caches its hash: the cache
-    stays behind, since a str or None hashes differently in another
-    process."""
-    return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+class _Frozen:
+    """A value class as @dataclass(frozen=True) would make it, without
+    importing dataclasses.  Its fields are __match_args__, in __init__'s
+    order, as a dataclass names them for match patterns: __init__ writes
+    them into __dict__ once, and assigning or deleting an attribute raises
+    AttributeError.  == and hash read the first _compared fields (all when
+    None), the hash once per instance, and repr names every field."""
+
+    __match_args__: tuple[str, ...]
+    _compared: Optional[int] = None
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self.__match_args__[: self._compared]))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    # m2_product hashes (X, f) on every call to key its memo
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._key())
+
+    def __getstate__(self) -> dict:
+        """The pickled state: the cached hash stays behind, since a str or
+        None hashes differently in another process."""
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class ToricFano:
+class ToricFano(_Frozen):
     """Facet presentation {u : <u, v_k> >= lambda_k} of a moment polytope."""
 
-    name: str
-    n: int
-    normals: tuple[tuple[int, ...], ...]
-    offsets: tuple[Fraction, ...]
-    interior_point: tuple[Fraction, ...] = field(compare=False)
-    bounds: tuple[tuple[Fraction, Fraction], ...] = field(compare=False)
+    __match_args__ = ("name", "n", "normals", "offsets", "interior_point", "bounds")
+    _compared = 4  # interior_point and bounds follow from the rest
+
+    def __init__(
+        self,
+        name: str,
+        n: int,
+        normals: tuple[tuple[int, ...], ...],
+        offsets: tuple[Fraction, ...],
+        interior_point: tuple[Fraction, ...],
+        bounds: tuple[tuple[Fraction, Fraction], ...],
+    ):
+        self.__dict__.update(name=name, n=n, normals=normals, offsets=offsets)
+        self.__dict__.update(interior_point=interior_point, bounds=bounds)
 
     @property
     def num_facets(self) -> int:
@@ -163,25 +205,13 @@ class ToricFano:
     def __str__(self) -> str:
         return f"{self.name}: {self.num_facets} facets in dim {self.n}"
 
-    # m2_product hashes (X, f) on every call to key its memo
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The dataclass hash of the compared fields, once per instance."""
-        return hash((self.name, self.n, self.normals, self.offsets))
-
     @cached_property
     def _supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Each normal's nonzero (axis, entry) pairs, in axis order, once."""
         return tuple(tuple((i, c) for i, c in enumerate(v) if c) for v in self.normals)
 
-    __getstate__ = _state_without_hash
 
-
-@dataclass(frozen=True)
-class Fiber:
+class Fiber(_Frozen):
     """A torus fiber over an interior point of the polytope.
 
     u is always exact rational.  Solver output that could not be rounded
@@ -191,20 +221,18 @@ class Fiber:
     side raises ValueError on a nontrivial holonomy.
     """
 
-    u: tuple[Fraction, ...]
-    holonomy: Optional[tuple[Fraction, ...]] = None
-    exact: bool = True
+    __match_args__ = ("u", "holonomy", "exact")
+
+    def __init__(
+        self,
+        u: tuple[Fraction, ...],
+        holonomy: Optional[tuple[Fraction, ...]] = None,
+        exact: bool = True,
+    ):
+        self.__dict__.update(u=u, holonomy=holonomy, exact=exact)
 
     def has_trivial_holonomy(self) -> bool:
         return self.holonomy is None or all(h == 0 for h in self.holonomy)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The dataclass hash of the compared fields, once per instance."""
-        return hash((self.u, self.holonomy, self.exact))
 
     @cached_property
     def _normal(self) -> bool:
@@ -215,17 +243,14 @@ class Fiber:
             hol is None or tuple(hol) == hol
         )
 
-    __getstate__ = _state_without_hash
 
-
-@dataclass(frozen=True)
-class DiscClass:
+class DiscClass(_Frozen):
     """Basic holomorphic disc class meeting facet `index` once."""
 
-    index: int
-    normal: tuple[int, ...]
-    area: Fraction
-    maslov: int = 2
+    __match_args__ = ("index", "normal", "area", "maslov")
+
+    def __init__(self, index: int, normal: tuple[int, ...], area: Fraction, maslov: int = 2):
+        self.__dict__.update(index=index, normal=normal, area=area, maslov=maslov)
 
 
 class AreaClass(NamedTuple):
@@ -429,7 +454,7 @@ def _as_fiber(f: Union[Fiber, Sequence[Rational]]) -> Fiber:
     if f._normal:
         return f
     hol = None if f.holonomy is None else tuple(f.holonomy)
-    return replace(f, u=tuple(Fraction(x) for x in f.u), holonomy=hol)
+    return Fiber(tuple(Fraction(x) for x in f.u), hol, f.exact)
 
 
 def disc_areas(X: ToricFano, f: Union[Fiber, Sequence[Rational]]) -> tuple[DiscClass, ...]:

@@ -3,7 +3,9 @@ import itertools
 import math
 import random
 import sys
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
@@ -857,3 +859,45 @@ def oracle_l_product_lines(rows):
         extra = f"   numeric {row['numeric']}" if "numeric" in row else ""
         lines.append(f"  l({label}) = {row['value']}{extra}")
     return lines
+
+
+# ---------------------------------------------------------------------------
+# the frozen value classes as @dataclass(frozen=True) declared them: the
+# oracles of their equality, hash, repr, pickling and refused assignment
+
+
+@dataclass(frozen=True)
+class DataclassToricFano:
+    name: str
+    n: int
+    normals: tuple
+    offsets: tuple
+    interior_point: tuple = field(compare=False)
+    bounds: tuple = field(compare=False)
+
+
+@dataclass(frozen=True)
+class DataclassFiber:
+    u: tuple
+    holonomy: Optional[tuple] = None
+    exact: bool = True
+
+
+@dataclass(frozen=True)
+class DataclassDiscClass:
+    index: int
+    normal: tuple
+    area: Fraction
+    maslov: int = 2
+
+
+@dataclass(frozen=True)
+class DataclassQuadraticForm:
+    n: int
+    entries: tuple
+
+
+def dataclass_twin(x):
+    """The @dataclass(frozen=True) twin of a frozen value x, field for field."""
+    twin = globals()[f"Dataclass{type(x).__name__}"]
+    return twin(*(getattr(x, f.name) for f in fields(twin)))

@@ -16,7 +16,10 @@ off --help text.
 
 import argparse
 import inspect
+from importlib import import_module
 from pathlib import Path
+
+import pytest
 
 import toricfloer
 from toricfloer import ChainAlgebra, ChainExpression, CliffordElement, NovikovElement
@@ -89,3 +92,40 @@ def render_api() -> str:
 
 def test_api_matches_golden():
     assert render_api() == GOLDEN.read_text(encoding="utf-8")
+
+
+class TestLazyNamespace:
+    """The package resolves each public name from its submodule on use
+    (PEP 562), and keeps no binding of its own."""
+
+    def test_every_name_is_its_submodules_object(self):
+        assert toricfloer.__all__ == sorted(toricfloer._SUBMODULE)
+        for module, names in toricfloer._SUBMODULES.items():
+            submodule = import_module(f"toricfloer.{module}")
+            for name in names:
+                assert getattr(toricfloer, name) is getattr(submodule, name)
+
+    def test_dir_lists_every_name(self):
+        listed = dir(toricfloer)
+        assert set(toricfloer.__all__) <= set(listed)
+        assert "__version__" in listed and listed == sorted(listed)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            toricfloer.no_such_name
+        assert not hasattr(toricfloer, "chains_map_certificate")
+
+    def test_star_import_binds_exactly_all(self):
+        namespace: dict = {}
+        exec("from toricfloer import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(toricfloer.__all__)
+
+    def test_names_follow_the_submodules_binding(self, monkeypatch):
+        # bench/tracer.py patches the submodules' bindings and restores them
+        from toricfloer import floer
+
+        assert toricfloer.hf_rank is floer.hf_rank
+        assert "hf_rank" not in vars(toricfloer)
+        sentinel = object()
+        monkeypatch.setattr(floer, "hf_rank", sentinel)
+        assert toricfloer.hf_rank is sentinel

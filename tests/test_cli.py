@@ -1098,11 +1098,12 @@ class TestWithoutNumpy:
     """The package and its CLI run on the standard library alone."""
 
     @staticmethod
-    def python(code: str) -> subprocess.CompletedProcess:
+    def python(*args: str) -> subprocess.CompletedProcess:
+        """A fresh interpreter on args, this checkout's package first on its path."""
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, *args],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
@@ -1110,7 +1111,7 @@ class TestWithoutNumpy:
         )
 
     def test_import_leaves_numpy_unloaded(self):
-        proc = self.python("import sys, toricfloer.cli; print('numpy' in sys.modules)")
+        proc = self.python("-c", "import sys, toricfloer.cli; print('numpy' in sys.modules)")
         assert proc.stdout == "False\n"
 
     @pytest.mark.parametrize(
@@ -1123,12 +1124,51 @@ class TestWithoutNumpy:
     def test_main_reproduces_golden_with_numpy_blocked(self, golden, argv):
         # a None entry in sys.modules makes every `import numpy` fail
         proc = self.python(
+            "-c",
             "import sys\n"
             "sys.modules['numpy'] = None\n"
             "from toricfloer.cli import main\n"
             f"sys.exit(main({argv!r}))\n"
         )
         expected = Path(__file__).parent / "golden" / golden
+        assert proc.stdout == expected.read_text(encoding="utf-8")
+
+
+class TestImportGraph:
+    """Importing the package imports none of its submodules, and importing
+    the CLI only the modules its commands run."""
+
+    # modules no command runs, and inspect, which dataclasses would import
+    UNUSED = ("toricfloer.chains", "toricfloer.floer", "toricfloer.clifford", "dataclasses", "inspect")
+
+    def test_package_import_loads_no_submodule(self):
+        proc = TestWithoutNumpy.python(
+            "-c",
+            "import sys, toricfloer\n"
+            "print(sorted(m for m in sys.modules if m.startswith('toricfloer.')))"
+        )
+        assert proc.stdout == "[]\n"
+
+    def test_cli_import_leaves_unused_modules_unloaded(self):
+        proc = TestWithoutNumpy.python(
+            "-c", f"import sys, toricfloer.cli\nprint([m for m in {self.UNUSED!r} if m in sys.modules])"
+        )
+        assert proc.stdout == "[]\n"
+
+    def test_submodules_and_names_resolve_on_use(self):
+        proc = TestWithoutNumpy.python(
+            "-c",
+            "from toricfloer import floer\n"
+            "import toricfloer\n"
+            "print(toricfloer.hf_rank is floer.hf_rank, toricfloer.ChainAlgebra.__module__)"
+        )
+        assert proc.stdout == "True toricfloer.chains\n"
+
+    def test_module_entry_point_reproduces_golden(self):
+        proc = TestWithoutNumpy.python(
+            "-m", "toricfloer", "analyze", "--input", "CP2", "--format", "json"
+        )
+        expected = Path(__file__).parent / "golden" / "analyze_CP2_solver.json"
         assert proc.stdout == expected.read_text(encoding="utf-8")
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, permutations
@@ -16,6 +15,7 @@ from toricfloer import (
     Fiber,
     NotBalanced,
     NotInterior,
+    ToricFano,
     boundary_pairing,
     cl_mul,
     disc_areas,
@@ -616,7 +616,8 @@ class TestM2FiberMemo:
 
     def test_dilated_offsets_get_their_own_hessian(self):
         X = make_toric("CP2x3", 2, load_toric("CP2").normals, [0, 0, -3])
-        dilated = dataclasses.replace(X, offsets=tuple(2 * lam for lam in X.offsets))
+        offsets = tuple(2 * lam for lam in X.offsets)
+        dilated = ToricFano(X.name, X.n, X.normals, offsets, X.interior_point, X.bounds)
         assert dilated != X
         x = CliffordElement.generator(2, 0)
         f, g = Fiber((F(1), F(1))), Fiber((F(2), F(2)))

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -13,13 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricfloer import (
+    DiscClass,
     Fiber,
     InvalidPolytope,
     NotInterior,
     ParseError,
+    QuadraticForm,
     ToricFano,
     area_partition,
     disc_areas,
+    formal_hessian,
     interior_grid,
     is_balanced,
     load_toric,
@@ -29,6 +31,7 @@ from toricfloer import (
 
 from conftest import (
     balanced_fiber,
+    dataclass_twin,
     oracle_coordinate_bounds,
     oracle_disc_areas,
     oracle_fraction_rows,
@@ -388,11 +391,11 @@ class TestHashComputedOnce:
         X = load_toric("CP2")
         hash(X)
         offsets = (F(1, 2), F(0), F(-3))
-        Y = dataclasses.replace(X, offsets=offsets)
+        Y = ToricFano(X.name, X.n, X.normals, offsets, X.interior_point, X.bounds)
         assert hash(Y) == hash((X.name, X.n, X.normals, offsets)) != hash(X)
         f = Fiber((F(1, 3), F(1, 3)))
         hash(f)
-        g = dataclasses.replace(f, u=(F(1, 4), F(1, 3)))
+        g = Fiber((F(1, 4), F(1, 3)), f.holonomy, f.exact)
         assert hash(g) == hash(((F(1, 4), F(1, 3)), None, True)) != hash(f)
 
     def test_pickled_copies_leave_the_hash_behind(self):
@@ -402,6 +405,69 @@ class TestHashComputedOnce:
             y = pickle.loads(pickle.dumps(x))
             assert y == x and "_hash" not in vars(y)
             assert hash(y) == h
+
+
+def _frozen_values(kind: str) -> list:
+    """Instances of one frozen value class, equal and unequal pairs among
+    them, and for ToricFano two that differ only outside == and hash."""
+    X, f, g = load_toric("CP2"), Fiber((F(1, 3), F(1, 3))), Fiber((F(1, 4), F(1, 3)))
+    if kind == "ToricFano":
+        moved = ToricFano(X.name, X.n, X.normals, X.offsets, (F(1, 5), F(1, 5)), X.bounds)
+        renamed = ToricFano("P2", X.n, X.normals, X.offsets, X.interior_point, X.bounds)
+        return [X, load_toric("CP2"), moved, renamed, load_toric("CP1xCP1")]
+    if kind == "Fiber":
+        return [f, Fiber((F(1, 3), F(1, 3))), g, Fiber(f.u, (F(1, 2), F(0))), Fiber(f.u, exact=False)]
+    if kind == "DiscClass":
+        return [*disc_areas(X, f), *disc_areas(load_toric("CP2"), g), DiscClass(0, (1, 0), F(1, 3), 4)]
+    return [formal_hessian(X, f), formal_hessian(load_toric("CP2"), f), formal_hessian(X, g), QuadraticForm.zero(2)]
+
+
+@pytest.mark.parametrize("kind", ["ToricFano", "Fiber", "DiscClass", "QuadraticForm"])
+class TestFrozenValueClasses:
+    """The frozen value classes behave as their @dataclass(frozen=True)
+    twins in conftest: equality, hash, repr, pickling, refused assignment."""
+
+    def test_equality_and_hash(self, kind):
+        values = _frozen_values(kind)
+        for a, b in itertools.product(values, repeat=2):
+            assert (a == b) is (dataclass_twin(a) == dataclass_twin(b))
+            assert (a != b) is (dataclass_twin(a) != dataclass_twin(b))
+        for a in values:
+            assert hash(a) == hash(dataclass_twin(a))
+            assert a != dataclass_twin(a) and a != None  # noqa: E711
+
+    def test_repr(self, kind):
+        for a in _frozen_values(kind):
+            assert repr(a) == repr(dataclass_twin(a)).removeprefix("Dataclass")
+
+    def test_match_pattern(self, kind):
+        a = _frozen_values(kind)[0]
+        cls = type(a)
+        assert cls.__match_args__ == type(dataclass_twin(a)).__match_args__
+        match a:
+            case cls(first, second):
+                assert (first, second) == tuple(getattr(a, name) for name in cls.__match_args__[:2])
+            case _:
+                pytest.fail(f"{a!r} does not match a positional pattern")
+
+    def test_pickled_copy(self, kind):
+        for a in _frozen_values(kind):
+            hash(a)
+            b, twin = pickle.loads(pickle.dumps(a)), pickle.loads(pickle.dumps(dataclass_twin(a)))
+            assert "_hash" not in vars(b) and b == a and hash(b) == hash(a)
+            assert repr(b) == repr(twin).removeprefix("Dataclass")
+
+    def test_assignment_is_refused(self, kind):
+        for a in _frozen_values(kind):
+            before, twin = repr(a), dataclass_twin(a)
+            for name in (*vars(twin), "other"):
+                for change in (lambda x: setattr(x, name, 0), lambda x: delattr(x, name)):
+                    with pytest.raises(AttributeError) as ours:
+                        change(a)
+                    with pytest.raises(AttributeError) as theirs:
+                        change(twin)
+                    assert str(ours.value) == str(theirs.value)
+            assert repr(a) == before
 
 
 class TestFiberCoordinatesBecomeFractions:
