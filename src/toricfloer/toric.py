@@ -22,6 +22,21 @@ coordinate bounds: eliminating every other variable combines rows by
 their coefficients alone, so axis i lacks a lower or an upper bound
 exactly when the recession cone {d : <d, v_k> >= 0} holds a d with
 d_i != 0, whatever the offsets, and even when the polytope is empty.
+The projections come from one elimination tree: a system over a run of
+axes reaches its left half by eliminating the right half's variables,
+last first, and its right half by eliminating the left half's, first
+first, down to n single-axis leaves; that is n + T(n//2) + T(n - n//2)
+eliminations, 16 at n = 6, where one chain per axis took n(n - 1).  The
+tree's left spine is the chain y_0..y_k, k = n-1..0, that the witness
+back-substitutes through.  Each elimination drops the all-zero rows it
+makes, and when it grows the system it keeps, of rows with one
+coefficient tuple, only the one with the largest right-hand side; both
+are exact.  A zero row puts no bound on any variable and combines with
+no row, and the stage where its two parent rows meet already holds its
+verdict: their interval for the eliminated variable is empty exactly
+when the zero row fails.  Of a.y >= b and a.y >= b' with b >= b', the
+first implies the second, non-strict or strict, and every combination
+is increasing in both right-hand sides, so no tightest bound moves.
 """
 
 from __future__ import annotations
@@ -48,70 +63,92 @@ _Row = tuple[tuple[int, ...], int]
 # exact Fourier-Motzkin elimination on integer rows
 
 
-def _eliminate_last(rows: list[_Row], nvars: int) -> list[_Row]:
-    last = nvars - 1
+def _eliminate(rows: list[_Row], k: int) -> list[_Row]:
+    """rows with their variable k, the first (0) or the last (-1),
+    eliminated: no all-zero row, and one row per coefficient tuple, the one
+    with the largest right-hand side, when the step grows the system."""
+    keep = slice(1, None) if k == 0 else slice(None, -1)
     pos, neg, rest = [], [], []
     for a, b in rows:
-        c = a[last]
+        c = a[k]
         if c > 0:
-            pos.append((a, b))
+            pos.append((c, a[keep], b))
         elif c < 0:
-            neg.append((a, b))
+            neg.append((c, a[keep], b))
         else:
-            rest.append((a[:last], b))
-    for ap, bp in pos:
-        cp = ap[last]
-        for an, bn in neg:
-            cn = an[last]
-            # cp*y + ap'.y' >= bp  and  cn*y + an'.y' >= bn  with cp > 0 > cn
-            rest.append((tuple([cp * an[i] - cn * ap[i] for i in range(last)]), cp * bn - cn * bp))
-    return rest
+            rest.append((a[keep], b))
+    for cp, ap, bp in pos:
+        for cn, an, bn in neg:
+            # cp*y + ap.y' >= bp  and  cn*y + an.y' >= bn  with cp > 0 > cn
+            a = tuple([cp * x - cn * z for x, z in zip(an, ap)])
+            if any(a):
+                rest.append((a, cp * bn - cn * bp))
+    if len(pos) * len(neg) <= len(pos) + len(neg):
+        return rest
+    tightest: dict[tuple[int, ...], int] = {}
+    for a, b in rest:
+        if tightest.get(a, b) <= b:
+            tightest[a] = b
+    return list(tightest.items())
 
 
-def _stages(rows: list[_Row], nvars: int) -> list[list[_Row]]:
-    """systems[k] constrains y_0..y_k; systems[nvars - 1] = rows."""
-    systems = [rows]
-    for k in range(nvars, 1, -1):
-        systems.append(_eliminate_last(systems[-1], k))
-    return systems[::-1]
+def _split(system: list[_Row], width: int) -> tuple[list[list[_Row]], list[list[_Row]]]:
+    """The `width` single-axis projections of a system over `width` axes,
+    in axis order, and its chain: the system, then its projections onto
+    its first width - 1, ..., 1 axes."""
+    if width == 1:
+        return [system], [system]
+    half = width // 2
+    chain = [system]
+    for _ in range(width - half):
+        chain.append(_eliminate(chain[-1], -1))
+    right = system
+    for _ in range(half):
+        right = _eliminate(right, 0)
+    left_leaves, left_chain = _split(chain.pop(), half)
+    right_leaves = _split(right, width - half)[0]
+    return left_leaves + right_leaves, chain + left_chain
 
 
 def _interval(rows: list[_Row], Y: list[int], D: int):
     """The tightest lower and upper bounds R/(c*D), c > 0, that rows put on
     y_k, k = len(Y), at y_i = Y[i]/D for i < k: as (R, c), None if absent."""
     lo = hi = None
+    k = len(Y)
     for a, b in rows:
-        c = a[len(Y)]
+        c = a[k]
+        if not c:
+            continue
         R = b * D - sum(map(mul, a, Y))
-        if c > 0 and (lo is None or R * lo[1] > lo[0] * c):
-            lo = (R, c)
-        elif c < 0 and (hi is None or R * hi[1] > hi[0] * c):  # -R/-c below hi
+        if c > 0:
+            if lo is None or R * lo[1] > lo[0] * c:
+                lo = (R, c)
+        elif hi is None or R * hi[1] > hi[0] * c:  # -R/-c below hi
             hi = (-R, -c)
     return lo, hi
 
 
 def _coordinate_bounds(rows: list[_Row], nvars: int):
-    """The exact [min, max] of each coordinate over {y : rows}, one
-    projection per axis, as ((R_lo, c_lo), (R_hi, c_hi)) for R/c, and axis
-    0's stages, which the witness reads; raises InvalidPolytope when an
-    axis is unbounded, which the module docstring shows the normals decide."""
-    stages = _stages(rows, nvars)
-    singles = [stages[0]]
-    for i in range(1, nvars):
-        perm = [i] + [j for j in range(nvars) if j != i]
-        singles.append(_stages([(tuple([a[p] for p in perm]), b) for a, b in rows], nvars)[0])
-    bounds = [_interval(single, [], 1) for single in singles]
+    """The exact [min, max] of each coordinate over {y : rows}, read off
+    the leaves of one elimination tree, as ((R_lo, c_lo), (R_hi, c_hi))
+    for R/c, and the tree's left spine, stages[k] over y_0..y_k, which the
+    witness reads; raises InvalidPolytope when an axis is unbounded, which
+    the module docstring shows the normals decide."""
+    leaves, chain = _split(rows, nvars)
+    bounds = [_interval(leaf, [], 1) for leaf in leaves]
     if any(lo is None or hi is None for lo, hi in bounds):
         raise InvalidPolytope("normals do not positively span, polytope is unbounded")
-    return bounds, stages
+    return bounds, chain[::-1]
 
 
 def _interior_witness(stages: list[list[_Row]]) -> Optional[tuple[list[int], int]]:
     """A point strictly inside {y : stages[-1]}, as numerators Y over one
-    denominator D, or None when the interior is empty.  Each y_k is the
-    midpoint of its interval given y_0..y_{k-1}, bounded on both sides when
-    the polytope is.  Every row is strict, and so is every combination, so
-    the interior is empty exactly when an interval is."""
+    denominator D, reduced by one joint gcd, or None when the interior is
+    empty.  Each y_k is the midpoint of its interval given y_0..y_{k-1},
+    bounded on both sides when the polytope is.  Every row is strict, and
+    so is every combination, so the interior is empty exactly when an
+    interval is.  The point depends only on the intervals' values, which
+    the rows the eliminations drop or merge never set."""
     Y: list[int] = []
     D = 1
     for system in stages:
@@ -122,10 +159,8 @@ def _interior_witness(stages: list[list[_Row]]) -> Optional[tuple[list[int], int
         m = 2 * cl * cu
         Y = [y * m for y in Y] + [Rl * cu + Ru * cl]
         D *= m
-        g = math.gcd(D, *Y)
-        Y = [y // g for y in Y]
-        D //= g
-    return Y, D
+    g = math.gcd(D, *Y)
+    return [y // g for y in Y], D // g
 
 
 # ---------------------------------------------------------------------------

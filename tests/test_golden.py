@@ -16,7 +16,10 @@ histogram per fiber instead of one certificate per basis monomial.  The
 scans of a translated CPn(3) and of F1 with a corner cut at 1/3 were
 recorded before scan decided each grid point on integer area numerators.  The
 scan of the 26-facet polytope with every nonzero normal in {-1,0,1}^3 was
-recorded before validation ran Fourier-Motzkin on integer right-hand sides.  The
+recorded before validation ran Fourier-Motzkin on integer right-hand sides; its
+80-facet twin in dimension 4, which did not validate within 120 s until
+validation ran one elimination tree with merged rows, was recorded after and
+checked against the closed form (nine points, one balanced centre).  The
 ring tables, str(m2_product(X, f, C_S, C_T)) for every pair of basis words
 at the solver fiber of CPn(3) (one area class) and of the rectangle (two),
 were recorded before cl_mul moved to integer T-exponents.  CP2 in the
@@ -135,6 +138,12 @@ def _cases() -> dict[str, list[str]]:
     cases["scan_all26_grid2.json"] = [
         "scan", "--input", ALL26_JSON, "--grid", "2", "--format", "json",
     ]
+    # the same in dimension 4, 80 facets: the cross-polytope |u|_1 <= 1,
+    # whose nine grid points are the centre, balanced, and the eight
+    # points u_i = +-1/2
+    cases["scan_all80_grid2.json"] = [
+        "scan", "--input", ALL80_JSON, "--grid", "2", "--format", "json",
+    ]
     # CP2 in a sheared lattice basis: every normal entry is nonzero, so the
     # float bits of W's derivatives and every l-table entry sum over all
     # facets on every axis
@@ -198,6 +207,11 @@ ALL26_JSON = _polytope_json(
     "all26",
     [v for v in itertools.product((-1, 0, 1), repeat=3) if any(v)],
     [-1] * 26,
+)
+ALL80_JSON = _polytope_json(
+    "all80",
+    [v for v in itertools.product((-1, 0, 1), repeat=4) if any(v)],
+    [-1] * 80,
 )
 CP2_SHEARED_JSON = _polytope_json(
     "CP2_sheared", [(5, 3), (3, 2), (-8, -5)], [0, 0, -1]

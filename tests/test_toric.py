@@ -4,6 +4,7 @@ import math
 import operator
 import pickle
 import random
+import time
 import tracemalloc
 from fractions import Fraction as F
 
@@ -715,6 +716,66 @@ def test_validation_matches_oracle_on_hard_rationals(data, n, frame, k):
     if got[0] == "ok":
         X = make_toric("hard", n, normals, lams)
         assert len(disc_areas(X, X.interior_point)) == len(normals)
+
+
+# every nonzero normal in {-1,0,1}^n with offset -k + <v, t> cuts out the
+# cross-polytope |u - t|_1 <= k, since <v, u - t> >= -|u - t|_1 with
+# equality at v = -sign(u - t); its section at u_0..u_{i-1} = t_0..t_{i-1}
+# is the interval [t_i - k, t_i + k], so the witness is t
+@pytest.mark.parametrize("k, t", [(1, (0, 0, 0, 0)), (5, (2, -3, 1, 7)), (60, (-11, 0, 4, -1))])
+@pytest.mark.parametrize("n", [3, 4])
+def test_many_facets_in_closed_form(n, k, t):
+    """The 26- and 80-facet cross-polytopes, dilated and translated: bounds
+    and witness read off the centre and radius, with no elimination, and
+    the 80-facet one validated within a second of CPU time."""
+    t = t[:n]
+    normals = [v for v in itertools.product((-1, 0, 1), repeat=n) if any(v)]
+    lams = [-k + sum(map(operator.mul, v, t)) for v in normals]
+    start = time.process_time()
+    X = make_toric(f"all{len(normals)}", n, normals, lams)
+    assert time.process_time() - start < 1.0
+    assert X.bounds == tuple((F(ti - k), F(ti + k)) for ti in t)
+    assert X.interior_point == tuple(map(F, t))
+
+
+_FAMILIES = [load_toric(f"CPn({n})") for n in range(1, 7)] + [
+    make_toric(f"CP1^{n}", n, *_cube(n)) for n in range(1, 7)
+]
+
+
+@pytest.mark.parametrize("k", [1, 60])
+@pytest.mark.parametrize("X", _FAMILIES, ids=lambda X: X.name)
+def test_every_split_matches_the_oracle(X, k):
+    """Bounds and witness against the Fraction elimination in dimensions 1
+    to 6, where the elimination tree splits every width up to 6, dilated
+    by k and translated by a rational vector."""
+    t = [F(2 * i - 5, i + 2) for i in range(X.n)]
+    lams = [k * lam + sum(map(operator.mul, t, v)) for v, lam in zip(X.normals, X.offsets)]
+    Y = make_toric(X.name, X.n, X.normals, lams)
+    assert Y.bounds == tuple(oracle_coordinate_bounds(oracle_fraction_rows(Y, False), X.n))
+    assert Y.interior_point == oracle_solve_strict(oracle_fraction_rows(Y, True), X.n)
+
+
+@pytest.mark.parametrize("X", _FAMILIES, ids=lambda X: X.name)
+def test_elimination_tree_size(X, monkeypatch):
+    """n + T(floor(n/2)) + T(ceil(n/2)) eliminations, 16 at n = 6, where
+    one chain per axis would take n(n - 1)."""
+    calls = []
+    original = toric._eliminate
+    monkeypatch.setattr(toric, "_eliminate", lambda rows, k: calls.append(k) or original(rows, k))
+    make_toric(X.name, X.n, X.normals, X.offsets)
+    assert len(calls) == [0, 2, 5, 8, 12, 16][X.n - 1]
+
+
+def test_elimination_drops_zero_rows_and_keeps_the_tightest():
+    # y0 + y1 >= 1, 2, 3 against -y1 >= -4 and -y0 - y1 >= -9: eliminating
+    # y1 makes six rows of three, y0 >= -3, -2, -1, kept as y0 >= -1, and
+    # 0 >= -8, -7, -6, dropped
+    rows = [((1, 1), 1), ((1, 1), 2), ((1, 1), 3), ((0, -1), -4), ((-1, -1), -9)]
+    assert toric._eliminate(rows, -1) == [((1,), -1)]
+    # one row against one does not grow the system: nothing is merged
+    rows = [((0, 1), 5), ((1, 2), 0), ((0, 1), 7), ((-1, 2), 0)]
+    assert toric._eliminate(rows, 0) == [((1,), 5), ((1,), 7), ((4,), 0)]
 
 
 # conftest.random_interior_fiber draws coordinate by coordinate, so it
