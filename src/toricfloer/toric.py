@@ -64,7 +64,7 @@ _Row = tuple[tuple[int, ...], int]
 
 
 def _eliminate(rows: list[_Row], k: int) -> list[_Row]:
-    """rows with their variable k, the first (0) or the last (-1),
+    """The rows with their variable k, the first (0) or the last (-1),
     eliminated: no all-zero row, and one row per coefficient tuple, the one
     with the largest right-hand side, when the step grows the system."""
     keep = slice(1, None) if k == 0 else slice(None, -1)
