@@ -13,6 +13,11 @@ degree-1 row is (-1)^n times the obstruction form and its degree-2 row is
 the formal Hessian, Q_ij = sum_k v_ki * v_kj * T^{e_k} q.  Every term of
 either carries one normal entry per index, so both visit only the nonzero
 entries (ToricFano._supports), the floats with the dense sums' bits.
+
+The search tries exact candidates before Newton: a balanced fiber is
+critical for W at every scale and W is strictly convex, so a rational
+point that passes the exact balance test is the critical fiber, whatever
+proposed it (find_critical_fiber).
 """
 
 from __future__ import annotations
@@ -27,7 +32,17 @@ from typing import Optional, Sequence, Union
 
 from .errors import DimensionMismatch, NoConvergence, NotInterior
 from .novikov import ZERO, NovikovElement, _from_normal
-from .toric import AreaClass, Fiber, ToricFano, _Frozen, _fiber_areas, area_partition, disc_areas
+from .toric import (
+    AreaClass,
+    Fiber,
+    ToricFano,
+    _balanced_at,
+    _equal_area_point,
+    _fiber_areas,
+    _Frozen,
+    area_partition,
+    disc_areas,
+)
 
 Rational = Union[int, Fraction]
 
@@ -139,11 +154,14 @@ def _w_grad_hess_at(supports, n: int, distances: Sequence[float]):
     return w, grad, hess
 
 
-def _gradient(X: ToricFano, u: Sequence[float]) -> list[float]:
+def _gradient(
+    X: ToricFano, u: Sequence[float], distances: Optional[Sequence[float]] = None
+) -> list[float]:
     """The gradient of _w_grad_hess(X, u), bit for bit, without W or the
-    Hessian: the same distances, exponentials, supports and sum order."""
+    Hessian: the same distances, exponentials, supports and sum order;
+    distances, when given, are _distances(X, u)."""
     grad = [0.0] * X.n
-    for support, ell in zip(X._supports, _distances(X, u)):
+    for support, ell in zip(X._supports, distances or _distances(X, u)):
         e = math.exp(-ell)
         for i, a in support:
             grad[i] -= e * a
@@ -179,14 +197,24 @@ def find_critical_fiber(
     tol: float = 1e-12,
     max_iters: int = 50,
 ) -> Fiber:
-    """Newton search for the critical point of W over the interior.
+    """The critical point of W over the interior, exact when it is balanced.
 
-    Steps are halved (at most 40 times each) until the iterate stays
-    strictly interior and W does not increase; W is strictly convex on
-    the interior so the critical point is unique.  The result is rounded
-    by continued fractions with denominators up to 10**6 and returned as
-    an exact Fiber when the rounding is exactly balanced; otherwise the
-    float iterate is wrapped with exact=False.
+    Without init, two exact candidates come first when the normals sum to
+    0, which every balanced fiber needs: the polytope's own interior point,
+    then the point at equal distance from every facet.  A balanced fiber is
+    critical for W at every scale, since its gradient is a positive
+    combination of class normal sums that are all 0, and W is strictly
+    convex, so it is the one critical point, whatever proposed it.  A
+    candidate is returned, with no Newton step, when it is balanced and
+    its float image passes Newton's own stopping test: strictly interior,
+    with every gradient entry below tol.
+
+    Otherwise Newton searches.  Steps are halved (at most 40 times each)
+    until the iterate stays strictly interior and W does not increase; W is
+    strictly convex on the interior so the critical point is unique.  The
+    result is rounded by continued fractions with denominators up to 10**6
+    and returned as an exact Fiber when the rounding is exactly balanced;
+    otherwise the float iterate is wrapped with exact=False.
 
     Each point is evaluated once: the offsets are converted to floats
     once per solve, and W, its gradient and its Hessian at an accepted
@@ -204,12 +232,23 @@ def find_critical_fiber(
 
 def _critical_fiber(X: ToricFano, init, tol: float, max_iters: int) -> tuple[Fiber, Optional[tuple]]:
     """find_critical_fiber's fiber, with toric._fiber_areas of it when it
-    is an exactly balanced rounding, else None."""
+    is exact and balanced, else None."""
     start = X.interior_point if init is None else tuple(init)
     if len(start) != X.n:
         raise NotInterior(f"initial point has dimension {len(start)}, expected {X.n}")
     u = [float(x) for x in start]
     offsets = [float(lam) for lam in X.offsets]
+
+    # the exact candidates of find_critical_fiber; no fiber is balanced
+    # unless the normals sum to 0
+    if init is None and not any(map(sum, zip(*X.normals))):
+        point = start if _balanced_at(X, start) else _equal_area_point(X)
+        if point is not None:
+            floats = [float(x) for x in point]
+            distances = _distances(X, floats, offsets)
+            if min(distances) > 0 and max(map(abs, _gradient(X, floats, distances))) < tol:
+                fiber = Fiber(point)
+                return fiber, _fiber_areas(X, fiber)
 
     def evaluate(point: list[float]):
         """W, its gradient and its Hessian at point, or None when the point

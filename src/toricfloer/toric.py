@@ -163,6 +163,51 @@ def _interior_witness(stages: list[list[_Row]]) -> Optional[tuple[list[int], int
     return [y // g for y in Y], D // g
 
 
+def _solve_rows(rows: Iterable[_Row], n: int) -> Optional[tuple[list[int], int]]:
+    """The y with <a, y> = b for every integer row (a, b) over n variables,
+    as numerators Y over one denominator D > 0, reduced by one joint gcd, or
+    None when no single y solves them all.  The first n independent rows,
+    in order, fix y by one fraction-free Gauss-Jordan elimination, each row
+    kept primitive; None when fewer than n are independent.  Then every row
+    is checked in integers, so None also when they are inconsistent."""
+    rows = list(rows)
+    pivots: list[tuple[int, list[int]]] = []  # (pivot column, [*a, b]), a zero off it
+    for a, b in rows:
+        r = [*a, b]
+        for c, p in pivots:
+            h = r[c]
+            if h:
+                f = p[c]
+                r = [f * x - h * y for x, y in zip(r, p)]
+        c = next(filter(r.__getitem__, range(n)), None)
+        if c is None:
+            continue
+        g = math.gcd(*r)
+        if g != 1:
+            r = [x // g for x in r]
+        for k, (ck, p) in enumerate(pivots):
+            h = p[c]
+            if h:
+                f = r[c]
+                p = [f * x - h * y for x, y in zip(p, r)]
+                g = math.gcd(*p)
+                pivots[k] = (ck, [x // g for x in p])
+        pivots.append((c, r))
+        if len(pivots) == n:
+            break
+    else:
+        return None
+    D = math.lcm(*(p[c] for c, p in pivots))
+    Y = [0] * n
+    for c, p in pivots:
+        Y[c] = p[n] * (D // p[c])
+    g = math.gcd(D, *Y)
+    Y, D = [y // g for y in Y], D // g
+    if any(sum(map(mul, a, Y)) != b * D for a, b in rows):
+        return None
+    return Y, D
+
+
 # ---------------------------------------------------------------------------
 # polytope data
 
@@ -492,28 +537,64 @@ def _as_fiber(f: Union[Fiber, Sequence[Rational]]) -> Fiber:
     return Fiber(tuple(Fraction(x) for x in f.u), hol, f.exact)
 
 
+def _area_numerators(X: ToricFano, u: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The areas e_k(u) = <u, v_k> - lambda_k as integer numerators over one
+    denominator: u = U/D over one common denominator and lambda_k = P_k/L, L
+    the lcm of the offset denominators, give e_k = (L*<U, v_k> - D*P_k)/(D*L).
+
+    Raises NotInterior unless every area is strictly positive.
+    """
+    if len(u) != X.n:
+        raise NotInterior(f"fiber point has dimension {len(u)}, expected {X.n}")
+    D = math.lcm(*(x.denominator for x in u))
+    U = [x.numerator * (D // x.denominator) for x in u]
+    L = math.lcm(*(lam.denominator for lam in X.offsets))
+    den = D * L
+    nums = []
+    for k, (support, lam) in enumerate(zip(X._supports, X.offsets)):
+        num = L * sum([U[i] * c for i, c in support]) - D * lam.numerator * (L // lam.denominator)
+        if num <= 0:
+            raise NotInterior(
+                f"point {tuple(map(str, u))} is not strictly inside: "
+                f"facet {k + 1} has distance {Fraction(num, den)}"
+            )
+        nums.append(num)
+    return nums, den
+
+
+def _area_groups(nums: Iterable[int]) -> dict[int, list[int]]:
+    """The facet indices grouped by their area numerators, over one
+    denominator: two areas are equal exactly when their numerators are."""
+    groups: dict[int, list[int]] = {}
+    for k, e in enumerate(nums):
+        groups.setdefault(e, []).append(k)
+    return groups
+
+
+def _partition(groups: dict[int, list[int]], den: int) -> tuple[AreaClass, ...]:
+    """The _area_groups of numerators over den as an area partition, sorted
+    by area, with one Fraction per class."""
+    return tuple(AreaClass(Fraction(e, den), tuple(idxs)) for e, idxs in sorted(groups.items()))
+
+
+def _area_classes(X: ToricFano, fiber: Fiber) -> tuple[tuple[DiscClass, ...], tuple[AreaClass, ...]]:
+    """disc_areas and area_partition at a fiber, from its integer area
+    numerators: the DiscClasses of one area class share its Fraction."""
+    nums, den = _area_numerators(X, fiber.u)
+    partition = _partition(_area_groups(nums), den)
+    area = [None] * len(nums)
+    for a, idxs in partition:
+        for k in idxs:
+            area[k] = a
+    return tuple(map(DiscClass, range(len(nums)), X.normals, area)), partition
+
+
 def disc_areas(X: ToricFano, f: Union[Fiber, Sequence[Rational]]) -> tuple[DiscClass, ...]:
     """Areas e_k(u) = <u, v_k> - lambda_k of the basic disc classes.
 
     Raises NotInterior unless every distance is strictly positive.
     """
-    fiber = _as_fiber(f)
-    if len(fiber.u) != X.n:
-        raise NotInterior(f"fiber point has dimension {len(fiber.u)}, expected {X.n}")
-    # u = U/D over one common denominator, lambda_k = p/q: e_k = num/(D*q)
-    D = math.lcm(*(x.denominator for x in fiber.u))
-    U = [x.numerator * (D // x.denominator) for x in fiber.u]
-    out = []
-    for k, (v, lam) in enumerate(zip(X.normals, X.offsets)):
-        q = lam.denominator
-        num = q * sum(a * b for a, b in zip(U, v)) - D * lam.numerator
-        if num <= 0:
-            raise NotInterior(
-                f"point {tuple(map(str, fiber.u))} is not strictly inside: "
-                f"facet {k + 1} has distance {Fraction(num, D * q)}"
-            )
-        out.append(DiscClass(k, v, Fraction(num, D * q)))
-    return tuple(out)
+    return _area_classes(X, _as_fiber(f))[0]
 
 
 def area_partition(classes: Sequence[DiscClass]) -> tuple[AreaClass, ...]:
@@ -539,9 +620,32 @@ def _fiber_areas(
             "the exact side assumes trivial holonomy; "
             "use potential.twisted_class_sums for the weighted test"
         )
-    classes = disc_areas(X, fiber)
-    partition = area_partition(classes)
+    classes, partition = _area_classes(X, fiber)
     return classes, partition, _balance(X, partition)
+
+
+def _balanced_at(X: ToricFano, u: Sequence[Fraction]) -> bool:
+    """Whether the fiber over u is balanced, decided on its integer area
+    numerators without building a Fraction."""
+    return _balance(X, _area_groups(_area_numerators(X, u)[0]).items()).balanced
+
+
+def _equal_area_point(X: ToricFano) -> Optional[tuple[Fraction, ...]]:
+    """The point at one distance from every facet, or None when there is
+    none, for normals that sum to 0.  Then the N areas sum to
+    <sum_k v_k, u> - sum_k lambda_k = -sum_k lambda_k at every u, positive
+    at an interior point, so the common area is -sum_k lambda_k / N and the
+    point, when it exists, is interior and balanced: one class, whose
+    normals sum to 0.  In y = N*L*u, lambda_k = P_k/L, facet k reads
+    <v_k, y> = N*P_k - sum_j P_j, an integer row for _solve_rows."""
+    N, L = len(X.offsets), math.lcm(*(lam.denominator for lam in X.offsets))
+    P = [lam.numerator * (L // lam.denominator) for lam in X.offsets]
+    S = sum(P)
+    solution = _solve_rows([(v, N * p - S) for v, p in zip(X.normals, P)], X.n)
+    if solution is None:
+        return None
+    Y, D = solution
+    return tuple(Fraction(y, D * N * L) for y in Y)
 
 
 def is_balanced(X: ToricFano, f: Union[Fiber, Sequence[Rational]]) -> BalanceResult:
@@ -553,8 +657,9 @@ def is_balanced(X: ToricFano, f: Union[Fiber, Sequence[Rational]]) -> BalanceRes
     return _fiber_areas(X, f)[2]
 
 
-def _balance(X: ToricFano, partition: Sequence[AreaClass]) -> BalanceResult:
-    """is_balanced on an area partition already computed for the fiber."""
+def _balance(X: ToricFano, partition: Iterable[tuple[object, Sequence[int]]]) -> BalanceResult:
+    """is_balanced on an area partition already computed for the fiber, or
+    on any (area, facet indices) pairs."""
     sums = []
     for _area, idxs in partition:
         total = [0] * X.n
@@ -634,10 +739,5 @@ def _line_balance(
     """_fiber_areas's partition and balance at the grid index (*head, t) of a
     _grid_lines line: the facets grouped by their area numerators, which
     are all positive for lo <= t <= hi, with one Fraction per class."""
-    groups: dict[int, list[int]] = {}
-    for k, (e, d) in enumerate(zip(base, slopes)):
-        groups.setdefault(e + t * d, []).append(k)
-    partition = tuple(
-        AreaClass(Fraction(num, den), tuple(idxs)) for num, idxs in sorted(groups.items())
-    )
+    partition = _partition(_area_groups([e + t * d for e, d in zip(base, slopes)]), den)
     return partition, _balance(X, partition)

@@ -35,16 +35,18 @@ def builtin(request):
 
 @pytest.fixture
 def disc_area_calls(monkeypatch):
-    """The fibers passed to disc_areas, through every module that binds it."""
-    original = toric.disc_areas
+    """The fibers whose exact disc areas are built: the fibers passed to
+    toric._area_classes, which disc_areas and _fiber_areas share and only
+    toric binds.  The solver decides its exact candidates on integer
+    numerators and builds only the areas of the fiber it returns."""
+    original = toric._area_classes
     calls = []
 
     def counting(X, f):
         calls.append(f)
         return original(X, f)
 
-    for module in (toric, potential):
-        monkeypatch.setattr(module, "disc_areas", counting)
+    monkeypatch.setattr(toric, "_area_classes", counting)
     return calls
 
 
@@ -539,6 +541,31 @@ def oracle_solve_strict(rows, nvars):
             return None
         values.append(v)
     return tuple(values)
+
+
+# Test oracle: a linear system solved by Gauss-Jordan elimination with a
+# Fraction pivot per column, over every row at once.
+
+
+def oracle_solve_rows(rows, n):
+    """The unique x with <a, x> = b for every row (a, b), as Fractions, or
+    None when the rows are inconsistent or leave x undetermined."""
+    M = [[Fraction(c) for c in a] + [Fraction(b)] for a, b in rows]
+    r = 0
+    for c in range(n):
+        p = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if p is None:
+            continue
+        M[r], M[p] = M[p], M[r]
+        M[r] = [x / M[r][c] for x in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][c]:
+                f = M[i][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        r += 1
+    if r < n or any(row[n] for row in M[r:]):
+        return None
+    return tuple(row[n] for row in M[:n])
 
 
 # Test oracle: polytope validation as first written.  Boundedness is one

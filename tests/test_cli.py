@@ -29,7 +29,7 @@ from conftest import (
     oracle_scan,
     shear,
 )
-from strategies import sheared_fibers
+from strategies import sheared_fibers, transported_balanced
 
 SKEW_JSON = json.dumps(
     {
@@ -281,11 +281,13 @@ class TestAnalyzeJson:
         assert len(disc_area_calls) == 1
 
     def test_solver_fiber_areas_computed_once(self, capsys, disc_area_calls):
-        # the solver accepts its rounding on the areas analyze then prints
+        # the solver refutes the witness on integer area numerators and
+        # returns the exact centre with the areas analyze then prints
         code, out, _ = run(capsys, "analyze", "--input", "CPn(3)", "--format", "json")
         assert code == 0
         assert json.loads(out)["fiber"]["source"] == "solver"
         assert len(disc_area_calls) == 1
+        assert disc_area_calls[0].u == (Fraction(1, 4),) * 3
 
     def test_one_tower_per_fiber(self, capsys, monkeypatch):
         # the chain_map block of CPn(4) is the closed form in (n, N, l):
@@ -566,13 +568,31 @@ def test_sheared_fiber_is_balanced_on_the_exact_path(capsys, source, fiber, rank
     assert doc["hf_rank"] == rank
 
 
-# The solver runs Newton in the input's coordinates, so a change of
-# lattice basis changes its float iterates: the sheared CP2 stops at a
-# gradient norm of 2.4e-12 after 50 steps (exit 4), and the sheared CPn(3)
-# meets a zero pivot (exit 4).  Strict, so the vertex-chart solver that
-# makes the answer basis-independent has to remove the marker.
-@pytest.mark.xfail(strict=True, reason="the solver's answer depends on the lattice basis")
-@pytest.mark.parametrize("source, fiber, rank", SHEARED)
+# The solver accepts the exact equal-area point of a sheared input when
+# the float gradient there is below tol: on the sheared CPn(3) it is, so
+# Newton, which meets a zero pivot there, never runs.  On the sheared CP2
+# the float gradient at the exact centre (43, 8/3) is 4.19e-12, rounding
+# noise of the dense normals that does not meet tol 1e-12, so Newton runs
+# in the input's coordinates and stops at a gradient norm of 2.4e-12 after
+# 50 steps (exit 4).  Strict, so the vertex-chart solver that makes the
+# answer basis-independent has to remove the marker.
+@pytest.mark.parametrize(
+    "source, fiber, rank",
+    [
+        pytest.param(
+            CP2_SHEARED_JSON,
+            CP2_SHEARED_FIBER,
+            4,
+            id="CP2",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="the float gradient at the exact centre is 4.19e-12, "
+                "above tol 1e-12, and Newton stalls in the sheared basis",
+            ),
+        ),
+        pytest.param(CPN3_SHEARED_JSON, CPN3_SHEARED_FIBER, 8, id="CPn3"),
+    ],
+)
 def test_sheared_solver_lands_on_the_balanced_fiber(capsys, source, fiber, rank):
     code, out, err = run(capsys, "analyze", "--input", source, "--lmax", "0", "--format", "json")
     assert code == 0, err
@@ -582,10 +602,9 @@ def test_sheared_solver_lands_on_the_balanced_fiber(capsys, source, fiber, rank)
     assert doc["hf_rank"] == rank
 
 
-# A loose --tol stops Newton 1e-5 from the centre, and the iterate does not
-# round to it, so analyze reports a float fiber, balanced False and rank 0.
-# Strict, so the solver whose rank does not move with --tol removes them.
-@pytest.mark.xfail(strict=True, reason="a loose --tol leaves the solver's fiber unrounded, rank 0")
+# A loose --tol would stop Newton 1e-5 from the centre, at an iterate that
+# rounds to no balanced point.  The exact centre is balanced and its float
+# gradient is far below either tol, so it is accepted before Newton runs.
 @pytest.mark.parametrize(
     "source, tol, rank", [("CP2", "1e-4", 4), ("CPn(5)", "1e-6", 32)], ids=["CP2", "CPn5"]
 )
@@ -598,6 +617,30 @@ def test_loose_tol_keeps_the_exact_fiber(capsys, source, tol, rank):
     assert doc["fiber"]["exact"] is True
     assert doc["balanced"] is True
     assert doc["hf_rank"] == rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(transported_balanced())
+def test_balanced_fiber_moves_with_the_polytope(case):
+    """analyze's fiber moves exactly with a shear, a dilation, a translation
+    and a facet permutation of a polytope with a balanced fiber, at the
+    default tol: the exact candidates decide every input the strategy
+    draws (strategies.transported_balanced gives its bounds)."""
+    X, u = case
+    doc = {
+        "name": X.name,
+        "dim": X.n,
+        "facets": [{"normal": list(v), "offset": str(c)} for v, c in zip(X.normals, X.offsets)],
+    }
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analyze", "--input", json.dumps(doc), "--lmax", "0", "--format", "json"])
+    assert code == 0, err.getvalue()
+    report = json.loads(out.getvalue())
+    assert report["fiber"]["u"] == [str(x) for x in u]
+    assert report["fiber"]["exact"] is True
+    assert report["balanced"] is True
+    assert report["hf_rank"] == 2**X.n
 
 
 def _scan_bases():
@@ -901,10 +944,13 @@ class TestExitCodes:
 
     def test_zero_float_pivot(self, capsys):
         # Newton's float Hessian on the sheared CPn(3) eliminates to an
-        # exactly zero pivot: the float model broke down, so exit 4
-        code, out, err = run(capsys, "analyze", "--input", CPN3_SHEARED_JSON)
+        # exactly zero pivot: the float model broke down, so exit 4.  --tol 0
+        # refuses the exact centre, whose float gradient is not below 0, so
+        # that Newton runs
+        code, out, err = run(capsys, "analyze", "--input", CPN3_SHEARED_JSON, "--tol", "0")
         assert code == 4 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+        assert "zero pivot" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--lmax", "--max-iters"])

@@ -30,7 +30,9 @@ text, where the most l-table keys share one value, were recorded before
 analyze built, rendered and wrote each distinct l-table value once.  The
 scans of the hexagon and of CPn(3) in a sheared basis, 33 and 47 tie points
 at grid 12, were recorded before scan decided each tie point on the integer
-area numerators of its grid line.  A
+area numerators of its grid line.  CP2 dilated by 3000 was recorded when
+the solver began to try exact balanced candidates before Newton, which
+alone returned the wrong fiber there.  A
 refactor that keeps the mathematics must keep every byte; a deliberate
 change of output re-records the affected files and says why.
 """
@@ -161,6 +163,12 @@ def _cases() -> dict[str, list[str]]:
         cases[f"scan_CPn3_sheared_grid12.{fmt}"] = [
             "scan", "--input", CPN3_SHEARED_JSON, "--grid", "12", "--format", fmt,
         ]
+    # CP2 dilated by 3000: every weight exp(-1000) underflows, so Newton
+    # alone stopped at its witness (1500, 750); the exact centre (1000, 1000)
+    # is balanced, with a float gradient of exactly 0
+    cases["analyze_CP2x3000_solver.json"] = [
+        "analyze", "--input", CP2_X3000_JSON, "--format", "json",
+    ]
     return cases
 
 
@@ -222,6 +230,7 @@ HEXAGON_JSON = _polytope_json(
 CPN3_SHEARED_JSON = _polytope_json(
     "CPn3_sheared", [(1, 1, 2), (0, 1, -1), (0, 0, 1), (-1, -2, -2)], [0, 0, 0, -1]
 )
+CP2_X3000_JSON = _polytope_json("CP2x3000", [(1, 0), (0, 1), (-1, -1)], [0, 0, -3000])
 CASES = _cases()
 
 

@@ -300,7 +300,9 @@ class TestSolver:
     def test_one_evaluation_per_iterate(self, monkeypatch):
         # every step of this solve is taken whole, no halving rejected, so
         # the bound is one (W, gradient, Hessian) evaluation per iterate:
-        # the witness and the point each Newton step lands on
+        # the witness and the point each Newton step lands on.  The witness
+        # is passed as init, so Newton runs: without init, the exact centre
+        # is accepted before it
         evaluations, steps = [], []
         kernel, solve = potential._w_grad_hess_at, potential._solve
         monkeypatch.setattr(
@@ -308,9 +310,48 @@ class TestSolver:
         )
         monkeypatch.setattr(potential, "_solve", lambda *a: steps.append(a) or solve(*a))
         X = load_toric("CPn(3)")
-        assert find_critical_fiber(X).u == balanced_fiber(X).u
+        assert find_critical_fiber(X, init=X.interior_point).u == balanced_fiber(X).u
         assert len(steps) == 4
         assert len(evaluations) == len(steps) + 1
+
+    def test_exact_centre_takes_no_newton_step(self, monkeypatch):
+        # the witness of CPn(3) is not balanced; the equal-area point is, and
+        # its float gradient is below tol, so no Newton step is solved for
+        steps = []
+        solve = potential._solve
+        monkeypatch.setattr(potential, "_solve", lambda *a: steps.append(a) or solve(*a))
+        X = load_toric("CPn(3)")
+        f = find_critical_fiber(X)
+        assert f.exact and f.u == balanced_fiber(X).u
+        assert steps == []
+
+    def test_zero_tol_refuses_the_exact_centre(self):
+        # no float gradient is below 0, so Newton runs and cannot stop
+        with pytest.raises(NoConvergence):
+            find_critical_fiber(load_toric("CP2"), tol=0.0)
+
+    def test_zero_iterations_answer_with_the_exact_centre(self):
+        f = find_critical_fiber(load_toric("CP2"), max_iters=0)
+        assert f.exact and f.u == (F(1, 3), F(1, 3))
+
+    # The hexagon's normals sum to 0, but with these offsets its witness is
+    # not balanced and no point is at one distance from every facet: the
+    # solver falls through to Newton, whose answer stays the oracle's.  On
+    # the first Newton's point rounds to no balanced point; the second has
+    # a balanced fiber with two area classes, which Newton's rounding finds.
+    @pytest.mark.parametrize(
+        "offsets, exact",
+        [([-1, -1, -1, -1, -1, -2], False), ([-1, -1, -1, -2, -2, -2], True)],
+        ids=["unbalanced", "two_classes"],
+    )
+    def test_no_exact_candidate_falls_through_to_newton(self, monkeypatch, offsets, exact):
+        X = make_toric("hexagon", 2, [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)], offsets)
+        steps = []
+        solve = potential._solve
+        monkeypatch.setattr(potential, "_solve", lambda *a: steps.append(a) or solve(*a))
+        f = find_critical_fiber(X)
+        assert f == oracle_find_critical_fiber(X)
+        assert f.exact is exact and steps
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -320,11 +361,10 @@ class TestSolver:
             oracle_find_critical_fiber, X, kwargs
         )
 
-    # Known solver defects on a dilated CP2: the iterate stops short of
-    # the exact center at scale 60, and at scale 3000 exp underflows, the
-    # gradient reads 0 and the starting witness comes back.  Strict, so
-    # the fix that makes them pass has to remove the markers.
-    @pytest.mark.xfail(strict=True, reason="solver is not scale-robust")
+    # Newton alone stops short of the exact centre at scale 60, and at
+    # scale 3000 exp underflows, the gradient reads 0 and the starting
+    # witness comes back; the exact equal-area point is the centre at every
+    # scale, and is accepted before Newton runs.
     @pytest.mark.parametrize("scale", [60, 3000])
     def test_dilated_cp2_lands_exactly_on_center(self, scale):
         X = make_toric(f"CP2x{scale}", 2, [(1, 0), (0, 1), (-1, -1)], [0, 0, -scale])

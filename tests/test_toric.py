@@ -37,6 +37,7 @@ from conftest import (
     oracle_disc_areas,
     oracle_fraction_rows,
     oracle_interior_grid,
+    oracle_solve_rows,
     oracle_solve_strict,
     oracle_validate,
     random_interior_fiber,
@@ -670,6 +671,112 @@ def test_geometry_matches_fraction_oracle(name, k, shift, points, step):
     p, q = step
     for s in (F(k * p, min(q, cap * p)), F(k, min(q, cap))):
         assert list(interior_grid(X, s)) == list(oracle_interior_grid(X, s))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_SHAPES)),
+    k=st.sampled_from([1, 60, 3000]),
+    shift=st.lists(_SHIFT, min_size=4, max_size=4),
+    points=st.lists(st.lists(st.sampled_from([F(0), F(1, 2), F(-1, 3)]) | _OFFSET, min_size=4, max_size=4), max_size=6),
+)
+def test_fiber_areas_group_on_integer_numerators(name, k, shift, points):
+    """_fiber_areas, which groups the facets on integer area numerators,
+    against area_partition of disc_areas and of the Fraction oracle, with
+    one Fraction per class and the oracle's NotInterior message; and the
+    integer balance test against the partition's."""
+    normals, offsets = _SHAPES[name]
+    n = len(normals[0])
+    t = shift[:n]
+    lams = [k * lam + sum(ti * vi for ti, vi in zip(t, v)) for v, lam in zip(normals, offsets)]
+    X = make_toric(name, n, normals, lams)
+    centre = [(lo + hi) / 2 for lo, hi in X.bounds]
+    for u in [X.interior_point, tuple(centre)] + [
+        tuple(c + k * x / 10 for c, x in zip(centre, p[:n])) for p in points
+    ]:
+        try:
+            expected = oracle_disc_areas(X, u)
+        except NotInterior as exc:
+            with pytest.raises(NotInterior) as got:
+                toric._fiber_areas(X, u)
+            assert str(got.value) == str(exc)
+            continue
+        classes, partition, balance = toric._fiber_areas(X, u)
+        assert classes == expected == disc_areas(X, u)
+        assert partition == area_partition(expected) == area_partition(disc_areas(X, u))
+        for area, idxs in partition:
+            assert all(classes[i].area is area for i in idxs)
+        sums = tuple(
+            tuple(sum(X.normals[i][j] for i in idxs) for j in range(n)) for _a, idxs in partition
+        )
+        assert balance == (not any(map(any, sums)), sums)
+        assert toric._balanced_at(X, u) == balance.balanced
+
+
+def _system(data, n, kind):
+    """Integer rows (a, b) over n variables with entries in [-5, 5]: up to
+    n + 2 drawn rows and up to two integer combinations of them.  The
+    right-hand sides are drawn ("any"), or read off a rational point
+    ("consistent"), each row then scaled by its denominator."""
+    entry = st.integers(-5, 5)
+    coefficients = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=n + 2))
+    for _ in range(data.draw(st.integers(0, 2))):
+        i = data.draw(st.integers(0, len(coefficients) - 1))
+        j = data.draw(st.integers(0, len(coefficients) - 1))
+        c, d = data.draw(entry), data.draw(entry)
+        coefficients.append([c * x + d * y for x, y in zip(coefficients[i], coefficients[j])])
+    if kind == "any":
+        return [(tuple(a), data.draw(entry)) for a in coefficients]
+    Y = data.draw(st.lists(entry, min_size=n, max_size=n))
+    D = data.draw(st.integers(1, 5))
+    return [(tuple(D * c for c in a), sum(map(operator.mul, a, Y))) for a in coefficients]
+
+
+@pytest.mark.parametrize("kind", ["any", "consistent"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_solve_rows_matches_the_fraction_oracle(kind, data):
+    n = data.draw(st.integers(1, 6))
+    rows = _system(data, n, kind)
+    got = toric._solve_rows(rows, n)
+    expected = oracle_solve_rows(rows, n)
+    if got is None:
+        assert expected is None
+    else:
+        Y, D = got
+        assert D > 0 and math.gcd(D, *Y) == 1
+        assert tuple(F(y, D) for y in Y) == expected
+
+
+@pytest.mark.parametrize(
+    "rows, n, expected",
+    [
+        ([((2, 1), 3), ((1, -1), 0)], 2, (F(1), F(1))),
+        # a dependent row that agrees, then one that does not
+        ([((1, 1), 1), ((2, 2), 2), ((1, -1), 0)], 2, (F(1, 2), F(1, 2))),
+        ([((1, 1), 1), ((1, -1), 0), ((2, 2), 3)], 2, None),
+        # inconsistent on one variable, and too few independent rows
+        ([((1,), 1), ((1,), 2)], 1, None),
+        ([((1, 1), 1), ((2, 2), 2)], 2, None),
+        ([((0, 0, 3), -2), ((0, 5, 0), 1), ((-1, 0, 0), 4)], 3, (F(-4), F(1, 5), F(-2, 3))),
+    ],
+    ids=["unique", "dependent", "inconsistent", "contradiction", "rank_deficient", "permuted"],
+)
+def test_solve_rows_examples(rows, n, expected):
+    got = toric._solve_rows(rows, n)
+    assert oracle_solve_rows(rows, n) == expected
+    assert (None if got is None else tuple(F(y, got[1]) for y in got[0])) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_equal_area_point_of_the_simplex_is_its_centre(n):
+    assert toric._equal_area_point(load_toric(f"CPn({n})")) == (F(1, n + 1),) * n
+
+
+def test_equal_area_point_needs_one_distance_to_every_facet():
+    # the rectangle [0,2]x[0,1]: no point is at one distance from all four
+    assert toric._equal_area_point(load_toric(RECT_DOC)) is None
+    assert toric._equal_area_point(load_toric("CP1xCP1")) == (F(1, 2), F(1, 2))
 
 
 def _hard_rational(low: int, high: int):
