@@ -32,7 +32,12 @@ scans of the hexagon and of CPn(3) in a sheared basis, 33 and 47 tie points
 at grid 12, were recorded before scan decided each tie point on the integer
 area numerators of its grid line.  CP2 dilated by 3000 was recorded when
 the solver began to try exact balanced candidates before Newton, which
-alone returned the wrong fiber there.  A
+alone returned the wrong fiber there.  The hexagon whose balanced fiber has
+two area classes, translated by (-5/q, 7/q) with q = 10^6 + 3, is analyze
+--fiber at that fiber, (999988/3000009, 1000024/3000009), with its "source"
+read "solver": it was recorded when the solver still rounded Newton's
+iterate, which missed the fiber, before the solver read it off the
+iterate's area classes.  A
 refactor that keeps the mathematics must keep every byte; a deliberate
 change of output re-records the affected files and says why.
 """
@@ -169,6 +174,11 @@ def _cases() -> dict[str, list[str]]:
     cases["analyze_CP2x3000_solver.json"] = [
         "analyze", "--input", CP2_X3000_JSON, "--format", "json",
     ]
+    # the two-class hexagon translated by (-5/q, 7/q), q = 10^6 + 3: no
+    # exact candidate, so the solver reads the fiber off Newton's iterate
+    cases["analyze_hexagon2_shifted_solver.json"] = [
+        "analyze", "--input", HEXAGON2_SHIFTED_JSON, "--format", "json",
+    ]
     return cases
 
 
@@ -231,6 +241,19 @@ CPN3_SHEARED_JSON = _polytope_json(
     "CPn3_sheared", [(1, 1, 2), (0, 1, -1), (0, 0, 1), (-1, -2, -2)], [0, 0, 0, -1]
 )
 CP2_X3000_JSON = _polytope_json("CP2x3000", [(1, 0), (0, 1), (-1, -1)], [0, 0, -3000])
+_Q = 10**6 + 3
+HEXAGON2_SHIFTED_JSON = _polytope_json(
+    "hexagon2_shifted",
+    [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
+    [
+        Fraction(-1) - Fraction(5, _Q),
+        Fraction(-1) + Fraction(2, _Q),
+        Fraction(-1) + Fraction(7, _Q),
+        Fraction(-2) + Fraction(5, _Q),
+        Fraction(-2) - Fraction(2, _Q),
+        Fraction(-2) - Fraction(7, _Q),
+    ],
+)
 CASES = _cases()
 
 

@@ -50,6 +50,11 @@ CP1_CUBED = make_toric(
     [0, -1] * 3,
 )
 NUMERIC_POLYTOPES = [load_toric(name) for name in BUILTIN_NAMES] + [RECT, CP1_CUBED]
+HEXAGON_NORMALS = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+# the hexagon with a balanced fiber of two area classes, 4/3 and 5/3 at
+# (1/3, 1/3)
+HEXAGON2_OFFSETS = [-1, -1, -1, -2, -2, -2]
+Q = 10**6 + 3
 
 
 class TestDerivatives:
@@ -336,22 +341,33 @@ class TestSolver:
 
     # The hexagon's normals sum to 0, but with these offsets its witness is
     # not balanced and no point is at one distance from every facet: the
-    # solver falls through to Newton, whose answer stays the oracle's.  On
-    # the first Newton's point rounds to no balanced point; the second has
-    # a balanced fiber with two area classes, which Newton's rounding finds.
+    # solver falls through to Newton, whose answer stays the oracle's.  The
+    # first has no balanced fiber; the second has one with two area classes,
+    # (1/3, 1/3), which is read off Newton's iterate exactly.  The third is
+    # the second translated by (-5/q, 7/q), q = 10^6 + 3: its fiber's
+    # denominator is past any bound a rounding of the iterate would use.
     @pytest.mark.parametrize(
-        "offsets, exact",
-        [([-1, -1, -1, -1, -1, -2], False), ([-1, -1, -1, -2, -2, -2], True)],
-        ids=["unbalanced", "two_classes"],
+        "offsets, fiber",
+        [
+            ([-1, -1, -1, -1, -1, -2], None),
+            (HEXAGON2_OFFSETS, (F(1, 3), F(1, 3))),
+            (
+                [c + F(-5 * a + 7 * b, Q) for (a, b), c in zip(HEXAGON_NORMALS, HEXAGON2_OFFSETS)],
+                (F(1, 3) - F(5, Q), F(1, 3) + F(7, Q)),
+            ),
+        ],
+        ids=["unbalanced", "two_classes", "two_classes_shifted"],
     )
-    def test_no_exact_candidate_falls_through_to_newton(self, monkeypatch, offsets, exact):
-        X = make_toric("hexagon", 2, [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)], offsets)
+    def test_no_exact_candidate_falls_through_to_newton(self, monkeypatch, offsets, fiber):
+        X = make_toric("hexagon", 2, HEXAGON_NORMALS, offsets)
         steps = []
         solve = potential._solve
         monkeypatch.setattr(potential, "_solve", lambda *a: steps.append(a) or solve(*a))
         f = find_critical_fiber(X)
         assert f == oracle_find_critical_fiber(X)
-        assert f.exact is exact and steps
+        assert f.exact is (fiber is not None) and steps
+        if fiber is not None:
+            assert f.u == fiber
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
