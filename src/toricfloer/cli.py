@@ -185,7 +185,7 @@ def cmd_analyze(args) -> dict:
         fiber, areas = _critical_fiber(X, None, args.tol, args.max_iters)
         fiber_source = "solver"
 
-    # the solver's accepted rounding comes with its areas and balance
+    # the solver's exact balanced fiber comes with its areas and balance
     classes, partition, (balanced, class_sums) = areas or _fiber_areas(X, fiber)
     # the areas are the only derived rationals printed: every other value
     # is an integer, a half or an area exponent

@@ -14,10 +14,10 @@ the formal Hessian, Q_ij = sum_k v_ki * v_kj * T^{e_k} q.  Every term of
 either carries one normal entry per index, so both visit only the nonzero
 entries (ToricFano._supports), the floats with the dense sums' bits.
 
-The search tries exact candidates before Newton: a balanced fiber is
-critical for W at every scale and W is strictly convex, so a rational
-point that passes the exact balance test is the critical fiber, whatever
-proposed it (find_critical_fiber).
+The search tries exact candidates before Newton and reads one off its
+iterate after: a balanced fiber is critical for W at every scale and W is
+strictly convex, so a rational point that passes the exact balance test is
+the critical fiber, whatever proposed it (find_critical_fiber).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add
 from typing import Optional, Sequence, Union
 
 from .errors import DimensionMismatch, NoConvergence, NotInterior
@@ -37,7 +38,7 @@ from .toric import (
     Fiber,
     ToricFano,
     _balanced_at,
-    _equal_area_point,
+    _class_point,
     _fiber_areas,
     _Frozen,
     area_partition,
@@ -47,7 +48,6 @@ from .toric import (
 Rational = Union[int, Fraction]
 
 _MAX_HALVINGS = 40
-_ROUND_DENOMINATOR = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +212,9 @@ def find_critical_fiber(
     Otherwise Newton searches.  Steps are halved (at most 40 times each)
     until the iterate stays strictly interior and W does not increase; W is
     strictly convex on the interior so the critical point is unique.  The
-    result is rounded by continued fractions with denominators up to 10**6
-    and returned as an exact Fiber when the rounding is exactly balanced;
-    otherwise the float iterate is wrapped with exact=False.
+    last iterate proposes area classes and one exact solve gives their
+    point, returned when it is balanced; otherwise the float iterate is
+    wrapped with exact=False.
 
     Each point is evaluated once: the offsets are converted to floats
     once per solve, and W, its gradient and its Hessian at an accepted
@@ -242,7 +242,7 @@ def _critical_fiber(X: ToricFano, init, tol: float, max_iters: int) -> tuple[Fib
     # the exact candidates of find_critical_fiber; no fiber is balanced
     # unless the normals sum to 0
     if init is None and not any(map(sum, zip(*X.normals))):
-        point = start if _balanced_at(X, start) else _equal_area_point(X)
+        point = start if _balanced_at(X, start) else _class_point(X, [range(X.num_facets)])
         if point is not None:
             floats = [float(x) for x in point]
             distances = _distances(X, floats, offsets)
@@ -271,7 +271,7 @@ def _critical_fiber(X: ToricFano, init, tol: float, max_iters: int) -> tuple[Fib
     for _ in range(max_iters):
         w, grad, hess = current
         if max(map(abs, grad)) < tol:
-            return _round_fiber(X, u)
+            return _read_off(X, u)
         step = _solve(hess, [-g for g in grad])
         t = 1.0
         for _ in range(_MAX_HALVINGS):
@@ -287,49 +287,37 @@ def _critical_fiber(X: ToricFano, init, tol: float, max_iters: int) -> tuple[Fib
             )
     grad_norm = max(map(abs, current[1]))
     if grad_norm < tol:
-        return _round_fiber(X, u)
+        return _read_off(X, u)
     raise NoConvergence(
         f"gradient norm {grad_norm:.3e} not below tol={tol} "
         f"after {max_iters} iterations"
     )
 
 
-def _round_fiber(X: ToricFano, u: Sequence[float]) -> tuple[Fiber, Optional[tuple]]:
-    """(the rounding of u, toric._fiber_areas of it) when it is exactly
-    balanced, else (the float iterate u, None)."""
-    candidate = Fiber(tuple(_limit_denominator(x, _ROUND_DENOMINATOR) for x in u))
-    try:
-        areas = _fiber_areas(X, candidate)
-        if areas[2].balanced:
-            return candidate, areas
-    except NotInterior:
-        pass
+def _read_off(X: ToricFano, u: Sequence[float]) -> tuple[Fiber, Optional[tuple]]:
+    """(the balanced fiber read off Newton's iterate u, toric._fiber_areas
+    of it), else (the float iterate u with exact=False, None).  No fiber is
+    balanced unless the normals sum to 0.  Sorted by float distance at u,
+    the facets close a class wherever the running sum of their normals is 0:
+    at a balanced fiber every class boundary is such a place, whatever the
+    order inside a class, and a cut inside a class only drops equations."""
+    if not any(map(sum, zip(*X.normals))):
+        classes, total = [[]], (0,) * X.n
+        for k in sorted(range(X.num_facets), key=_distances(X, u).__getitem__):
+            classes[-1].append(k)
+            total = tuple(map(add, total, X.normals[k]))
+            if not any(total):
+                classes.append([])
+        point = _class_point(X, classes)
+        if point is not None:
+            fiber = Fiber(point)
+            try:
+                areas = _fiber_areas(X, fiber)
+                if areas[2].balanced:
+                    return fiber, areas
+            except NotInterior:
+                pass
     return Fiber(tuple(Fraction(x) for x in u), exact=False), None
-
-
-def _limit_denominator(x: float, bound: int) -> Fraction:
-    """Fraction(x).limit_denominator(bound), bit for bit, without building
-    a Fraction until the end: the same continued fraction, run on the
-    integers of x.as_integer_ratio()."""
-    num, den = x.as_integer_ratio()
-    if den <= bound:
-        return Fraction(num, den)
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    n, d = num, den
-    while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > bound:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    k = (bound - q0) // q1
-    # x lies between the convergent p1/q1 and the other bound, d/(q1*den)
-    # from the first and 1/(q1*(q0 + k*q1)) apart from each other: the
-    # convergent is kept when it is no farther, ties included, as in Fraction
-    if 2 * d * (q0 + k * q1) <= den:
-        return Fraction(p1, q1)
-    return Fraction(p0 + k * p1, q0 + k * q1)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,8 @@ import re
 import sys
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from itertools import pairwise
+from operator import mul, sub
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidPolytope, NotInterior, ParseError
@@ -294,9 +295,9 @@ class ToricFano(_Frozen):
 class Fiber(_Frozen):
     """A torus fiber over an interior point of the polytope.
 
-    u is always exact rational.  Solver output that could not be rounded
-    to an exactly balanced point carries the binary expansion of the
-    float iterate and exact=False.  Holonomy angles are in turns and are
+    u is always exact rational.  Solver output from which no exactly
+    balanced point could be read carries the binary expansion of the float
+    iterate and exact=False.  Holonomy angles are in turns and are
     only consumed by the numeric side of the potential module; the exact
     side raises ValueError on a nontrivial holonomy.
     """
@@ -630,22 +631,22 @@ def _balanced_at(X: ToricFano, u: Sequence[Fraction]) -> bool:
     return _balance(X, _area_groups(_area_numerators(X, u)[0]).items()).balanced
 
 
-def _equal_area_point(X: ToricFano) -> Optional[tuple[Fraction, ...]]:
-    """The point at one distance from every facet, or None when there is
-    none, for normals that sum to 0.  Then the N areas sum to
-    <sum_k v_k, u> - sum_k lambda_k = -sum_k lambda_k at every u, positive
-    at an interior point, so the common area is -sum_k lambda_k / N and the
-    point, when it exists, is interior and balanced: one class, whose
-    normals sum to 0.  In y = N*L*u, lambda_k = P_k/L, facet k reads
-    <v_k, y> = N*P_k - sum_j P_j, an integer row for _solve_rows."""
-    N, L = len(X.offsets), math.lcm(*(lam.denominator for lam in X.offsets))
+def _class_point(X: ToricFano, classes: Iterable[Sequence[int]]) -> Optional[tuple[Fraction, ...]]:
+    """The one point at which the facets of each class are at one distance,
+    or None.  In y = L*u, lambda_k = P_k/L, consecutive facets j, k of a
+    class give the integer row <v_k - v_j, y> = P_k - P_j for _solve_rows.
+    For classes [range(N)] and normals that sum to 0, the N areas sum to
+    -sum_k lambda_k at every u, positive inside, so the point, when it
+    exists, is interior and balanced: one class, whose normals sum to 0."""
+    L = math.lcm(*(lam.denominator for lam in X.offsets))
     P = [lam.numerator * (L // lam.denominator) for lam in X.offsets]
-    S = sum(P)
-    solution = _solve_rows([(v, N * p - S) for v, p in zip(X.normals, P)], X.n)
+    V = X.normals
+    rows = [(tuple(map(sub, V[k], V[j])), P[k] - P[j]) for idxs in classes for j, k in pairwise(idxs)]
+    solution = _solve_rows(rows, X.n)
     if solution is None:
         return None
     Y, D = solution
-    return tuple(Fraction(y, D * N * L) for y in Y)
+    return tuple(Fraction(y, D * L) for y in Y)
 
 
 def is_balanced(X: ToricFano, f: Union[Fiber, Sequence[Rational]]) -> BalanceResult:

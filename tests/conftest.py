@@ -741,22 +741,32 @@ def oracle_l_table(X, partition, lmax):
     return table
 
 
-# Test oracle: the solver's rounding of a float coordinate, the library's
-# continued fraction.
+# Test oracle: the solver's read-off of a balanced fiber from Newton's
+# iterate, on Fraction rows in the input coordinates.
 
 
-def oracle_limit_denominator(x, bound=10**6):
-    return Fraction(x).limit_denominator(bound)
-
-
-def oracle_round_fiber(X, u):
-    """The rounding of u when it is exactly balanced, else the float iterate."""
-    candidate = Fiber(tuple(oracle_limit_denominator(x) for x in u))
-    try:
-        if toric.is_balanced(X, candidate).balanced:
-            return candidate
-    except NotInterior:
-        pass
+def oracle_read_off(X, u):
+    """The balanced fiber whose area classes the float distances at u sort
+    the facets into, else the float iterate with exact=False."""
+    if not any(map(sum, zip(*X.normals))):
+        distances = potential._distances(X, u)
+        order = sorted(range(X.num_facets), key=lambda k: distances[k])
+        rows, start = [], 0
+        for end in range(1, len(order) + 1):
+            if not any(sum(X.normals[k][i] for k in order[:end]) for i in range(X.n)):
+                cls = order[start:end]
+                rows += [
+                    ([b - a for a, b in zip(X.normals[j], X.normals[k])], X.offsets[k] - X.offsets[j])
+                    for j, k in zip(cls, cls[1:])
+                ]
+                start = end
+        point = oracle_solve_rows(rows, X.n)
+        if point is not None:
+            try:
+                if toric.is_balanced(X, point).balanced:
+                    return Fiber(point)
+            except NotInterior:
+                pass
     return Fiber(tuple(Fraction(x) for x in u), exact=False)
 
 
@@ -779,7 +789,7 @@ def oracle_find_critical_fiber(X, init=None, tol=1e-12, max_iters=50):
     for _ in range(max_iters):
         w, grad, hess = _oracle_w_grad_hess(X, u)
         if max(map(abs, grad)) < tol:
-            return oracle_round_fiber(X, u)
+            return oracle_read_off(X, u)
         step = potential._solve(hess, [-g for g in grad])
         t = 1.0
         for _ in range(potential._MAX_HALVINGS):
@@ -794,7 +804,7 @@ def oracle_find_critical_fiber(X, init=None, tol=1e-12, max_iters=50):
             raise NoConvergence("step damping failed to find an interior descent point")
     grad_norm = max(map(abs, _oracle_w_grad_hess(X, u)[1]))
     if grad_norm < tol:
-        return oracle_round_fiber(X, u)
+        return oracle_read_off(X, u)
     raise NoConvergence(
         f"gradient norm {grad_norm:.3e} not below tol={tol} after {max_iters} iterations"
     )

@@ -55,6 +55,12 @@ HEXAGON_NORMALS = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
 # (1/3, 1/3)
 HEXAGON2_OFFSETS = [-1, -1, -1, -2, -2, -2]
 Q = 10**6 + 3
+# the hexagons whose balanced fiber has two area classes, with that fiber:
+# areas 4/3 and 5/3 at (1/3, 1/3), and 2 and 1 at (0, 0)
+TWO_CLASS_HEXAGONS = [
+    (HEXAGON2_OFFSETS, (F(1, 3), F(1, 3))),
+    ([-2, -1, -2, -1, -2, -1], (F(0), F(0))),
+]
 
 
 class TestDerivatives:
@@ -387,6 +393,28 @@ class TestSolver:
         f = find_critical_fiber(X)
         assert f.exact
         assert f.u == (F(scale, 3), F(scale, 3))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_two_class_hexagon_fiber_is_read_off_exactly(self, data):
+        """The two hexagons whose balanced fiber has two area classes, moved
+        by a translation of denominator 1, 12, 97 or 10^6 + 3, a facet
+        permutation and a dilation by 1, 2, 5 or 7, at tol 1e-12, 1e-8 or
+        1e-4: neither exact candidate is the fiber, so it is read off
+        Newton's iterate, and it moves exactly with the polytope.  At a
+        dilation by 60 or 3000 the gradient at the witness is below tol and
+        Newton stops there, which test_cli's strict xfail
+        test_dilated_two_class_hexagon_lands_on_its_balanced_fiber records."""
+        offsets, centre = data.draw(st.sampled_from(TWO_CLASS_HEXAGONS), label="hexagon")
+        q = data.draw(st.sampled_from([1, 12, 97, Q]), label="denominator")
+        shift = [F(data.draw(st.integers(-q, q), label="numerator"), q) for _ in range(2)]
+        scale = data.draw(st.sampled_from([1, 2, 5, 7]), label="dilation")
+        facets = data.draw(st.permutations(range(6)), label="facets")
+        tol = data.draw(st.sampled_from([1e-12, 1e-8, 1e-4]), label="tol")
+        normals = [HEXAGON_NORMALS[k] for k in facets]
+        X = _moved("hexagon", normals, [offsets[k] for k in facets], scale, shift)
+        f = find_critical_fiber(X, tol=tol)
+        assert f.exact and f.u == tuple(scale * c + t for c, t in zip(centre, shift))
 
     def test_hessian_positive_definite_at_solution(self, builtin):
         from toricfloer.potential import _w_grad_hess

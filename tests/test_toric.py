@@ -768,15 +768,30 @@ def test_solve_rows_examples(rows, n, expected):
     assert (None if got is None else tuple(F(y, got[1]) for y in got[0])) == expected
 
 
+def _equal_area_point(X):
+    """The point at one distance from every facet: one class of all N."""
+    return toric._class_point(X, [range(X.num_facets)])
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_equal_area_point_of_the_simplex_is_its_centre(n):
-    assert toric._equal_area_point(load_toric(f"CPn({n})")) == (F(1, n + 1),) * n
+    assert _equal_area_point(load_toric(f"CPn({n})")) == (F(1, n + 1),) * n
 
 
 def test_equal_area_point_needs_one_distance_to_every_facet():
     # the rectangle [0,2]x[0,1]: no point is at one distance from all four
-    assert toric._equal_area_point(load_toric(RECT_DOC)) is None
-    assert toric._equal_area_point(load_toric("CP1xCP1")) == (F(1, 2), F(1, 2))
+    assert _equal_area_point(load_toric(RECT_DOC)) is None
+    assert _equal_area_point(load_toric("CP1xCP1")) == (F(1, 2), F(1, 2))
+
+
+def test_class_point_of_the_rectangle_is_its_centre():
+    # facets 0, 1 bound x and 2, 3 bound y: one distance per class at (1, 1/2)
+    assert toric._class_point(load_toric(RECT_DOC), [[0, 1], [2, 3]]) == (F(1), F(1, 2))
+
+
+def test_class_point_needs_n_independent_rows():
+    # the x facets alone fix x = 1 and leave y free
+    assert toric._class_point(load_toric(RECT_DOC), [[0, 1], [2], [3]]) is None
 
 
 def _hard_rational(low: int, high: int):
