@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -320,6 +321,40 @@ class TestAnalyzeJson:
         assert json.loads(out)["fiber"]["source"] == "solver"
         assert len(disc_area_calls) == 1
         assert disc_area_calls[0].u == (Fraction(1, 4),) * 3
+
+    def test_solver_gradient_evaluated_once(self, capsys, monkeypatch):
+        # the solver accepts CPn(4)'s exact centre on the norm of its float
+        # gradient, and analyze prints that norm: no second evaluation
+        calls = []
+        original = potential._gradient
+
+        def counting(X, u, distances=None):
+            calls.append(tuple(u))
+            return original(X, u, distances)
+
+        monkeypatch.setattr(potential, "_gradient", counting)
+        monkeypatch.setattr(cli, "_gradient", counting)
+        code, out, _ = run(capsys, "analyze", "--input", "CPn(4)", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["fiber"]["source"] == "solver"
+        assert calls == [(0.2,) * 4]
+
+    @pytest.mark.parametrize("name, count", [("CP1^4", 1), ("CPn(4)", 2)])
+    def test_solver_area_numerators_computed_once_per_candidate(self, capsys, monkeypatch, name, count):
+        # the witness of (CP1)^4 is its balanced centre, and its areas are
+        # built from the numerators that accepted it; CPn(4)'s witness is
+        # refuted, then the areas of the centre are computed
+        calls = []
+        original = toric._area_numerators
+        monkeypatch.setattr(toric, "_area_numerators", lambda X, u: calls.append(u) or original(X, u))
+        if name == "CP1^4":
+            normals = [[s * (j == i) for j in range(4)] for i in range(4) for s in (1, -1)]
+            facets = [{"normal": v, "offset": c} for v, c in zip(normals, ["0", "-1"] * 4)]
+            name = json.dumps({"name": name, "dim": 4, "facets": facets})
+        code, out, _ = run(capsys, "analyze", "--input", name, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["fiber"]["source"] == "solver"
+        assert len(calls) == count
 
     def test_one_tower_per_fiber(self, capsys, monkeypatch):
         # the chain_map block of CPn(4) is the closed form in (n, N, l):
@@ -903,6 +938,23 @@ class TestScan:
         assert (code, out) == (2, "")
         assert "float range" not in err
         assert err.startswith("error: ") and "axis 1" in err and "too many lines" in err
+
+    @pytest.mark.parametrize("K", [10**5, 10**20])
+    def test_sheared_cube_walks_the_polytope_not_its_box(self, capsys, K):
+        # (CP1)^3 with normals +-e_1, +-(-K, 1, 0), +-e_3: the box of the
+        # second axis is K + 1 long, the polytope's section at each u_1 one,
+        # so the head walk reaches 9 lines at grid 4 whatever K is
+        normals = [[1, 0, 0], [-1, 0, 0], [-K, 1, 0], [K, -1, 0], [0, 0, 1], [0, 0, -1]]
+        facets = [{"normal": v, "offset": c} for v, c in zip(normals, ["0", "-1"] * 3)]
+        text = json.dumps({"name": "cube_sheared", "dim": 3, "facets": facets})
+        start = time.process_time()
+        code, out, err = run(capsys, "scan", "--input", text, "--grid", "4", "--format", "json")
+        assert time.process_time() - start < 1.0
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["points_scanned"] == 27
+        assert doc["balanced_fibers"] == [{"hf_rank": 8, "u": ["1/2", str(Fraction(K + 1, 2)), "1/2"]}]
+        assert doc["unbalanced_points_with_nonzero_rank"] == 0
 
     @pytest.mark.parametrize(
         "grid, ties, balanced",

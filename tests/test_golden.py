@@ -37,7 +37,11 @@ two area classes, translated by (-5/q, 7/q) with q = 10^6 + 3, is analyze
 --fiber at that fiber, (999988/3000009, 1000024/3000009), with its "source"
 read "solver": it was recorded when the solver still rounded Newton's
 iterate, which missed the fiber, before the solver read it off the
-iterate's area classes.  A
+iterate's area classes.  (CP1)^3 in the sheared basis with normals +-e_1,
++-(-K, 1, 0), +-e_3 at K = 10^20, whose bounding box holds about 10^21 grid
+lines at grid 4 where the polytope holds 9, was recorded when scan began to
+walk its heads inside the projections of the polytope, and checked against
+the closed form (27 points, one balanced centre).  A
 refactor that keeps the mathematics must keep every byte; a deliberate
 change of output re-records the affected files and says why.
 """
@@ -179,6 +183,11 @@ def _cases() -> dict[str, list[str]]:
     cases["analyze_hexagon2_shifted_solver.json"] = [
         "analyze", "--input", HEXAGON2_SHIFTED_JSON, "--format", "json",
     ]
+    # (CP1)^3 sheared by K = 10^20: scan walks only the 9 head lines inside
+    # the polytope, not the about 4 * 10^21 of its bounding box
+    cases["scan_cube_sheared_grid4.json"] = [
+        "scan", "--input", CUBE_SHEARED_JSON, "--grid", "4", "--format", "json",
+    ]
     return cases
 
 
@@ -254,6 +263,12 @@ HEXAGON2_SHIFTED_JSON = _polytope_json(
         Fraction(-2) - Fraction(7, _Q),
     ],
 )
+CUBE_SHEARED_K = 10**20
+CUBE_SHEARED_JSON = _polytope_json(
+    "cube_sheared",
+    [(1, 0, 0), (-1, 0, 0), (-CUBE_SHEARED_K, 1, 0), (CUBE_SHEARED_K, -1, 0), (0, 0, 1), (0, 0, -1)],
+    [0, -1, 0, -1, 0, -1],
+)
 CASES = _cases()
 
 
@@ -262,6 +277,21 @@ def test_output_matches_golden(stem, capsys):
     assert main(CASES[stem]) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / stem).read_text(encoding="utf-8")
+
+
+def test_sheared_cube_golden_is_the_closed_form():
+    # the cube [0,1]^3 in the basis u_1, u_2 - K*u_1, u_3: at grid g its
+    # (g - 1)^3 points are the cube's, and only the centre (1/2, (K + 1)/2,
+    # 1/2) is balanced, with the rank 2^3 of a balanced fiber
+    K, g = CUBE_SHEARED_K, 4
+    doc = json.loads((GOLDEN / "scan_cube_sheared_grid4.json").read_text(encoding="utf-8"))
+    assert doc == {
+        "polytope": {"name": "cube_sheared", "dim": 3},
+        "grid": g,
+        "points_scanned": (g - 1) ** 3,
+        "balanced_fibers": [{"u": ["1/2", str(Fraction(K + 1, 2)), "1/2"], "hf_rank": 8}],
+        "unbalanced_points_with_nonzero_rank": 0,
+    }
 
 
 # main builds its parser once per process, so no parsed value may reach
