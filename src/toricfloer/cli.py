@@ -179,10 +179,10 @@ class _LProducts:
 def cmd_analyze(args) -> dict:
     X = load_from_arg(args.input)
     if args.fiber:
-        fiber, areas = _parse_fiber_arg(args.fiber, X.n), None
+        fiber, areas, grad_norm = _parse_fiber_arg(args.fiber, X.n), None, None
         fiber_source = "given"
     else:
-        fiber, areas = _critical_fiber(X, None, args.tol, args.max_iters)
+        fiber, areas, grad_norm = _critical_fiber(X, None, args.tol, args.max_iters)
         fiber_source = "solver"
 
     # the solver's exact balanced fiber comes with its areas and balance
@@ -202,8 +202,10 @@ def cmd_analyze(args) -> dict:
     table = _l_table(X, partition, max(args.lmax, 2))
     rank = _hf_rank(X.n, [table[(i,)] for i in range(X.n)])
     text = _per_value(lambda value: render_novikov(value, args.two_pi), table.items())
-    # the solver's gradient, read at the reported fiber
-    grad_norm = max(map(abs, _gradient(X, [float(u) for u in fiber.u])))
+    # the solver's gradient, read at the reported fiber unless the solver
+    # accepted its exact candidate on it: the same floats, the same bits
+    if grad_norm is None:
+        grad_norm = max(map(abs, _gradient(X, [float(u) for u in fiber.u])))
 
     notes = [CONVENTION_NOTE]
     if args.two_pi:

@@ -230,9 +230,12 @@ def find_critical_fiber(
     return _critical_fiber(X, init, tol, max_iters)[0]
 
 
-def _critical_fiber(X: ToricFano, init, tol: float, max_iters: int) -> tuple[Fiber, Optional[tuple]]:
+def _critical_fiber(
+    X: ToricFano, init, tol: float, max_iters: int
+) -> tuple[Fiber, Optional[tuple], Optional[float]]:
     """find_critical_fiber's fiber, with toric._fiber_areas of it when it
-    is exact and balanced, else None."""
+    is exact and balanced, else None, and the gradient norm that accepted
+    an exact candidate, else None."""
     start = X.interior_point if init is None else tuple(init)
     if len(start) != X.n:
         raise NotInterior(f"initial point has dimension {len(start)}, expected {X.n}")
@@ -242,13 +245,14 @@ def _critical_fiber(X: ToricFano, init, tol: float, max_iters: int) -> tuple[Fib
     # the exact candidates of find_critical_fiber; no fiber is balanced
     # unless the normals sum to 0
     if init is None and not any(map(sum, zip(*X.normals))):
-        point = start if _balanced_at(X, start) else _class_point(X, [range(X.num_facets)])
+        areas = _balanced_at(X, start)
+        point = start if areas else _class_point(X, [range(X.num_facets)])
         if point is not None:
             floats = [float(x) for x in point]
             distances = _distances(X, floats, offsets)
-            if min(distances) > 0 and max(map(abs, _gradient(X, floats, distances))) < tol:
+            if min(distances) > 0 and (norm := max(map(abs, _gradient(X, floats, distances)))) < tol:
                 fiber = Fiber(point)
-                return fiber, _fiber_areas(X, fiber)
+                return fiber, areas or _fiber_areas(X, fiber), norm
 
     def evaluate(point: list[float]):
         """W, its gradient and its Hessian at point, or None when the point
@@ -271,7 +275,7 @@ def _critical_fiber(X: ToricFano, init, tol: float, max_iters: int) -> tuple[Fib
     for _ in range(max_iters):
         w, grad, hess = current
         if max(map(abs, grad)) < tol:
-            return _read_off(X, u)
+            return (*_read_off(X, u), None)
         step = _solve(hess, [-g for g in grad])
         t = 1.0
         for _ in range(_MAX_HALVINGS):
@@ -287,7 +291,7 @@ def _critical_fiber(X: ToricFano, init, tol: float, max_iters: int) -> tuple[Fib
             )
     grad_norm = max(map(abs, current[1]))
     if grad_norm < tol:
-        return _read_off(X, u)
+        return (*_read_off(X, u), None)
     raise NoConvergence(
         f"gradient norm {grad_norm:.3e} not below tol={tol} "
         f"after {max_iters} iterations"

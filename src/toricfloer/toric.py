@@ -17,26 +17,31 @@ bounds read every row as non-strict and the interior witness every row
 as strict, with no flag per row and no float or tolerance in any
 decision.  The tests check it against a Fraction elimination with a
 strictness flag per row, the oracle in tests/conftest.py.
-Boundedness is read off the n per-axis projections that also give the
-coordinate bounds: eliminating every other variable combines rows by
-their coefficients alone, so axis i lacks a lower or an upper bound
-exactly when the recession cone {d : <d, v_k> >= 0} holds a d with
-d_i != 0, whatever the offsets, and even when the polytope is empty.
-The projections come from one elimination tree: a system over a run of
-axes reaches its left half by eliminating the right half's variables,
-last first, and its right half by eliminating the left half's, first
-first, down to n single-axis leaves; that is n + T(n//2) + T(n - n//2)
-eliminations, 16 at n = 6, where one chain per axis took n(n - 1).  The
-tree's left spine is the chain y_0..y_k, k = n-1..0, that the witness
-back-substitutes through.  Each elimination drops the all-zero rows it
-makes, and when it grows the system it keeps, of rows with one
-coefficient tuple, only the one with the largest right-hand side; both
-are exact.  A zero row puts no bound on any variable and combines with
-no row, and the stage where its two parent rows meet already holds its
-verdict: their interval for the eliminated variable is empty exactly
-when the zero row fails.  Of a.y >= b and a.y >= b' with b >= b', the
-first implies the second, non-strict or strict, and every combination
-is increasing in both right-hand sides, so no tightest bound moves.
+make_toric eliminates along the spine only: stages[k] over y_0..y_k,
+k = n-1..0, n - 1 eliminations, which the witness back-substitutes
+through.  The polytope is unbounded exactly when a stage k lacks a
+positive or a negative y_k coefficient, whatever the offsets and even
+when it is empty, so "unbounded" comes before "empty interior".
+Eliminating combines rows by their coefficients alone, so the
+homogeneous rows of stage k cut out the projection of the recession
+cone {d : <d, v_k> >= 0}: a d != 0 in it, d_k its first nonzero entry,
+projects to (0, ..., 0, d_k), leaving no y_k coefficient of the other
+sign, and a stage lacking one sign holds (0, ..., 0, -+1), which some
+d projects to.  Each elimination drops the all-zero rows it makes, and
+when it grows the system it keeps, of rows with one coefficient tuple,
+only the one with the largest right-hand side; both keep every
+coefficient vector, and both are exact.  A zero row puts no bound on
+any variable and combines with no row, and the stage where its two
+parent rows meet already holds its verdict: their interval for the
+eliminated variable is empty exactly when the zero row fails.  Of
+a.y >= b and a.y >= b' with b >= b', the first implies the second,
+non-strict or strict, and every combination is increasing in both
+right-hand sides, so no tightest bound moves.  ToricFano.bounds, which
+neither analyze nor scan reads, is computed on the first read off one
+elimination tree: a system over a run of axes reaches its left half by
+eliminating the right half's variables, last first, and its right half
+by eliminating the left half's, first first, down to n single-axis
+leaves, n + T(n//2) + T(n - n//2) eliminations, 16 at n = 6.
 """
 
 from __future__ import annotations
@@ -93,22 +98,33 @@ def _eliminate(rows: list[_Row], k: int) -> list[_Row]:
     return list(tightest.items())
 
 
-def _split(system: list[_Row], width: int) -> tuple[list[list[_Row]], list[list[_Row]]]:
+def _split(system: list[_Row], width: int) -> list[list[_Row]]:
     """The `width` single-axis projections of a system over `width` axes,
-    in axis order, and its chain: the system, then its projections onto
-    its first width - 1, ..., 1 axes."""
+    in axis order."""
     if width == 1:
-        return [system], [system]
+        return [system]
     half = width // 2
-    chain = [system]
+    left = right = system
     for _ in range(width - half):
-        chain.append(_eliminate(chain[-1], -1))
-    right = system
+        left = _eliminate(left, -1)
     for _ in range(half):
         right = _eliminate(right, 0)
-    left_leaves, left_chain = _split(chain.pop(), half)
-    right_leaves = _split(right, width - half)[0]
-    return left_leaves + right_leaves, chain + left_chain
+    return _split(left, half) + _split(right, width - half)
+
+
+def _stages(rows: list[_Row], n: int) -> list[list[_Row]]:
+    """The spine: stages[k] over y_0..y_k, each the next with y_{k+1} eliminated."""
+    stages = [rows]
+    for _ in range(n - 1):
+        stages.append(_eliminate(stages[-1], -1))
+    return stages[::-1]
+
+
+def _integer_rows(normals: Sequence[tuple[int, ...]], offsets: Sequence[Fraction]) -> tuple[int, list[_Row]]:
+    """L, the lcm of the offset denominators, and the integer row
+    <v_k, y> >= L*lambda_k of each facet k in y = L*x."""
+    L = math.lcm(*(lam.denominator for lam in offsets))
+    return L, [(v, lam.numerator * (L // lam.denominator)) for v, lam in zip(normals, offsets)]
 
 
 def _interval(rows: list[_Row], Y: list[int], D: int):
@@ -130,16 +146,10 @@ def _interval(rows: list[_Row], Y: list[int], D: int):
 
 
 def _coordinate_bounds(rows: list[_Row], nvars: int):
-    """The exact [min, max] of each coordinate over {y : rows}, read off
-    the leaves of one elimination tree, as ((R_lo, c_lo), (R_hi, c_hi))
-    for R/c, and the tree's left spine, stages[k] over y_0..y_k, which the
-    witness reads; raises InvalidPolytope when an axis is unbounded, which
-    the module docstring shows the normals decide."""
-    leaves, chain = _split(rows, nvars)
-    bounds = [_interval(leaf, [], 1) for leaf in leaves]
-    if any(lo is None or hi is None for lo, hi in bounds):
-        raise InvalidPolytope("normals do not positively span, polytope is unbounded")
-    return bounds, chain[::-1]
+    """The exact [min, max] of each coordinate over a bounded {y : rows},
+    read off the leaves of one elimination tree, as ((R_lo, c_lo),
+    (R_hi, c_hi)) for R/c."""
+    return [_interval(leaf, [], 1) for leaf in _split(rows, nvars)]
 
 
 def _interior_witness(stages: list[list[_Row]]) -> Optional[tuple[list[int], int]]:
@@ -259,8 +269,8 @@ class _Frozen:
 class ToricFano(_Frozen):
     """Facet presentation {u : <u, v_k> >= lambda_k} of a moment polytope."""
 
-    __match_args__ = ("name", "n", "normals", "offsets", "interior_point", "bounds")
-    _compared = 4  # interior_point and bounds follow from the rest
+    __match_args__ = ("name", "n", "normals", "offsets", "interior_point")
+    _compared = 4  # interior_point follows from the rest
 
     def __init__(
         self,
@@ -269,18 +279,22 @@ class ToricFano(_Frozen):
         normals: tuple[tuple[int, ...], ...],
         offsets: tuple[Fraction, ...],
         interior_point: tuple[Fraction, ...],
-        bounds: tuple[tuple[Fraction, Fraction], ...],
     ):
-        self.__dict__.update(name=name, n=n, normals=normals, offsets=offsets)
-        self.__dict__.update(interior_point=interior_point, bounds=bounds)
+        self.__dict__.update(name=name, n=n, normals=normals, offsets=offsets, interior_point=interior_point)
 
     @property
     def num_facets(self) -> int:
         return len(self.normals)
 
+    @cached_property
+    def bounds(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """Exact [min, max] of each coordinate over the closed polytope, on the first read."""
+        L, rows = self._rows
+        pairs = _coordinate_bounds(rows, self.n)
+        return tuple((Fraction(Rl, cl * L), Fraction(Ru, cu * L)) for (Rl, cl), (Ru, cu) in pairs)
+
     def coordinate_bounds(self) -> list[tuple[Fraction, Fraction]]:
-        """Exact [min, max] of each coordinate over the closed polytope,
-        as make_toric computed them."""
+        """Exact [min, max] of each coordinate over the closed polytope."""
         return list(self.bounds)
 
     def __str__(self) -> str:
@@ -290,6 +304,16 @@ class ToricFano(_Frozen):
     def _supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Each normal's nonzero (axis, entry) pairs, in axis order, once."""
         return tuple(tuple((i, c) for i, c in enumerate(v) if c) for v in self.normals)
+
+    @cached_property
+    def _rows(self) -> tuple[int, list[_Row]]:
+        """_integer_rows of the facet data."""
+        return _integer_rows(self.normals, self.offsets)
+
+    @cached_property
+    def _spine(self) -> list[list[_Row]]:
+        """_stages of the integer rows, which make_toric validates on."""
+        return _stages(self._rows[1], self.n)
 
 
 class Fiber(_Frozen):
@@ -371,11 +395,12 @@ def make_toric(
         if math.gcd(*v) != 1:
             raise InvalidPolytope(f"facet normal {v} is not primitive")
 
-    # in y = L*x facet k reads <v_k, y> >= L*lambda_k, an integer row
-    L = math.lcm(*(lam.denominator for lam in lams))
-    rows = [(v, lam.numerator * (L // lam.denominator)) for v, lam in zip(vs, lams)]
-    # raises when the normals do not positively span
-    bounds, stages = _coordinate_bounds(rows, n)
+    L, rows = presentation = _integer_rows(vs, lams)
+    stages = _stages(rows, n)
+    # bounded exactly when every stage bounds its last variable on both sides
+    for stage in stages:
+        if len({a[-1] > 0 for a, _b in stage if a[-1]}) < 2:
+            raise InvalidPolytope("normals do not positively span, polytope is unbounded")
     witness = _interior_witness(stages)
     if witness is None:
         raise InvalidPolytope("polytope has empty interior")
@@ -384,8 +409,9 @@ def make_toric(
         if v in vs[:k]:
             raise InvalidPolytope(f"facets {vs.index(v) + 1} and {k + 1} share the normal {v}")
     Y, D = witness
-    box = tuple((Fraction(Rl, cl * L), Fraction(Ru, cu * L)) for (Rl, cl), (Ru, cu) in bounds)
-    return ToricFano(name, n, vs, lams, tuple(Fraction(y, D * L) for y in Y), box)
+    X = ToricFano(name, n, vs, lams, tuple(Fraction(y, D * L) for y in Y))
+    X.__dict__.update(_rows=presentation, _spine=stages)  # the cached properties, built here
+    return X
 
 
 def _builtin(name: str) -> Optional[ToricFano]:
@@ -549,11 +575,11 @@ def _area_numerators(X: ToricFano, u: Sequence[Fraction]) -> tuple[list[int], in
         raise NotInterior(f"fiber point has dimension {len(u)}, expected {X.n}")
     D = math.lcm(*(x.denominator for x in u))
     U = [x.numerator * (D // x.denominator) for x in u]
-    L = math.lcm(*(lam.denominator for lam in X.offsets))
+    L, rows = X._rows
     den = D * L
     nums = []
-    for k, (support, lam) in enumerate(zip(X._supports, X.offsets)):
-        num = L * sum([U[i] * c for i, c in support]) - D * lam.numerator * (L // lam.denominator)
+    for k, (support, (_v, P)) in enumerate(zip(X._supports, rows)):
+        num = L * sum([U[i] * c for i, c in support]) - D * P
         if num <= 0:
             raise NotInterior(
                 f"point {tuple(map(str, u))} is not strictly inside: "
@@ -580,14 +606,20 @@ def _partition(groups: dict[int, list[int]], den: int) -> tuple[AreaClass, ...]:
 
 def _area_classes(X: ToricFano, fiber: Fiber) -> tuple[tuple[DiscClass, ...], tuple[AreaClass, ...]]:
     """disc_areas and area_partition at a fiber, from its integer area
-    numerators: the DiscClasses of one area class share its Fraction."""
+    numerators."""
     nums, den = _area_numerators(X, fiber.u)
-    partition = _partition(_area_groups(nums), den)
-    area = [None] * len(nums)
+    return _grouped_classes(X, _area_groups(nums), den)
+
+
+def _grouped_classes(X: ToricFano, groups: dict[int, list[int]], den: int):
+    """_area_classes from the _area_groups of numerators over den: the
+    DiscClasses of one area class share its Fraction."""
+    partition = _partition(groups, den)
+    area = [None] * X.num_facets
     for a, idxs in partition:
         for k in idxs:
             area[k] = a
-    return tuple(map(DiscClass, range(len(nums)), X.normals, area)), partition
+    return tuple(map(DiscClass, range(X.num_facets), X.normals, area)), partition
 
 
 def disc_areas(X: ToricFano, f: Union[Fiber, Sequence[Rational]]) -> tuple[DiscClass, ...]:
@@ -625,10 +657,16 @@ def _fiber_areas(
     return classes, partition, _balance(X, partition)
 
 
-def _balanced_at(X: ToricFano, u: Sequence[Fraction]) -> bool:
-    """Whether the fiber over u is balanced, decided on its integer area
-    numerators without building a Fraction."""
-    return _balance(X, _area_groups(_area_numerators(X, u)[0]).items()).balanced
+def _balanced_at(X: ToricFano, u: Sequence[Fraction]) -> Optional[tuple]:
+    """_fiber_areas at u when its fiber is balanced, else None, decided on
+    its integer area numerators: Fractions are built only for a balanced
+    fiber, whose class sums are all 0 in any order of the classes."""
+    nums, den = _area_numerators(X, u)
+    groups = _area_groups(nums)
+    balance = _balance(X, groups.items())
+    if not balance.balanced:
+        return None
+    return (*_grouped_classes(X, groups, den), balance)
 
 
 def _class_point(X: ToricFano, classes: Iterable[Sequence[int]]) -> Optional[tuple[Fraction, ...]]:
@@ -638,10 +676,12 @@ def _class_point(X: ToricFano, classes: Iterable[Sequence[int]]) -> Optional[tup
     For classes [range(N)] and normals that sum to 0, the N areas sum to
     -sum_k lambda_k at every u, positive inside, so the point, when it
     exists, is interior and balanced: one class, whose normals sum to 0."""
-    L = math.lcm(*(lam.denominator for lam in X.offsets))
-    P = [lam.numerator * (L // lam.denominator) for lam in X.offsets]
-    V = X.normals
-    rows = [(tuple(map(sub, V[k], V[j])), P[k] - P[j]) for idxs in classes for j, k in pairwise(idxs)]
+    L, facets = X._rows
+    rows = [
+        (tuple(map(sub, vk, vj)), pk - pj)
+        for idxs in classes
+        for (vj, pj), (vk, pk) in pairwise(map(facets.__getitem__, idxs))
+    ]
     solution = _solve_rows(rows, X.n)
     if solution is None:
         return None
@@ -688,50 +728,52 @@ def _grid_lines(
     """(head, lo, hi, base, slopes, den) for each line of the last axis that
     has grid points strictly inside X, in lexicographic order of head.
 
-    With step = a/b, lambda_k = p_k/q_k and L the lcm of the q_k, facet k
-    has area (base[k] + t*slopes[k]) / den at the grid index (*head, t),
-    with den = b*L, base[k] = a*L*<head, v_k> - b*p_k*(L/q_k) over the
-    first n-1 axes and slopes[k] = a*L*v_k[-1].  So two areas are equal
-    exactly when their numerators are (_line_balance groups them), and the
-    point is inside exactly when every numerator is positive, which is
-    lo <= t <= hi, read off with floor division.  The head walks the
-    coordinate bounds of the first n-1 axes, on which no point is strictly
-    inside; an axis with more than sys.maxsize of them is a ParseError.
+    With step = a/b and lambda_k = P_k/L (ToricFano._rows), facet k has
+    area (base[k] + t*slopes[k]) / den at the grid index (*head, t), with
+    den = b*L, base[k] = a*L*<head, v_k> - b*P_k over the first n-1 axes
+    and slopes[k] = a*L*v_k[-1].  So two areas are equal exactly when their
+    numerators are (_line_balance groups them), and the point is inside
+    exactly when every numerator is positive, which is lo <= t <= hi, read
+    off with floor division.  The heads are _heads on the spine, strictly
+    inside X's projection onto the first n-1 axes, so every row without
+    the last axis is positive on their lines.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     a, b = step.numerator, step.denominator
-    L = math.lcm(*(lam.denominator for lam in X.offsets))
+    L, rows = X._rows
     scale, den = a * L, b * L
-    shifts = [b * lam.numerator * (L // lam.denominator) for lam in X.offsets]
+    shifts = [b * P for _v, P in rows]
     slopes = [scale * v[-1] for v in X.normals]
-    heads = [range(math.floor(lo / step) + 1, math.ceil(hi / step)) for lo, hi in X.bounds[:-1]]
-    for axis, r in enumerate(heads, 1):
-        if r.stop - r.start > sys.maxsize:
-            raise ParseError(
-                f"the grid has too many lines to walk: axis {axis} holds more "
-                f"than {sys.maxsize} grid indices"
-            )
-    for head in _walk(heads):
+    for head in _heads(X._spine, scale, b, ()):
         # the normals that make the polytope bounded give every last axis a
         # lower and an upper row
         base = [scale * sum(map(mul, head, v)) - s for v, s in zip(X.normals, shifts)]
         lo = max(-e // d + 1 for e, d in zip(base, slopes) if d > 0)
         hi = min((e - 1) // -d for e, d in zip(base, slopes) if d < 0)
-        if lo <= hi and all(e > 0 for e, d in zip(base, slopes) if d == 0):
+        if lo <= hi:
             yield head, lo, hi, base, slopes, den
 
 
-def _walk(ranges: Sequence[range]) -> Iterator[tuple[int, ...]]:
-    """The points of the product of ranges in lexicographic order, as
-    itertools.product yields them, but lazily: product first copies every
-    range into a tuple, which costs memory in proportion to its length."""
-    if not ranges:
-        yield ()
+def _heads(stages: list[list[_Row]], scale: int, b: int, prefix: tuple) -> Iterator[tuple[int, ...]]:
+    """The heads (*prefix, h_j, ..., h_{n-2}) strictly inside stage n-2's
+    projection, n = len(stages), at y_i = scale*h_i/b, in lexicographic
+    order: inside stage j-1's, which implies every row of stage j without
+    y_j, h_j ranges over stage j's open interval.  A range of more than
+    sys.maxsize indices is a ParseError."""
+    j = len(prefix)
+    if j == len(stages) - 1:
+        yield prefix
         return
-    for head in _walk(ranges[:-1]):
-        for h in ranges[-1]:
-            yield (*head, h)
+    (Rl, cl), (Ru, cu) = _interval(stages[j], [scale * h for h in prefix], b)
+    heads = range(Rl // (cl * scale) + 1, -(-Ru // (cu * scale)))
+    if heads.stop - heads.start > sys.maxsize:
+        raise ParseError(
+            f"the grid has too many lines to walk: axis {j + 1} holds more "
+            f"than {sys.maxsize} grid indices"
+        )
+    for h in heads:
+        yield from _heads(stages, scale, b, (*prefix, h))
 
 
 def _line_balance(

@@ -645,6 +645,25 @@ def oracle_interior_grid(X, step):
             yield point
 
 
+def oracle_grid_lines(X, step):
+    """toric._grid_lines as it walked the heads over the coordinate bounds
+    of the first n-1 axes, the bounding box of the polytope's projection,
+    and kept the lines with an interior point: (head, lo, hi, base, slopes,
+    den) in lexicographic order of head."""
+    a, b = step.numerator, step.denominator
+    L = math.lcm(*(lam.denominator for lam in X.offsets))
+    scale, den = a * L, b * L
+    shifts = [b * lam.numerator * (L // lam.denominator) for lam in X.offsets]
+    slopes = [scale * v[-1] for v in X.normals]
+    heads = [range(math.floor(lo / step) + 1, math.ceil(hi / step)) for lo, hi in X.bounds[:-1]]
+    for head in itertools.product(*heads):
+        base = [scale * sum(h * c for h, c in zip(head, v)) - s for v, s in zip(X.normals, shifts)]
+        lo = max(-e // d + 1 for e, d in zip(base, slopes) if d > 0)
+        hi = min((e - 1) // -d for e, d in zip(base, slopes) if d < 0)
+        if lo <= hi and all(e > 0 for e, d in zip(base, slopes) if d == 0):
+            yield head, lo, hi, base, slopes, den
+
+
 def oracle_fraction_rows(X, strict):
     """X's facet inequalities as Fourier-Motzkin rows of Fractions."""
     return [
@@ -910,7 +929,6 @@ class DataclassToricFano:
     normals: tuple
     offsets: tuple
     interior_point: tuple = field(compare=False)
-    bounds: tuple = field(compare=False)
 
 
 @dataclass(frozen=True)

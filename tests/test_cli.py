@@ -993,7 +993,8 @@ class TestScan:
         assert json.loads(out)["unbalanced_points_with_nonzero_rank"] == 1
 
     def test_coordinate_bounds_computed_once(self, capsys, monkeypatch):
-        # make_toric's per-axis projections also give the grid's ranges
+        # scan walks its heads on the spine and analyze reads no bound, so
+        # neither builds the per-axis tree; coordinate_bounds() builds it once
         calls = []
         original = toric._coordinate_bounds
 
@@ -1005,6 +1006,11 @@ class TestScan:
         code, out, _ = run(capsys, "scan", "--input", "CPn(3)", "--grid", "4", "--format", "json")
         assert code == 0
         assert json.loads(out)["points_scanned"] == 1
+        code, out, _ = run(capsys, "analyze", "--input", "CPn(3)", "--format", "json")
+        assert code == 0
+        assert calls == []
+        X = toric.load_toric("CPn(3)")
+        assert X.coordinate_bounds() == X.coordinate_bounds() == [(0, 1)] * 3
         assert calls == [3]
 
     def test_grid_validation(self, capsys):

@@ -617,7 +617,7 @@ class TestM2FiberMemo:
     def test_dilated_offsets_get_their_own_hessian(self):
         X = make_toric("CP2x3", 2, load_toric("CP2").normals, [0, 0, -3])
         offsets = tuple(2 * lam for lam in X.offsets)
-        dilated = ToricFano(X.name, X.n, X.normals, offsets, X.interior_point, X.bounds)
+        dilated = ToricFano(X.name, X.n, X.normals, offsets, X.interior_point)
         assert dilated != X
         x = CliffordElement.generator(2, 0)
         f, g = Fiber((F(1), F(1))), Fiber((F(2), F(2)))

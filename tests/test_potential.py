@@ -183,7 +183,7 @@ class TestStdlibNumerics:
         u = data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n), label="u")
         dots = [sum(t * c for t, c in zip(u, v)) for v in normals]
         offsets = tuple(F(dot - d) for dot, d in zip(dots, distances))
-        X = ToricFano("drawn", n, tuple(normals), offsets, (), ())
+        X = ToricFano("drawn", n, tuple(normals), offsets, ())
 
         def bits(w, grad, hess):
             return w.hex(), [g.hex() for g in grad], [[h.hex() for h in row] for row in hess]

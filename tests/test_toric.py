@@ -9,7 +9,7 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricfloer import (
@@ -36,11 +36,13 @@ from conftest import (
     oracle_coordinate_bounds,
     oracle_disc_areas,
     oracle_fraction_rows,
+    oracle_grid_lines,
     oracle_interior_grid,
     oracle_solve_rows,
     oracle_solve_strict,
     oracle_validate,
     random_interior_fiber,
+    shear,
 )
 
 RECT_DOC = {
@@ -393,7 +395,7 @@ class TestHashComputedOnce:
         X = load_toric("CP2")
         hash(X)
         offsets = (F(1, 2), F(0), F(-3))
-        Y = ToricFano(X.name, X.n, X.normals, offsets, X.interior_point, X.bounds)
+        Y = ToricFano(X.name, X.n, X.normals, offsets, X.interior_point)
         assert hash(Y) == hash((X.name, X.n, X.normals, offsets)) != hash(X)
         f = Fiber((F(1, 3), F(1, 3)))
         hash(f)
@@ -414,8 +416,8 @@ def _frozen_values(kind: str) -> list:
     them, and for ToricFano two that differ only outside == and hash."""
     X, f, g = load_toric("CP2"), Fiber((F(1, 3), F(1, 3))), Fiber((F(1, 4), F(1, 3)))
     if kind == "ToricFano":
-        moved = ToricFano(X.name, X.n, X.normals, X.offsets, (F(1, 5), F(1, 5)), X.bounds)
-        renamed = ToricFano("P2", X.n, X.normals, X.offsets, X.interior_point, X.bounds)
+        moved = ToricFano(X.name, X.n, X.normals, X.offsets, (F(1, 5), F(1, 5)))
+        renamed = ToricFano("P2", X.n, X.normals, X.offsets, X.interior_point)
         return [X, load_toric("CP2"), moved, renamed, load_toric("CP1xCP1")]
     if kind == "Fiber":
         return [f, Fiber((F(1, 3), F(1, 3))), g, Fiber(f.u, (F(1, 2), F(0))), Fiber(f.u, exact=False)]
@@ -602,6 +604,59 @@ class TestGridRange:
         assert peak < 64 * 1024
 
 
+_WALKED = {
+    **{f"CPn({n})": (load_toric(f"CPn({n})").normals, [0] * n + [-1]) for n in range(1, 5)},
+    "rect": ([(1, 0), (-1, 0), (0, 1), (0, -1)], [0, -2, 0, -1]),
+    "box123": (
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+        [0, -1, 0, -2, 0, -3],
+    ),
+    "cube4": (
+        [tuple(s * (j == i) for j in range(4)) for i in range(4) for s in (1, -1)],
+        [0, -1] * 4,
+    ),
+    "hexagon": ([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)], [-1] * 6),
+    "F1_third": ([(1, 0), (1, 1), (0, 1), (-1, -1)], [0, F(1, 3), 0, -1]),
+}
+
+
+def _box_points(X, step):
+    """The grid indices in X's bounding box, which the oracle walks."""
+    return math.prod(math.ceil(hi / step) - math.floor(lo / step) + 1 for lo, hi in X.bounds)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_WALKED)),
+    moves=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-5, 5)), max_size=2
+    ),
+    k=st.sampled_from([1, 7, 60]),
+    shift=st.lists(st.builds(F, st.integers(-30, 30), st.integers(1, 12)), min_size=4, max_size=4),
+    grid=st.integers(1, 12),
+)
+def test_head_walk_matches_the_bounding_box_walk(name, moves, k, shift, grid):
+    """_grid_lines and interior_grid, which walk their heads inside the
+    projections, against the walk of the bounding box that they replaced,
+    on dilated, translated and sheared polytopes.  The grid is coarsened
+    until the box holds at most 20,000 points, so that the oracle ends."""
+    normals, offsets = _WALKED[name]
+    n = len(normals[0])
+    lams = [k * lam + sum(map(operator.mul, shift, v)) for v, lam in zip(normals, offsets)]
+    shears = [(i, j, c) for i, j, c in moves if i < n and j < n and i != j]
+    X = shear(make_toric(name, n, normals, lams), Fiber((F(0),) * n), shears)[0]
+    while grid > 1 and _box_points(X, F(1, grid)) > 20_000:
+        grid -= 1
+    step = F(1, grid)
+    assume(_box_points(X, step) <= 20_000)
+    expected = list(oracle_grid_lines(X, step))
+    assert list(toric._grid_lines(X, step)) == expected
+    points = [
+        (*(step * h for h in head), step * t) for head, lo, hi, *_ in expected for t in range(lo, hi + 1)
+    ]
+    assert list(interior_grid(X, step)) == points
+
+
 class TestGridStepMustBePositive:
     @pytest.mark.parametrize("step", [F(0), 0, F(-1, 3), -1])
     def test_nonpositive_step_rejected(self, step):
@@ -710,7 +765,7 @@ def test_fiber_areas_group_on_integer_numerators(name, k, shift, points):
             tuple(sum(X.normals[i][j] for i in idxs) for j in range(n)) for _a, idxs in partition
         )
         assert balance == (not any(map(any, sums)), sums)
-        assert toric._balanced_at(X, u) == balance.balanced
+        assert toric._balanced_at(X, u) == ((classes, partition, balance) if balance.balanced else None)
 
 
 def _system(data, n, kind):
@@ -880,13 +935,21 @@ def test_every_split_matches_the_oracle(X, k):
 
 @pytest.mark.parametrize("X", _FAMILIES, ids=lambda X: X.name)
 def test_elimination_tree_size(X, monkeypatch):
-    """n + T(floor(n/2)) + T(ceil(n/2)) eliminations, 16 at n = 6, where
-    one chain per axis would take n(n - 1)."""
+    """make_toric eliminates along the spine, n - 1 times; the first read
+    of the bounds runs the tree, n + T(floor(n/2)) + T(ceil(n/2))
+    eliminations, 16 at n = 6, where one chain per axis would take
+    n(n - 1), and a second read runs none."""
     calls = []
     original = toric._eliminate
     monkeypatch.setattr(toric, "_eliminate", lambda rows, k: calls.append(k) or original(rows, k))
-    make_toric(X.name, X.n, X.normals, X.offsets)
+    Y = make_toric(X.name, X.n, X.normals, X.offsets)
+    assert calls == [-1] * (X.n - 1)
+    calls.clear()
+    Y.bounds
     assert len(calls) == [0, 2, 5, 8, 12, 16][X.n - 1]
+    calls.clear()
+    assert Y.coordinate_bounds() == list(Y.bounds)
+    assert calls == []
 
 
 def test_elimination_drops_zero_rows_and_keeps_the_tightest():
