@@ -103,6 +103,19 @@ class TestValidation:
         with pytest.raises(InvalidPolytope, match="unbounded"):
             make_toric("bad", 2, [(1, 0), (0, 1), (1, 1)], [0, 0, 0])
 
+    def test_unbounded_from_the_constructor(self):
+        # the constructor validates nothing, so the bounds and the grid walk
+        # name the fault on their first read, not a bare TypeError or
+        # ValueError from an interval with one side missing
+        message = r"^normals do not positively span, polytope is unbounded$"
+        X = ToricFano("strip", 2, ((1, 0), (0, 1), (-1, 0)), (F(0), F(0), F(-1)), (F(1, 2), F(1)))
+        with pytest.raises(InvalidPolytope, match=message):
+            X.bounds
+        with pytest.raises(InvalidPolytope, match=message):
+            X.coordinate_bounds()
+        with pytest.raises(InvalidPolytope, match=message):
+            list(interior_grid(X, F(1, 2)))
+
     def test_empty_interior(self):
         with pytest.raises(InvalidPolytope, match="empty interior"):
             make_toric("bad", 2, [(1, 0), (0, 1), (-1, -1)], [0, 0, 1])
