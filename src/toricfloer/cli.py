@@ -539,14 +539,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# main's own parser, built once per process: main may run many times in
-# one, and building a parser costs more than a small scan.  build_parser()
-# still hands every other caller a parser of its own.
+# the parser of main and _parse, built once per process: main may run many
+# times in one, and building a parser costs more than a small scan.
+# build_parser() still hands every other caller a parser of its own.
 _parser = cache(build_parser)
 
 
+def _parse(argv: Optional[list[str]]) -> argparse.Namespace:
+    """_parser().parse_args(argv), parsed by the command's own parser when
+    argv starts with a command: the top-level parser would only hand the
+    rest of argv to it, at the cost of a second parse.  Anything else (no
+    argv, an unknown command, a top-level option, arguments left over)
+    goes through parse_args, which prints its usage and error and exits
+    2 as before."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    if argv:
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        sub = commands.choices.get(argv[0])
+        if sub is not None:
+            args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if not extras:
+                return args
+    return parser.parse_args(argv)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         if args.command == "analyze":
             for flag, value in (("--lmax", args.lmax), ("--max-iters", args.max_iters)):

@@ -120,6 +120,17 @@ def _stages(rows: list[_Row], n: int) -> list[list[_Row]]:
     return stages[::-1]
 
 
+def _bounded_stages(rows: list[_Row], n: int) -> list[list[_Row]]:
+    """_stages of the rows, refused with InvalidPolytope when the polytope
+    is unbounded: when some stage lacks a positive or a negative
+    coefficient on its last variable."""
+    stages = _stages(rows, n)
+    for stage in stages:
+        if len({a[-1] > 0 for a, _b in stage if a[-1]}) < 2:
+            raise InvalidPolytope("normals do not positively span, polytope is unbounded")
+    return stages
+
+
 def _integer_rows(normals: Sequence[tuple[int, ...]], offsets: Sequence[Fraction]) -> tuple[int, list[_Row]]:
     """L, the lcm of the offset denominators, and the integer row
     <v_k, y> >= L*lambda_k of each facet k in y = L*x."""
@@ -288,7 +299,9 @@ class ToricFano(_Frozen):
 
     @cached_property
     def bounds(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Exact [min, max] of each coordinate over the closed polytope, on the first read."""
+        """Exact [min, max] of each coordinate over the closed polytope, on
+        the first read; InvalidPolytope when it is unbounded (_spine)."""
+        self._spine
         L, rows = self._rows
         pairs = _coordinate_bounds(rows, self.n)
         return tuple((Fraction(Rl, cl * L), Fraction(Ru, cu * L)) for (Rl, cl), (Ru, cu) in pairs)
@@ -312,8 +325,9 @@ class ToricFano(_Frozen):
 
     @cached_property
     def _spine(self) -> list[list[_Row]]:
-        """_stages of the integer rows, which make_toric validates on."""
-        return _stages(self._rows[1], self.n)
+        """_bounded_stages of the integer rows, which make_toric validates on
+        and seeds; computed here only for an instance the constructor built."""
+        return _bounded_stages(self._rows[1], self.n)
 
 
 class Fiber(_Frozen):
@@ -396,11 +410,7 @@ def make_toric(
             raise InvalidPolytope(f"facet normal {v} is not primitive")
 
     L, rows = presentation = _integer_rows(vs, lams)
-    stages = _stages(rows, n)
-    # bounded exactly when every stage bounds its last variable on both sides
-    for stage in stages:
-        if len({a[-1] > 0 for a, _b in stage if a[-1]}) < 2:
-            raise InvalidPolytope("normals do not positively span, polytope is unbounded")
+    stages = _bounded_stages(rows, n)
     witness = _interior_witness(stages)
     if witness is None:
         raise InvalidPolytope("polytope has empty interior")
@@ -460,8 +470,14 @@ def _parse_rational(text: str) -> Fraction:
     exponent, no such number has more digits than the text has
     characters.  An exponent of 3 * limit or more is refused before
     Fraction builds its power of ten: it leaves more than limit digits
-    unless the mantissa, of at most 2 * limit digits, is 0."""
+    unless the mantissa, of at most 2 * limit digits, is 0.  An integer
+    text, an optional "-" and at most limit ASCII digits (any number when
+    limit is 0), is read by int() alone, at about a third of the cost of
+    Fraction's parser: no such text is refused, and its value is the same."""
     limit = _digit_limit()
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isdigit() and digits.isascii() and (not limit or len(digits) <= limit):
+        return Fraction(int(text))
     exponent = _EXPONENT.search(text)
     if limit and exponent and abs(int(exponent.group(1))) >= 3 * limit:
         raise ValueError(f"exponent beyond the {limit}-digit limit")
