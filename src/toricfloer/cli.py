@@ -539,8 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the parser of main and _parse, built once per process: main may run many
-# times in one, and building a parser costs more than a small scan.
+# _parse's parser and its command parsers, built once per process: main may
+# run many times in one, and building them costs more than a small scan.
 # build_parser() still hands every other caller a parser of its own.
 _parser = cache(build_parser)
 
@@ -550,8 +550,7 @@ def _parse(argv: Optional[list[str]]) -> argparse.Namespace:
     argv starts with a command: the top-level parser would only hand the
     rest of argv to it, at the cost of a second parse.  Anything else (no
     argv, an unknown command, a top-level option, arguments left over)
-    goes through parse_args, which prints its usage and error and exits
-    2 as before."""
+    goes through parse_args, which prints its usage and error and exits 2."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _parser()
     if argv:

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import re
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -51,11 +52,14 @@ def disc_area_calls(monkeypatch):
 
 
 @pytest.fixture
-def digit_limit():
-    """sys.get_int_max_str_digits() pinned to its default, 4300, for one test."""
+def digit_limit(request):
+    """sys.get_int_max_str_digits() pinned for one test: to its default,
+    4300, or to the value an indirect parametrization passes (640, the
+    least, or 0, no limit)."""
+    limit = getattr(request, "param", 4300)
     old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield 4300
+    sys.set_int_max_str_digits(limit)
+    yield limit
     sys.set_int_max_str_digits(old)
 
 
@@ -457,6 +461,26 @@ def closed_form_chain_map(n, N, l):
         "residual_terms_above_dim": overdim,
         "residual_terms_square_rule": residual - overdim,
     }
+
+
+# Test oracle: toric._parse_rational before integer texts were read with
+# int(): every text goes through Fraction, after the exponent check.
+
+
+_ORACLE_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def oracle_parse_rational(text: str) -> Fraction:
+    limit = sys.get_int_max_str_digits()
+    exponent = _ORACLE_EXPONENT.search(text)
+    if limit and exponent and abs(int(exponent.group(1))) >= 3 * limit:
+        raise ValueError(f"exponent beyond the {limit}-digit limit")
+    x = Fraction(text)
+    if exponent or len(text) > limit:
+        m = max(abs(x.numerator), x.denominator)
+        if limit and m.bit_length() > 3 * limit and m >= 10**limit:
+            raise ValueError(f"numerator or denominator has more than {limit} digits")
+    return x
 
 
 # Test oracle: Fourier-Motzkin elimination as toric.py first ran it, on

@@ -1222,6 +1222,77 @@ class TestExitCodes:
         assert [r["indices"] for r in json.loads(out)["l_products"]] == [[]]
 
 
+# argv that main parses with the command's own parser, and argv that it
+# hands to the top-level parser: every flag of both commands, abbreviated
+# and repeated flags, "--" on either side of the command, -h at both
+# levels, no command, an unknown one, missing, bad and unknown arguments
+ARGV_CORPUS = [
+    ["scan", "--input", "CP1", "--grid", "2", "--format", "json"],
+    ["scan", "--input=CP1", "--grid=3", "--format=text"],
+    [
+        "analyze", "--input", "CP1", "--fiber", "1/3", "--lmax", "2", "--numeric",
+        "--two-pi", "--tol", "1e-10", "--max-iters", "5", "--format", "json",
+    ],
+    ["analyze", "--input", "CP2", "--fiber=-1/2,1/3"],
+    ["analyze", "--input", "CP1", "--lmax", "-1"],
+    ["scan", "--inp", "CP1", "--grid", "2", "--form", "json"],
+    ["scan", "--input", "CP2", "--input", "CP1", "--grid", "2"],
+    ["--", "scan", "--input", "CP1", "--grid", "2"],
+    ["scan", "--", "--input", "CP1", "--grid", "2"],
+    ["scan", "--input", "CP1", "--grid", "2", "--"],
+    ["-h"],
+    ["-h", "scan"],
+    ["scan", "-h"],
+    ["analyze", "--input", "CP1", "-h"],
+    [],
+    ["sca", "--input", "CP1", "--grid", "2"],
+    ["scan", "--grid", "2"],
+    ["scan", "--input", "CP1"],
+    ["analyze", "--format", "json"],
+    ["scan", "--input", "CP1", "--grid", "x"],
+    ["scan", "--input", "CP1", "--grid", "0"],
+    ["analyze", "--input", "CP1", "--format", "xml"],
+    ["scan", "--input", "CP2", "--grid", "4", "--two-pi"],
+    ["scan", "--input", "CP1", "--grid", "2", "-x"],
+    ["analyze", "--input", "CP1", "stray"],
+    ["scan", "stray", "--input", "CP1", "--grid", "2"],
+]
+
+
+def _reference_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+def _outcome(call, argv):
+    """(result or ("exit", SystemExit code), stdout, stderr) of call(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=" ".join)
+class TestParseLikeTheTopLevelParser:
+    """main parses a command's argv with that command's parser, and hands
+    anything else to the top-level one: the namespace, the exit code and
+    every byte of output are those of build_parser().parse_args."""
+
+    def test_namespace_and_output(self, argv):
+        assert _outcome(cli._parse, list(argv)) == _outcome(_reference_parse, list(argv))
+
+    def test_main(self, argv, monkeypatch):
+        got = _outcome(main, list(argv))
+        monkeypatch.setattr(cli, "_parse", _reference_parse)
+        assert got == _outcome(main, list(argv))
+
+    def test_argv_from_sys_argv(self, argv, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["toricfloer", *argv])
+        assert _outcome(cli._parse, None) == _outcome(_reference_parse, list(argv))
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "toricfloer", "analyze", "--input", "CP1",

@@ -9,7 +9,7 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from toricfloer import (
@@ -38,6 +38,7 @@ from conftest import (
     oracle_fraction_rows,
     oracle_grid_lines,
     oracle_interior_grid,
+    oracle_parse_rational,
     oracle_solve_rows,
     oracle_solve_strict,
     oracle_validate,
@@ -275,6 +276,61 @@ class TestJsonLoading:
             load_toric(dict(RECT_DOC, facets=[]))
         with pytest.raises(ParseError):
             load_toric(dict(RECT_DOC, facets=[{"normal": [1, 0]}]))
+
+
+# an integer text of about 640 digits, the least digit limit, with a sign, a
+# character spliced in and a suffix drawn from what Fraction's parser, int()
+# or the exponent check treat apart: Arabic-Indic digits and a superscript
+# two (digits to str.isdigit, not ASCII), "+", "_", spaces, "/", "." and "e".
+# No "e" is spliced into the run: at limit 0 nothing refuses the power of
+# ten that a 600-digit exponent asks for.
+_DIGITS = "0123456789"
+_SPLICED = "٠١٢٣٤٥٦٧٨٩²+-_ /."
+
+
+@st.composite
+def _rational_texts(draw):
+    if draw(st.booleans(), label="short"):
+        # at most 6 characters, so an exponent has at most 4 digits
+        return draw(st.text(_DIGITS + _SPLICED + "eE", max_size=6), label="text")
+    length = draw(st.integers(636, 644), label="length")
+    body = draw(st.text(_DIGITS, min_size=length, max_size=length), label="digits")
+    if draw(st.booleans(), label="splice"):
+        at = draw(st.integers(0, length), label="at")
+        body = body[:at] + draw(st.sampled_from(_SPLICED), label="char") + body[at:]
+    sign = draw(st.sampled_from(["", "-", "+", " ", " -", "--"]), label="sign")
+    suffix = draw(
+        st.sampled_from(["", " ", "/3", "/0", ".5", "_1", "e5", "E-3", "e700", "e-2000", "e1_9"]),
+        label="suffix",
+    )
+    return sign + body + suffix
+
+
+def _parse_outcome(parse, text):
+    """(type, value) of parse(text), or (exception type, message)."""
+    try:
+        x = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(x), x
+
+
+@pytest.mark.parametrize("digit_limit", [640, 0], indirect=True)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_rational_texts())
+@example(text="-" + "9" * 640)
+@example(text="9" * 641)
+@example(text="-" + "0" * 641)
+@example(text="١٢")
+@example(text="²")
+@example(text="+5")
+@example(text="-")
+@example(text="")
+@example(text="1_000")
+def test_parse_rational_matches_the_oracle(digit_limit, text):
+    # the int() path of integer texts gives the value Fraction's parser
+    # gives, and every other text the same value or the same error
+    assert _parse_outcome(toric._parse_rational, text) == _parse_outcome(oracle_parse_rational, text)
 
 
 class TestDiscAreas:
