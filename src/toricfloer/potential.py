@@ -25,10 +25,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from collections import defaultdict
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from operator import add
+from itertools import chain, combinations_with_replacement, repeat
+from operator import add, neg
 from typing import Optional, Sequence, Union
 
 from .errors import DimensionMismatch, NoConvergence, NotInterior
@@ -404,49 +403,78 @@ def boundary_pairing(n: int, normal: Sequence[int], i: int) -> int:
     return (-1) ** n * normal[i]
 
 
+# the l-table totals _l_totals keeps: one per recently used fan, area
+# class structure and lmax, since a process may analyze many polytopes of
+# few fans, and only those of at most _L_TOTALS_KEYS keys, since a table
+# grows as n^lmax
+_L_TOTALS = 32
+_L_TOTALS_KEYS = 1024
+
+
 def _l_table(
     X: ToricFano, partition: Sequence[AreaClass], lmax: int
 ) -> dict[tuple[int, ...], NovikovElement]:
     """l(i_1, ..., i_m) for every sorted index tuple of length m <= lmax,
     keyed and ordered by length, then lexicographically.
 
-    A disc's weight is the product of its boundary pairings, the divisor
-    equation taken as the definition, so it is 0 on a key with an axis where
-    the disc's normal is 0.  Each facet walks only the sorted keys over its
-    support, extending a key's weight by one pairing, and adds it into its
-    area class's total for that key: conftest.oracle_l_table key for key.
+    l(key) is sum_t totals[t] * T^{a_t} q over the area classes t, where
+    totals[t] sums the disc weights of class t.  A disc's weight is the
+    product of its boundary pairings, the divisor equation taken as the
+    definition, so the totals depend on the normals, the facets each class
+    holds and the key, and on no area: every polytope of one fan with one
+    class structure has the same totals, whatever its translation or
+    dilation.  _l_totals computes them, as integers, once for the
+    _L_TOTALS most recent such (fan, classes, lmax) of at most
+    _L_TOTALS_KEYS keys; this call puts in the areas.
 
-    The class totals fix the value, so keys with equal totals share one
-    element, built by one _class_terms; all-zero totals, or a key no
-    facet reaches, give ZERO.  Two keys of the table hold one object
-    exactly when their values are equal.
+    Keys with equal totals share one element, built by one _class_terms;
+    all-zero totals give ZERO.  Two keys of the table hold one object
+    exactly when their values are equal, and the dict is new on every
+    call.
     """
-    sign = (-1) ** X.n  # boundary_pairing(n, v, i) is sign * v[i]
-    totals: dict = defaultdict(lambda: [0] * len(partition))
-    for t, (_area, idxs) in enumerate(partition):
+    totals = _l_totals if math.comb(X.n + lmax, lmax) <= _L_TOTALS_KEYS else _l_totals.__wrapped__
+    keys, vectors, index = totals(X._supports, X.n, tuple([idxs for _area, idxs in partition]), lmax)
+    values = [_class_terms(partition, v) if any(v) else ZERO for v in vectors]
+    return dict(zip(keys, map(values.__getitem__, index)))
+
+
+@functools.lru_cache(maxsize=_L_TOTALS)
+def _l_totals(
+    supports: tuple[tuple[tuple[int, int], ...], ...],
+    n: int,
+    classes: tuple[tuple[int, ...], ...],
+    lmax: int,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(the sorted keys of _l_table in table order, the distinct vectors of
+    area class totals, each key's index into those vectors), all tuples.
+
+    A disc's weight on a key is the product of its boundary pairings
+    (-1)^n v_i over the key's axes, so it is 0 on a key with an axis where
+    the normal is 0.  Each facet visits only the sorted keys over its
+    support (ToricFano._supports): itertools gives them, with their
+    pairings' products in the same order, and each weight is added into
+    its class's column at the key's place in the table:
+    conftest.oracle_l_table key for key.  A key no facet reaches has
+    all-zero totals."""
+    keys = tuple(chain.from_iterable(map(combinations_with_replacement, repeat(range(n)), range(lmax + 1))))
+    place = dict(zip(keys, range(len(keys))))
+    degrees = range(lmax + 1)
+    columns = []
+    for idxs in classes:
+        column = [0] * len(keys)
         for k in idxs:
-            pairings = [(i, sign * a) for i, a in X._supports[k]]
-            level = [((), 1, 0)]  # (key, its weight, its last axis's place in pairings)
-            for m in range(lmax + 1):
-                for key, w, _last in level:
-                    totals[key][t] += w
-                if m < lmax:
-                    level = [
-                        ((*key, i), w * p, s)
-                        for key, w, last in level
-                        for s, (i, p) in enumerate(pairings[last:], last)
-                    ]
-    zero = (0,) * len(partition)
-    values = {zero: ZERO}  # each distinct totals tuple's element
-    table = {}
-    for m in range(lmax + 1):
-        for key in combinations_with_replacement(range(X.n), m):
-            sums = tuple(totals.get(key, zero))
-            value = values.get(sums)
-            if value is None:
-                value = values[sums] = _class_terms(partition, sums)
-            table[key] = value
-    return table
+            axes, entries = zip(*supports[k]) if supports[k] else ((), ())
+            pairings = entries if n % 2 == 0 else tuple(map(neg, entries))
+            for j, w in zip(
+                map(place.__getitem__, chain.from_iterable(map(combinations_with_replacement, repeat(axes), degrees))),
+                map(math.prod, chain.from_iterable(map(combinations_with_replacement, repeat(pairings), degrees))),
+            ):
+                column[j] += w
+        columns.append(column)
+    sums = list(zip(*columns))
+    vectors = tuple(dict.fromkeys(sums))  # in order of first appearance
+    where = {v: j for j, v in enumerate(vectors)}
+    return keys, vectors, tuple(map(where.__getitem__, sums))
 
 
 def formal_hessian(X: ToricFano, f: Fiber) -> QuadraticForm:

@@ -52,7 +52,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import pairwise
 from operator import mul, sub
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -315,8 +315,11 @@ class ToricFano(_Frozen):
 
     @cached_property
     def _supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Each normal's nonzero (axis, entry) pairs, in axis order, once."""
-        return tuple(tuple((i, c) for i, c in enumerate(v) if c) for v in self.normals)
+        """Each normal's nonzero (axis, entry) pairs, in axis order.  They
+        depend on the normals alone, so each instance reads them once from
+        _fan_supports, and the polytopes of one recent fan share one
+        tuple."""
+        return _fan_supports(tuple(map(tuple, self.normals)))
 
     @cached_property
     def _rows(self) -> tuple[int, list[_Row]]:
@@ -328,6 +331,17 @@ class ToricFano(_Frozen):
         """_bounded_stages of the integer rows, which make_toric validates on
         and seeds; computed here only for an instance the constructor built."""
         return _bounded_stages(self._rows[1], self.n)
+
+
+# the fans whose supports _fan_supports keeps: a process may build many
+# polytopes of few fans, and a supports tuple depends on the normals alone
+_FANS = 64
+
+
+@lru_cache(maxsize=_FANS)
+def _fan_supports(normals: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """ToricFano._supports of the normals, a tuple of tuples."""
+    return tuple(tuple((i, c) for i, c in enumerate(v) if c) for v in normals)
 
 
 class Fiber(_Frozen):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, permutations
@@ -392,12 +393,39 @@ def test_l_product_unchanged_under_every_permutation(name, seed, idx):
         assert l_product(X, f, perm) == value
 
 
-def assert_l_table_matches_l_product(X, f, lmax=4):
-    """_l_table holds l_product(X, f, key) for each sorted key of length at
-    most lmax, in order of length, then lexicographically, and is the
-    prefix-product oracle_l_table key for key."""
+def warm_l_table(X, u, lmax):
+    """Fill _l_table's cache, from empty, with the table of X dilated by 7
+    and translated by a rational t at the point 7u + t: a polytope of X's
+    fan whose fiber has the area classes of u's, each area 7 times as
+    large."""
+    t = [F((-1) ** i * (i + 1), 2 * i + 3) for i in range(X.n)]
+    offsets = [7 * lam + sum(a * b for a, b in zip(v, t)) for v, lam in zip(X.normals, X.offsets)]
+    Z = make_toric(f"{X.name}_x7", X.n, X.normals, offsets)
+    potential._l_totals.cache_clear()
+    potential._l_table(Z, _fiber_areas(Z, [7 * x + s for x, s in zip(u, t)])[1], lmax)
+
+
+def assert_one_element_per_value(table):
+    """Two keys of the table hold one object exactly when their values are
+    equal, and a zero value is ZERO."""
+    values = list(table.values())
+    for a, b in combinations_with_replacement(values, 2):
+        assert (a is b) == (a == b)
+    assert all(value is ZERO for value in values if value == ZERO)
+
+
+def assert_l_table_matches_l_product(X, f, lmax=4, warm_at=None):
+    """After warm_l_table at warm_at, by default at f itself, so that the
+    table of f reads the cached class totals, _l_table holds
+    l_product(X, f, key) for each sorted key of length at most lmax, in
+    order of length, then lexicographically, is the prefix-product
+    oracle_l_table key for key and holds one element per value."""
     partition = _fiber_areas(X, f)[1]
+    warm_l_table(X, (warm_at or f).u, lmax)
+    hits = potential._l_totals.cache_info().hits
     table = potential._l_table(X, partition, lmax)
+    if warm_at is None:
+        assert potential._l_totals.cache_info().hits == hits + 1
     keys = [k for m in range(lmax + 1) for k in combinations_with_replacement(range(X.n), m)]
     assert list(table) == keys
     oracle = oracle_l_table(X, partition, lmax)
@@ -405,16 +433,68 @@ def assert_l_table_matches_l_product(X, f, lmax=4):
     for key, value in table.items():
         assert value == l_product(X, f, key) == oracle[key]
         assert_normal(value)
+    assert_one_element_per_value(table)
 
 
 class TestLTable:
     @pytest.mark.parametrize("X", [load_toric(name) for name in BUILTIN_NAMES] + [RECT, HEXAGON])
     def test_matches_l_product_at_solver_and_unbalanced_fibers(self, X):
+        # the solver fiber has one area class on the built-ins and two on
+        # the rectangle and the hexagon; each fiber is also read after
+        # warming the cache at the next one, whose classes differ
         rng = random.Random(53)
         fibers = [find_critical_fiber(X)] + [random_interior_fiber(X, rng, denom=12) for _ in range(3)]
         assert not all(is_balanced(X, f).balanced for f in fibers)
-        for f in fibers:
+        partitions = [tuple(idxs for _a, idxs in _fiber_areas(X, f)[1]) for f in fibers]
+        assert len(set(partitions)) > 1
+        for f, other in zip(fibers, fibers[1:] + fibers[:1]):
             assert_l_table_matches_l_product(X, f)
+            assert_l_table_matches_l_product(X, f, warm_at=other)
+
+    def test_a_table_above_the_key_bound_is_not_kept(self):
+        # CPn(6) has C(12, 6) = 924 sorted keys up to lmax 6, kept, and
+        # C(13, 7) = 1716 up to lmax 7, computed for the one call
+        X = load_toric("CPn(6)")
+        assert math.comb(12, 6) <= potential._L_TOTALS_KEYS < math.comb(13, 7)
+        partition = _fiber_areas(X, balanced_fiber(X))[1]
+        potential._l_totals.cache_clear()
+        for lmax, kept in ((7, 0), (6, 1), (7, 1)):
+            table = potential._l_table(X, partition, lmax)
+            assert potential._l_totals.cache_info().currsize == kept
+            assert list(table.items()) == list(oracle_l_table(X, partition, lmax).items())
+
+    def test_a_returned_table_is_the_callers_own(self):
+        f = Fiber((F(1), F(1, 3)))
+        partition = _fiber_areas(RECT, f)[1]
+        oracle = list(oracle_l_table(RECT, partition, 3).items())
+        potential._l_totals.cache_clear()
+        table = potential._l_table(RECT, partition, 3)
+        table[(0,)] = ONE
+        del table[()]
+        table[(5,)] = ZERO
+        for _ in range(2):
+            assert list(potential._l_table(RECT, partition, 3).items()) == oracle
+        assert potential._l_totals.cache_info().hits == 2
+
+    @pytest.mark.parametrize("X", [load_toric(name) for name in BUILTIN_NAMES] + [RECT, HEXAGON, BOX_123])
+    def test_the_cached_totals_are_tuples(self, X):
+        def tuples(value):
+            return type(value) is int or type(value) is tuple and all(map(tuples, value))
+
+        for f in (find_critical_fiber(X), Fiber(X.interior_point)):
+            partition = _fiber_areas(X, f)[1]
+            potential._l_table(X, partition, 3)
+            hits = potential._l_totals.cache_info().hits
+            cached = potential._l_totals(X._supports, X.n, tuple(idxs for _a, idxs in partition), 3)
+            assert potential._l_totals.cache_info().hits == hits + 1
+            assert tuples(cached)
+
+    def test_a_zero_normal_reaches_only_the_empty_key(self):
+        # the constructor validates nothing, so a normal can be 0: its
+        # support is empty and its disc weighs 1 on () and 0 elsewhere
+        X = ToricFano("zero", 2, ((1, 0), (0, 1), (-1, -1), (0, 0)), (F(0), F(0), F(-1), F(-1)), (F(1, 3), F(1, 3)))
+        partition = _fiber_areas(X, Fiber((F(1, 4), F(1, 3))))[1]
+        assert list(potential._l_table(X, partition, 3).items()) == list(oracle_l_table(X, partition, 3).items())
 
     def test_lmax_zero_is_the_obstruction_term(self):
         X = load_toric("CP2")
@@ -449,18 +529,18 @@ def test_l_table_matches_l_product_on_sheared_normals(case, lmax):
 
 
 @settings(max_examples=80, deadline=None)
-@given(case=sheared_fibers(), lmax=st.integers(0, 4))
-def test_l_table_shares_one_element_per_value(case, lmax):
+@given(case=sheared_fibers(), lmax=st.integers(0, 4), elsewhere=st.booleans())
+def test_l_table_shares_one_element_per_value(case, lmax, elsewhere):
     # on inputs whose values are mostly distinct: two keys hold one object
-    # exactly when their values are equal, and a zero value is ZERO
+    # exactly when their values are equal, and a zero value is ZERO, after
+    # warming the cache at the fiber's own area classes or at those of the
+    # polytope's interior point
     _X, _f, Y, g = case
     partition = _fiber_areas(Y, g)[1]
+    warm_l_table(Y, Y.interior_point if elsewhere else g.u, lmax)
     table = potential._l_table(Y, partition, lmax)
     assert list(table.items()) == list(oracle_l_table(Y, partition, lmax).items())
-    values = list(table.values())
-    for a, b in combinations_with_replacement(values, 2):
-        assert (a is b) == (a == b)
-    assert all(value is ZERO for value in values if value == ZERO)
+    assert_one_element_per_value(table)
 
 
 class TestDivisorRelation:

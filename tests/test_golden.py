@@ -53,7 +53,7 @@ from pathlib import Path
 
 import pytest
 
-from toricfloer import CliffordElement, cli, find_critical_fiber, load_toric, m2_product
+from toricfloer import CliffordElement, cli, find_critical_fiber, load_toric, m2_product, potential, toric
 from toricfloer.cli import main
 from toricfloer.floer import subsets_graded
 
@@ -305,10 +305,13 @@ def test_consecutive_calls_match_their_goldens(fmt, capsys):
         assert out == (GOLDEN / f"{stem}.{fmt}").read_text(encoding="utf-8")
 
 
-# main also keeps the l-product row layouts it has used: the whole corpus
-# from an empty cache, then again in reverse order against a warm one
+# main also keeps the l-product row layouts, the l-table class totals and
+# the normals' supports it has used: the whole corpus from empty caches,
+# then again in reverse order against warm ones
 def test_corpus_twice_in_one_process_matches_its_goldens(capsys):
     cli._LProducts.layout.cache_clear()
+    potential._l_totals.cache_clear()
+    toric._fan_supports.cache_clear()
     stems = sorted(CASES)
     for stem in stems + stems[::-1]:
         assert main(CASES[stem]) == 0

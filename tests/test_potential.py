@@ -26,7 +26,7 @@ from toricfloer.novikov import ZERO, monomial
 from toricfloer import potential
 from toricfloer.potential import _gradient, _solve, _w_grad_hess
 
-from toricfloer.toric import ToricFano
+from toricfloer.toric import ToricFano, _fiber_areas
 
 from conftest import (
     BUILTIN_NAMES,
@@ -203,6 +203,29 @@ class TestStdlibNumerics:
             ((0, -1), (1, -1), (2, -1)),
         )
         assert X._supports is X._supports
+
+    @pytest.mark.parametrize("X", NUMERIC_POLYTOPES)
+    def test_a_constructor_built_polytope_matches_its_make_toric_twin(self, X):
+        # list normals and offsets, as a caller of the constructor may pass
+        Y = ToricFano(X.name, X.n, [list(v) for v in X.normals], list(X.offsets), X.interior_point)
+        assert Y._supports == X._supports
+        for f in (find_critical_fiber(X), Fiber(X.interior_point)):
+            classes, partition, balance = _fiber_areas(Y, f)
+            assert [(d.index, tuple(d.normal), d.area) for d in classes] == [
+                (d.index, d.normal, d.area) for d in _fiber_areas(X, f)[0]
+            ]
+            assert (partition, balance) == _fiber_areas(X, f)[1:]
+            for lmax in (2, 3):
+                assert list(potential._l_table(Y, partition, lmax).items()) == list(
+                    potential._l_table(X, partition, lmax).items()
+                )
+            assert formal_hessian(Y, f) == formal_hessian(X, f)
+
+    def test_equal_normals_share_one_supports_object(self):
+        X = load_toric("CPn(3)")
+        dilated = make_toric("CPn3x5", 3, X.normals, [5 * lam for lam in X.offsets])
+        built = ToricFano(X.name, 3, [list(v) for v in X.normals], X.offsets, X.interior_point)
+        assert X._supports is dilated._supports is built._supports
 
     def test_class_sums_are_complex_tuples(self, builtin):
         f = Fiber(balanced_fiber(builtin).u, holonomy=(F(1, 4),) * builtin.n)
