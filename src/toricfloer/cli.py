@@ -217,8 +217,8 @@ def cmd_analyze(args) -> dict:
         notes.append("numeric columns substitute T^e -> exp(-e) and q -> 1.")
     if not fiber.exact:
         notes.append(
-            "the critical point did not round to an exactly balanced rational "
-            "point; coordinates below are the float iterate."
+            "no point read off the solver's area classes is exactly balanced; "
+            "coordinates below are the float iterate."
         )
 
     doc: dict = {

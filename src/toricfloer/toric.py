@@ -37,11 +37,9 @@ eliminated variable is empty exactly when the zero row fails.  Of
 a.y >= b and a.y >= b' with b >= b', the first implies the second,
 non-strict or strict, and every combination is increasing in both
 right-hand sides, so no tightest bound moves.  ToricFano.bounds, which
-neither analyze nor scan reads, is computed on the first read off one
-elimination tree: a system over a run of axes reaches its left half by
-eliminating the right half's variables, last first, and its right half
-by eliminating the left half's, first first, down to n single-axis
-leaves, n + T(n//2) + T(n - n//2) eliminations, 16 at n = 6.
+neither analyze nor scan reads, is computed on its first read off the
+spine: stage k with y_0..y_{k-1} eliminated, first first, bounds y_k
+alone, n(n-1)/2 eliminations in all.
 """
 
 from __future__ import annotations
@@ -98,37 +96,18 @@ def _eliminate(rows: list[_Row], k: int) -> list[_Row]:
     return list(tightest.items())
 
 
-def _split(system: list[_Row], width: int) -> list[list[_Row]]:
-    """The `width` single-axis projections of a system over `width` axes,
-    in axis order."""
-    if width == 1:
-        return [system]
-    half = width // 2
-    left = right = system
-    for _ in range(width - half):
-        left = _eliminate(left, -1)
-    for _ in range(half):
-        right = _eliminate(right, 0)
-    return _split(left, half) + _split(right, width - half)
-
-
-def _stages(rows: list[_Row], n: int) -> list[list[_Row]]:
-    """The spine: stages[k] over y_0..y_k, each the next with y_{k+1} eliminated."""
+def _bounded_stages(rows: list[_Row], n: int) -> list[list[_Row]]:
+    """The spine: stages[k] over y_0..y_k, each the next with y_{k+1}
+    eliminated, refused with InvalidPolytope when the polytope is
+    unbounded: when some stage lacks a positive or a negative coefficient
+    on its last variable."""
     stages = [rows]
     for _ in range(n - 1):
         stages.append(_eliminate(stages[-1], -1))
-    return stages[::-1]
-
-
-def _bounded_stages(rows: list[_Row], n: int) -> list[list[_Row]]:
-    """_stages of the rows, refused with InvalidPolytope when the polytope
-    is unbounded: when some stage lacks a positive or a negative
-    coefficient on its last variable."""
-    stages = _stages(rows, n)
     for stage in stages:
         if len({a[-1] > 0 for a, _b in stage if a[-1]}) < 2:
             raise InvalidPolytope("normals do not positively span, polytope is unbounded")
-    return stages
+    return stages[::-1]
 
 
 def _integer_rows(normals: Sequence[tuple[int, ...]], offsets: Sequence[Fraction]) -> tuple[int, list[_Row]]:
@@ -154,13 +133,6 @@ def _interval(rows: list[_Row], Y: list[int], D: int):
         elif hi is None or R * hi[1] > hi[0] * c:  # -R/-c below hi
             hi = (-R, -c)
     return lo, hi
-
-
-def _coordinate_bounds(rows: list[_Row], nvars: int):
-    """The exact [min, max] of each coordinate over a bounded {y : rows},
-    read off the leaves of one elimination tree, as ((R_lo, c_lo),
-    (R_hi, c_hi)) for R/c."""
-    return [_interval(leaf, [], 1) for leaf in _split(rows, nvars)]
 
 
 def _interior_witness(stages: list[list[_Row]]) -> Optional[tuple[list[int], int]]:
@@ -300,11 +272,16 @@ class ToricFano(_Frozen):
     @cached_property
     def bounds(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Exact [min, max] of each coordinate over the closed polytope, on
-        the first read; InvalidPolytope when it is unbounded (_spine)."""
-        self._spine
-        L, rows = self._rows
-        pairs = _coordinate_bounds(rows, self.n)
-        return tuple((Fraction(Rl, cl * L), Fraction(Ru, cu * L)) for (Rl, cl), (Ru, cu) in pairs)
+        the first read: y_k's interval on spine stage k with y_0..y_{k-1}
+        eliminated; InvalidPolytope when it is unbounded (_spine)."""
+        L = self._rows[0]
+        bounds = []
+        for k, stage in enumerate(self._spine):
+            for _ in range(k):
+                stage = _eliminate(stage, 0)
+            (Rl, cl), (Ru, cu) = _interval(stage, [], 1)
+            bounds.append((Fraction(Rl, cl * L), Fraction(Ru, cu * L)))
+        return tuple(bounds)
 
     def coordinate_bounds(self) -> list[tuple[Fraction, Fraction]]:
         """Exact [min, max] of each coordinate over the closed polytope."""
