@@ -1081,6 +1081,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "analyze", "--input", "CP2", "--fiber", "1/2")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("fiber", ["", " "])
+    def test_blank_fiber_argument(self, capsys, fiber):
+        # an empty --fiber is a fiber that does not parse, not a missing one
+        code, out, err = run(capsys, "analyze", "--input", "CP2", "--fiber", fiber)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "cannot parse fiber point" in err
+
     def test_not_interior(self, capsys):
         code, _, err = run(capsys, "analyze", "--input", "CP2", "--fiber", "0,0")
         assert code == 3 and "error:" in err

@@ -117,6 +117,22 @@ class TestValidation:
         with pytest.raises(InvalidPolytope, match=message):
             list(interior_grid(X, F(1, 2)))
 
+    def test_empty_from_the_constructor(self):
+        # the constructor validates nothing, so the bounds name an empty
+        # polytope instead of returning intervals whose min exceeds their max
+        X = ToricFano("empty", 2, ((1, 0), (0, 1), (-1, -1)), (F(0), F(0), F(1)), (F(0), F(0)))
+        with pytest.raises(InvalidPolytope, match=r"^polytope is empty$"):
+            X.bounds
+        with pytest.raises(InvalidPolytope, match=r"^polytope is empty$"):
+            X.coordinate_bounds()
+        # a point or a segment is not empty: its bounds keep lo == hi
+        point = ToricFano("point", 2, ((1, 0), (0, 1), (-1, -1)), (F(0), F(0), F(0)), (F(0), F(0)))
+        assert point.bounds == ((0, 0), (0, 0))
+        segment = ToricFano(
+            "segment", 2, ((1, 0), (-1, 0), (0, 1), (0, -1)), (F(0), F(-1), F(1, 2), F(-1, 2)), (F(0), F(1, 2))
+        )
+        assert segment.bounds == ((0, 1), (F(1, 2), F(1, 2)))
+
     def test_empty_interior(self):
         with pytest.raises(InvalidPolytope, match="empty interior"):
             make_toric("bad", 2, [(1, 0), (0, 1), (-1, -1)], [0, 0, 1])
