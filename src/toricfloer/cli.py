@@ -178,7 +178,7 @@ class _LProducts:
 
 def cmd_analyze(args) -> dict:
     X = load_from_arg(args.input)
-    if args.fiber:
+    if args.fiber is not None:
         fiber, areas, grad_norm = _parse_fiber_arg(args.fiber, X.n), None, None
         fiber_source = "given"
     else:

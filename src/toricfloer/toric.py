@@ -273,13 +273,16 @@ class ToricFano(_Frozen):
     def bounds(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Exact [min, max] of each coordinate over the closed polytope, on
         the first read: y_k's interval on spine stage k with y_0..y_{k-1}
-        eliminated; InvalidPolytope when it is unbounded (_spine)."""
+        eliminated; InvalidPolytope when it is unbounded (_spine) or when an
+        interval's min exceeds its max."""
         L = self._rows[0]
         bounds = []
         for k, stage in enumerate(self._spine):
             for _ in range(k):
                 stage = _eliminate(stage, 0)
             (Rl, cl), (Ru, cu) = _interval(stage, [], 1)
+            if Rl * cu > Ru * cl:
+                raise InvalidPolytope("polytope is empty")
             bounds.append((Fraction(Rl, cl * L), Fraction(Ru, cu * L)))
         return tuple(bounds)
 
