@@ -50,7 +50,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import pairwise
 from operator import mul, sub
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -295,11 +295,8 @@ class ToricFano(_Frozen):
 
     @cached_property
     def _supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Each normal's nonzero (axis, entry) pairs, in axis order.  They
-        depend on the normals alone, so each instance reads them once from
-        _fan_supports, and the polytopes of one recent fan share one
-        tuple."""
-        return _fan_supports(tuple(map(tuple, self.normals)))
+        """Each normal's nonzero (axis, entry) pairs, in axis order, once."""
+        return tuple(tuple((i, c) for i, c in enumerate(v) if c) for v in self.normals)
 
     @cached_property
     def _rows(self) -> tuple[int, list[_Row]]:
@@ -311,17 +308,6 @@ class ToricFano(_Frozen):
         """_bounded_stages of the integer rows, which make_toric validates on
         and seeds; computed here only for an instance the constructor built."""
         return _bounded_stages(self._rows[1], self.n)
-
-
-# the fans whose supports _fan_supports keeps: a process may build many
-# polytopes of few fans, and a supports tuple depends on the normals alone
-_FANS = 64
-
-
-@lru_cache(maxsize=_FANS)
-def _fan_supports(normals: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """ToricFano._supports of the normals, a tuple of tuples."""
-    return tuple(tuple((i, c) for i, c in enumerate(v) if c) for v in normals)
 
 
 class Fiber(_Frozen):
@@ -419,20 +405,12 @@ def make_toric(
 
 
 def _builtin(name: str) -> Optional[ToricFano]:
-    if name == "CP1":
-        return make_toric("CP1", 1, [(1,), (-1,)], [0, -1])
-    if name == "CP2":
-        return make_toric("CP2", 2, [(1, 0), (0, 1), (-1, -1)], [0, 0, -1])
     if name == "CP1xCP1":
-        return make_toric(
-            "CP1xCP1",
-            2,
-            [(1, 0), (-1, 0), (0, 1), (0, -1)],
-            [0, -1, 0, -1],
-        )
-    m = re.fullmatch(r"CPn\((\d+)\)", name)
+        return make_toric("CP1xCP1", 2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [0, -1, 0, -1])
+    # CP1 and CP2 are CPn(1) and CPn(2) under their own names
+    m = re.fullmatch(r"CPn\((\d+)\)|CP([12])", name)
     if m:
-        n = int(m.group(1))
+        n = int(m.group(1) or m.group(2))
         if n < 1:
             raise ParseError("CPn(n) needs n >= 1")
         normals = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]

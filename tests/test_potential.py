@@ -216,16 +216,13 @@ class TestStdlibNumerics:
             ]
             assert (partition, balance) == _fiber_areas(X, f)[1:]
             for lmax in (2, 3):
-                assert list(potential._l_table(Y, partition, lmax).items()) == list(
-                    potential._l_table(X, partition, lmax).items()
-                )
+                want = list(potential._l_table(X, partition, lmax).items())
+                # the twin's supports are a tuple of their own, equal in
+                # value, so its table is X's cached class totals
+                hits = potential._l_totals.cache_info().hits
+                assert list(potential._l_table(Y, partition, lmax).items()) == want
+                assert potential._l_totals.cache_info().hits == hits + 1
             assert formal_hessian(Y, f) == formal_hessian(X, f)
-
-    def test_equal_normals_share_one_supports_object(self):
-        X = load_toric("CPn(3)")
-        dilated = make_toric("CPn3x5", 3, X.normals, [5 * lam for lam in X.offsets])
-        built = ToricFano(X.name, 3, [list(v) for v in X.normals], X.offsets, X.interior_point)
-        assert X._supports is dilated._supports is built._supports
 
     def test_class_sums_are_complex_tuples(self, builtin):
         f = Fiber(balanced_fiber(builtin).u, holonomy=(F(1, 4),) * builtin.n)
