@@ -133,6 +133,18 @@ class TestValidation:
         )
         assert segment.bounds == ((0, 1), (F(1, 2), F(1, 2)))
 
+    def test_empty_only_by_a_dropped_zero_row(self):
+        # the slab 1 <= x + y <= 0 inside 0 <= y <= 1: eliminating y meets
+        # the two slab rows in the zero row 0 >= 1 and drops it, so every
+        # single coordinate's interval is non-empty on its own
+        X = ToricFano(
+            "slab", 2, ((1, 1), (-1, -1), (0, 1), (0, -1)), (F(1), F(0), F(0), F(-1)), (F(0), F(0))
+        )
+        with pytest.raises(InvalidPolytope, match=r"^polytope is empty$"):
+            X.bounds
+        with pytest.raises(InvalidPolytope, match=r"^polytope is empty$"):
+            X.coordinate_bounds()
+
     def test_empty_interior(self):
         with pytest.raises(InvalidPolytope, match="empty interior"):
             make_toric("bad", 2, [(1, 0), (0, 1), (-1, -1)], [0, 0, 1])
