@@ -135,19 +135,21 @@ def _interval(rows: list[_Row], Y: list[int], D: int):
     return lo, hi
 
 
-def _interior_witness(stages: list[list[_Row]]) -> Optional[tuple[list[int], int]]:
+def _interior_witness(stages: list[list[_Row]], strict: bool = True) -> Optional[tuple[list[int], int]]:
     """A point strictly inside {y : stages[-1]}, as numerators Y over one
     denominator D, reduced by one joint gcd, or None when the interior is
     empty.  Each y_k is the midpoint of its interval given y_0..y_{k-1},
     bounded on both sides when the polytope is.  Every row is strict, and
     so is every combination, so the interior is empty exactly when an
     interval is.  The point depends only on the intervals' values, which
-    the rows the eliminations drop or merge never set."""
+    the rows the eliminations drop or merge never set.  With strict False
+    every row and interval is closed: a point of the closed polytope, None
+    when it is empty."""
     Y: list[int] = []
     D = 1
     for system in stages:
         (Rl, cl), (Ru, cu) = _interval(system, Y, D)
-        if Rl * cu >= Ru * cl:
+        if Rl * cu > Ru * cl or strict and Rl * cu == Ru * cl:
             return None
         # (Rl/cl + Ru/cu) / (2*D) over the denominator 2*cl*cu*D
         m = 2 * cl * cu
@@ -273,16 +275,17 @@ class ToricFano(_Frozen):
     def bounds(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Exact [min, max] of each coordinate over the closed polytope, on
         the first read: y_k's interval on spine stage k with y_0..y_{k-1}
-        eliminated; InvalidPolytope when it is unbounded (_spine) or when an
-        interval's min exceeds its max."""
+        eliminated; InvalidPolytope when it is unbounded (_spine) or when it
+        is empty, which a back-substitution through the closed spine finds
+        even where only a dropped zero row said so."""
+        if _interior_witness(self._spine, strict=False) is None:
+            raise InvalidPolytope("polytope is empty")
         L = self._rows[0]
         bounds = []
         for k, stage in enumerate(self._spine):
             for _ in range(k):
                 stage = _eliminate(stage, 0)
             (Rl, cl), (Ru, cu) = _interval(stage, [], 1)
-            if Rl * cu > Ru * cl:
-                raise InvalidPolytope("polytope is empty")
             bounds.append((Fraction(Rl, cl * L), Fraction(Ru, cu * L)))
         return tuple(bounds)
 
