@@ -541,26 +541,64 @@ def build_parser() -> argparse.ArgumentParser:
 
 # _parse's parser and its command parsers, built once per process: main may
 # run many times in one, and building them costs more than a small scan.
-# build_parser() still hands every other caller a parser of its own.
+# _parse reads a well-formed command line off a command parser's own option
+# table; build_parser() still hands every other caller a parser of its own.
 _parser = cache(build_parser)
 
 
 def _parse(argv: Optional[list[str]]) -> argparse.Namespace:
-    """_parser().parse_args(argv), parsed by the command's own parser when
-    argv starts with a command: the top-level parser would only hand the
-    rest of argv to it, at the cost of a second parse.  Anything else (no
-    argv, an unknown command, a top-level option, arguments left over)
-    goes through parse_args, which prints its usage and error and exits 2."""
+    """_parser().parse_args(argv), read in one walk over argv when it is a
+    command followed by exact option strings of that command's parser, each
+    with its value, and every required option present.  The walk reads the
+    actions build_parser() made: their defaults, in their order, then each
+    store_true's const and each value through its type and its choices.
+    Anything else (no argv, an unknown command, an abbreviation or an = form,
+    a value that starts with "-", "--", -h, a stray token, a value its type
+    or choices refuse, a missing value or option) goes through parse_args,
+    which prints its help, or its usage and error and exits 2."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _parser()
     if argv:
         commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         sub = commands.choices.get(argv[0])
         if sub is not None:
-            args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-            if not extras:
+            args = _walk(sub, argv)
+            if args is not None:
                 return args
     return parser.parse_args(argv)
+
+
+def _walk(sub: argparse.ArgumentParser, argv: list[str]) -> Optional[argparse.Namespace]:
+    """_parse's walk over argv, argv[0] sub's command; None for any argv it
+    does not read as argparse would."""
+    args = argparse.Namespace(command=argv[0])
+    for action in sub._actions:
+        if action.default is not argparse.SUPPRESS:
+            setattr(args, action.dest, action.default)
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = sub._option_string_actions.get(token)
+        if isinstance(action, argparse._StoreTrueAction):
+            value = action.const
+        elif action is None or action.nargs is not None:
+            return None
+        else:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except (TypeError, ValueError):
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        setattr(args, action.dest, value)
+        seen.add(action)
+    if any(action.required and action not in seen for action in sub._actions):
+        return None
+    return args
 
 
 def main(argv: Optional[list[str]] = None) -> int:

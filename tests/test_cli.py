@@ -1267,10 +1267,11 @@ class TestExitCodes:
         assert [r["indices"] for r in json.loads(out)["l_products"]] == [[]]
 
 
-# argv that main parses with the command's own parser, and argv that it
-# hands to the top-level parser: every flag of both commands, abbreviated
-# and repeated flags, "--" on either side of the command, -h at both
-# levels, no command, an unknown one, missing, bad and unknown arguments
+# argv that main reads off the command's own option table, and argv that it
+# hands to the top-level parser: every flag of both commands, in either
+# order, abbreviated and repeated flags, empty values, "--" on either side
+# of the command, -h at both levels, no command, an unknown one, missing,
+# bad and unknown arguments
 ARGV_CORPUS = [
     ["scan", "--input", "CP1", "--grid", "2", "--format", "json"],
     ["scan", "--input=CP1", "--grid=3", "--format=text"],
@@ -1278,6 +1279,14 @@ ARGV_CORPUS = [
         "analyze", "--input", "CP1", "--fiber", "1/3", "--lmax", "2", "--numeric",
         "--two-pi", "--tol", "1e-10", "--max-iters", "5", "--format", "json",
     ],
+    [
+        "analyze", "--max-iters", "5", "--tol", "1e-10", "--numeric", "--lmax", "2",
+        "--fiber", "1/3", "--two-pi", "--format", "json", "--input", "CP1",
+    ],
+    ["analyze", "--input", "CP2", "--fiber", ""],
+    ["scan", "--input", "", "--grid", "2"],
+    ["scan", "--input", "CP1", "--grid", "\u0663"],  # ARABIC-INDIC DIGIT THREE: int() reads 3
+    ["analyze", "--input", "CP1", "--numeric", "--numeric"],
     ["analyze", "--input", "CP2", "--fiber=-1/2,1/3"],
     ["analyze", "--input", "CP1", "--lmax", "-1"],
     ["scan", "--inp", "CP1", "--grid", "2", "--form", "json"],
@@ -1321,9 +1330,10 @@ def _outcome(call, argv):
 
 @pytest.mark.parametrize("argv", ARGV_CORPUS, ids=" ".join)
 class TestParseLikeTheTopLevelParser:
-    """main parses a command's argv with that command's parser, and hands
-    anything else to the top-level one: the namespace, the exit code and
-    every byte of output are those of build_parser().parse_args."""
+    """main reads a well-formed command line off the command's option
+    table, and hands anything else to the top-level parser: the namespace,
+    the exit code and every byte of output are those of
+    build_parser().parse_args."""
 
     def test_namespace_and_output(self, argv):
         assert _outcome(cli._parse, list(argv)) == _outcome(_reference_parse, list(argv))
@@ -1336,6 +1346,121 @@ class TestParseLikeTheTopLevelParser:
     def test_argv_from_sys_argv(self, argv, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["toricfloer", *argv])
         assert _outcome(cli._parse, None) == _outcome(_reference_parse, list(argv))
+
+
+def _subparsers(parser):
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices
+
+
+_PARSER = cli.build_parser()
+_OPTIONS = sorted({opt for sub in _subparsers(_PARSER).values() for opt in sub._option_string_actions})
+_VALUES = [
+    "", "CP1", "json", "xml", "2", "0", "-1", "1e-3", "nan", " 8", "\u0663", "1/3", "-1/2,1/3", "stray",
+]
+_TOKENS = st.one_of(
+    st.sampled_from(_OPTIONS),
+    st.sampled_from(sorted({opt[:5] for opt in _OPTIONS})),
+    st.builds("{}={}".format, st.sampled_from(_OPTIONS), st.sampled_from(_VALUES)),
+    st.sampled_from(["--", "-h", "-x", *_VALUES]),
+)
+
+
+def _parse_outcome(call, argv):
+    """_outcome(call, argv) with a namespace read as its (key, repr(value))
+    items: in order, and with nan equal to nan."""
+    result, out, err = _outcome(call, argv)
+    if isinstance(result, argparse.Namespace):
+        result = [(k, repr(v)) for k, v in vars(result).items()]
+    return result, out, err
+
+
+@st.composite
+def _argvs(draw):
+    """A command, now and then a random token instead, and up to 8 tokens:
+    the command's options, each required one with odds 7 in 8 and each
+    other with odds 1 in 4 (-h only among the random tokens), each option
+    string with a value from _VALUES when it takes one, in any order, and
+    up to two random tokens put in anywhere.  So about one argv in ten is
+    well formed, and most of the rest are one token away from it."""
+    command = draw(st.sampled_from(sorted(_subparsers(_PARSER))))
+    pieces = []
+    for action in _subparsers(_PARSER)[command]._actions:
+        odds = 7 if action.required else 0 if action.default is argparse.SUPPRESS else 2
+        if draw(st.integers(0, 7)) < odds:
+            piece = [draw(st.sampled_from(action.option_strings))]
+            if action.nargs is None:
+                piece.append(draw(st.sampled_from(_VALUES)))
+            pieces.append(piece)
+    tokens = list(itertools.chain(*draw(st.permutations(pieces))))
+    for _ in range(draw(st.integers(0, 2))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(_TOKENS))
+    if draw(st.integers(0, 9)) == 0:
+        command = draw(_TOKENS)
+    return [command, *tokens[:8]]
+
+
+@settings(max_examples=800, deadline=None)
+@given(_argvs())
+def test_parse_agrees_with_argparse(argv):
+    assert _parse_outcome(cli._parse, list(argv)) == _parse_outcome(_reference_parse, list(argv))
+
+
+def _count_argparse_passes(monkeypatch) -> list:
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    return calls
+
+
+def test_a_well_formed_command_runs_no_argparse_pass(monkeypatch):
+    """The argv of a benchmark job, JSON text and --format json, is read off
+    the command's option table: no argparse pass.  An abbreviation still
+    parses, through argparse, to the same namespace."""
+    cp2 = json.dumps(
+        {
+            "name": "CP2",
+            "dim": 2,
+            "facets": [
+                {"normal": [1, 0], "offset": "-3"},
+                {"normal": [0, 1], "offset": "5"},
+                {"normal": [-1, -1], "offset": "-3"},
+            ],
+        }
+    )
+    calls = _count_argparse_passes(monkeypatch)
+    for argv in (
+        ["scan", "--input", cp2, "--grid", "4", "--format", "json"],
+        ["analyze", "--input", cp2, "--format", "json"],
+    ):
+        code, out, err = _outcome(main, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)
+    assert calls == []
+    abbreviated = cli._parse(["scan", "--inp", "CP1", "--grid", "2"])
+    assert calls
+    assert abbreviated == cli._parse(["scan", "--input", "CP1", "--grid", "2"])
+
+
+def test_string_defaults_need_no_conversion():
+    """argparse passes a str default through the action's type and checks
+    it against its choices; the table walk takes every default as it is.
+    They agree while each str default has no type and lies in its choices."""
+    actions = [
+        action
+        for sub in _subparsers(cli.build_parser()).values()
+        for action in sub._actions
+        if isinstance(action.default, str)
+    ]
+    assert actions  # --format's "text"
+    for action in actions:
+        assert action.type is None, action.dest
+        assert action.choices is None or action.default in action.choices, action.dest
 
 
 def test_module_entry_point(tmp_path):
