@@ -1383,9 +1383,10 @@ def _argvs(draw):
     string with a value from _VALUES when it takes one, in any order, and
     up to two random tokens put in anywhere.  So about one argv in ten is
     well formed, and most of the rest are one token away from it."""
-    command = draw(st.sampled_from(sorted(_subparsers(_PARSER))))
+    commands = _subparsers(_PARSER)
+    command = draw(st.sampled_from(sorted(commands)))
     pieces = []
-    for action in _subparsers(_PARSER)[command]._actions:
+    for action in commands[command]._actions:
         odds = 7 if action.required else 0 if action.default is argparse.SUPPRESS else 2
         if draw(st.integers(0, 7)) < odds:
             piece = [draw(st.sampled_from(action.option_strings))]
@@ -1406,18 +1407,6 @@ def test_parse_agrees_with_argparse(argv):
     assert _parse_outcome(cli._parse, list(argv)) == _parse_outcome(_reference_parse, list(argv))
 
 
-def _count_argparse_passes(monkeypatch) -> list:
-    calls = []
-    parse_known_args = argparse.ArgumentParser.parse_known_args
-
-    def counted(self, *args, **kwargs):
-        calls.append(self.prog)
-        return parse_known_args(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
-    return calls
-
-
 def test_a_well_formed_command_runs_no_argparse_pass(monkeypatch):
     """The argv of a benchmark job, JSON text and --format json, is read off
     the command's option table: no argparse pass.  An abbreviation still
@@ -1433,7 +1422,14 @@ def test_a_well_formed_command_runs_no_argparse_pass(monkeypatch):
             ],
         }
     )
-    calls = _count_argparse_passes(monkeypatch)
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
     for argv in (
         ["scan", "--input", cp2, "--grid", "4", "--format", "json"],
         ["analyze", "--input", cp2, "--format", "json"],
